@@ -18,11 +18,18 @@ inner loop and an active-set outer loop drive the KKT residual below
 tolerance.  With u = 1 on the set and u = 0 on the ground, the Dirichlet
 energy, the charge mass on the set, and the reported value coincide up
 to solver tolerance.
+
+Charges and potentials are real, so every operator application is one
+real transform pair (rfftn/irfftn) against a cached half-spectrum symbol.
+Each active-set round warm-starts CG from the previous round's charges on
+the cells it keeps (newly grown cells start at zero); the stopping bound
+rtol * ||rhs|| is the same absolute bound a cold start would use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,10 +37,14 @@ from .measures import DiscreteMeasure, _torus_dist_sq
 from .torus import (
     Grid,
     ScalarField,
-    _fftn,
+    _bessel_inv_symbol,
+    _dirichlet_sq_from_hat,
     _ifftn,
+    _inv_lap_symbol,
+    _irfftn,
+    _kappa_sq,
+    _rfftn,
     dirichlet_norm,
-    kappa_sq,
 )
 
 __all__ = [
@@ -121,24 +132,41 @@ class CapacityResult:
     measure: DiscreteMeasure
     kkt_residual: float
     flavor: str
-    iterations: int
+    iterations: int  # conjugate-gradient iterations summed over all rounds
     ground: CompactSet | None = None
+    rounds: int = 0
+    active_cells: int = 0
+
+
+@lru_cache(maxsize=16)
+def _half_symbols(dim: int, n: int, period: float,
+                  inhomogeneous: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(Green, inverse) symbols on the rfftn half spectrum."""
+    half = (Ellipsis, slice(0, n // 2 + 1))
+    ks = _kappa_sq(dim, n, period)[half]
+    if inhomogeneous:
+        green = _bessel_inv_symbol(dim, n, period)[half]
+        return np.ascontiguousarray(green), 1.0 + ks
+    green = -_inv_lap_symbol(dim, n, period)[half]
+    return green, np.ascontiguousarray(ks)
+
+
+def _half_apply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    hat = _rfftn(values)
+    hat *= symbol
+    return _irfftn(hat, grid.shape)
 
 
 def _green_apply(grid: Grid, values: np.ndarray, inhomogeneous: bool) -> np.ndarray:
-    ks = kappa_sq(grid)
-    if inhomogeneous:
-        symbol = 1.0 / (1.0 + ks)
-    else:
-        with np.errstate(divide="ignore"):
-            symbol = np.where(ks > 0.0, 1.0 / np.where(ks > 0.0, ks, 1.0), 0.0)
-    return _ifftn(_fftn(values) * symbol).real
+    green, _ = _half_symbols(grid.dim, grid.points_per_axis, grid.period,
+                             inhomogeneous)
+    return _half_apply(grid, values, green)
 
 
 def _inverse_apply(grid: Grid, values: np.ndarray, inhomogeneous: bool) -> np.ndarray:
-    ks = kappa_sq(grid)
-    symbol = 1.0 + ks if inhomogeneous else ks
-    return _ifftn(_fftn(values) * symbol).real
+    _, inverse = _half_symbols(grid.dim, grid.points_per_axis, grid.period,
+                               inhomogeneous)
+    return _half_apply(grid, values, inverse)
 
 
 class _ChargeSystem:
@@ -168,10 +196,15 @@ class _ChargeSystem:
     def precond(self, vec: np.ndarray) -> np.ndarray:
         return self._project(self._on_grid(self._project(vec), _inverse_apply))
 
-    def solve(self, target: np.ndarray, rtol: float, max_iter: int):
+    def solve(self, target: np.ndarray, rtol: float, max_iter: int,
+              start: np.ndarray | None = None):
         rhs = self._project(target)
-        sigma = np.zeros_like(rhs)
-        r = rhs.copy()
+        if start is None:
+            sigma = np.zeros_like(rhs)
+            r = rhs.copy()
+        else:
+            sigma = self._project(start)
+            r = rhs - self.matvec(sigma)
         z = self.precond(r)
         p = z.copy()
         rz = float(r @ z)
@@ -253,15 +286,23 @@ def capacity(
     max_cg = 10 * grid.points_per_axis
 
     sigma = u = None
-    for _ in range(max_outer):
+    # previous round's charges on the full grid; zero off its active cells
+    charges = np.zeros(grid.npoints)
+    iterations = 0
+    for rounds in range(1, max_outer + 1):
         e_idx = e_idx_all[active]
         idx = np.concatenate([e_idx, ground_idx])
         target = np.zeros(idx.size)
         target[: e_idx.size] = 1.0
         system = _ChargeSystem(grid, idx, inhomogeneous,
                                zero_sum=not inhomogeneous)
-        sigma, _iters = system.solve(target, rtol=1e-12, max_iter=max_cg)
+        start = charges[idx] if rounds > 1 else None
+        sigma, iters = system.solve(target, rtol=1e-12, max_iter=max_cg,
+                                    start=start)
+        iterations += iters
         u = system.potential(sigma, target)
+        charges[:] = 0.0
+        charges[idx] = sigma
 
         drop = sigma[: e_idx.size] < -tol
         grow = u[e_idx_all] < 1.0 - tol
@@ -293,8 +334,8 @@ def capacity(
 
     potential = ScalarField(grid, u.reshape(grid.shape))
     mu = DiscreteMeasure(grid, charge.reshape(grid.shape))
-    return CapacityResult(value, potential, mu, kkt, flavor, int(active.sum()),
-                          ground)
+    return CapacityResult(value, potential, mu, kkt, flavor, iterations, ground,
+                          rounds, int(active.sum()))
 
 
 def equilibrium_potential(
@@ -339,7 +380,8 @@ class GaugeReport:
     cap_value: float
 
 
-def _band_limited_probe(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+def _band_limited_probe(grid: Grid, rng: np.random.Generator):
+    """Random complex probe with modes |k_i| <= kmax, and its spectrum."""
     kmax = max(grid.points_per_axis // 16, 2)
     hats = np.zeros(grid.shape, dtype=np.complex128)
     n = grid.points_per_axis
@@ -349,7 +391,7 @@ def _band_limited_probe(grid: Grid, rng: np.random.Generator) -> np.ndarray:
         + 1j * rng.standard_normal((len(modes),) * grid.dim)
     hats[sub] = block
     hats.flat[0] = 0.0
-    return _ifftn(hats)
+    return _ifftn(hats), hats
 
 
 def gauge_check(
@@ -395,8 +437,8 @@ def gauge_check(
     hi = 0.0
     lo = np.inf
     for _ in range(nprobe):
-        probe = _band_limited_probe(grid, rng)
-        base = dirichlet_norm(ScalarField(grid, probe))
+        probe, hats = _band_limited_probe(grid, rng)
+        base = float(np.sqrt(_dirichlet_sq_from_hat(grid, hats)))
         twisted = dirichlet_norm(ScalarField(grid, phase * probe))
         ratio = twisted / base
         hi = max(hi, ratio)

@@ -307,6 +307,8 @@ def _cmd_capacity(args):
                                    note=f"{args.flavor}, {geometry['set']}")]
     details = {
         "iterations": result.iterations,
+        "rounds": result.rounds,
+        "active_cells": result.active_cells,
         "kkt_residual": result.kkt_residual,
         "measure_mass": result.measure.total,
         "set_cells": e.count,

@@ -77,6 +77,9 @@ def read_field(path, period: float = 1.0):
     if len(raw) - offset < want * dtype.itemsize:
         raise FormatError("truncated payload")
     data = np.frombuffer(raw, dtype=dtype, count=want, offset=offset)
+    bad = int(np.count_nonzero(~np.isfinite(data)))
+    if bad:
+        raise FormatError(f"{bad} non-finite sample(s) (NaN or inf)")
     comps = data.reshape((ncomp,) + grid.shape)
     if code == 0:
         comps = comps.astype(np.float64)

@@ -86,13 +86,6 @@ class DiscreteMeasure:
             raise ValueError("measure density must be real")
         return cls(field.grid, field.values.real * field.grid.cell_volume)
 
-    @classmethod
-    def from_cell_mass(cls, field: ScalarField) -> "DiscreteMeasure":
-        """Interpret a real scalar field as per-cell masses."""
-        if not field.is_real:
-            raise ValueError("cell masses must be real")
-        return cls(field.grid, field.values.real)
-
     @property
     def total(self) -> float:
         return float(self.cell_mass.sum())

@@ -39,18 +39,14 @@ __all__ = [
     "div",
     "curl",
     "mat_div",
-    "apply_diff",
     "inv_laplacian",
     "riesz_half",
     "bessel_inv",
-    "bessel_riesz_half",
-    "apply_spectral",
     "lp_norm",
     "mean",
     "max_abs",
     "dirichlet_norm",
     "sobolev_norm",
-    "reduce",
     "integral",
     "l2_inner",
     "zero_mean",
@@ -89,6 +85,15 @@ def _fftn(values: np.ndarray) -> np.ndarray:
 
 def _ifftn(values: np.ndarray) -> np.ndarray:
     return _sfft.ifftn(values, workers=fft_workers())
+
+
+def _rfftn(values: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real array: last axis keeps modes 0..n//2."""
+    return _sfft.rfftn(values, workers=fft_workers())
+
+
+def _irfftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return _sfft.irfftn(values, s=shape, workers=fft_workers())
 
 
 @dataclass(frozen=True)
@@ -406,18 +411,6 @@ def mat_div(m: MatrixField) -> VectorField:
     return VectorField(tuple(comps))
 
 
-_DIFF = {"grad": grad, "div": div, "curl": curl, "Div": mat_div}
-
-
-def apply_diff(kind: str, field: Field) -> Field:
-    """Dispatch on {grad, div, curl, Div}."""
-    try:
-        op = _DIFF[kind]
-    except KeyError:
-        raise ValueError(f"unknown differential operator {kind!r}") from None
-    return op(field)
-
-
 # ---------------------------------------------------------------------------
 # Fourier multipliers
 # ---------------------------------------------------------------------------
@@ -478,11 +471,6 @@ def _bessel_inv_symbol(dim: int, n: int, period: float) -> np.ndarray:
     return 1.0 / (1.0 + _kappa_sq(dim, n, period))
 
 
-@lru_cache(maxsize=64)
-def _bessel_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    return 1.0 / np.sqrt(1.0 + _kappa_sq(dim, n, period))
-
-
 def inv_laplacian(field: Field, annihilate_mean: bool = False) -> Field:
     """Inverse Laplacian: multiply mode k by -1/|2 pi k / L|^2, zero mode -> 0."""
 
@@ -514,36 +502,6 @@ def bessel_inv(field: Field) -> Field:
         return _apply_multiplier(f, sym, homogeneous=False, annihilate_mean=False)
 
     return _componentwise(op, field)
-
-
-def bessel_riesz_half(field: Field) -> Field:
-    """(1 - Delta)^(-1/2); acts on every mode including the mean."""
-
-    def op(f: ScalarField) -> ScalarField:
-        g = f.grid
-        sym = _bessel_half_symbol(g.dim, g.points_per_axis, g.period)
-        return _apply_multiplier(f, sym, homogeneous=False, annihilate_mean=False)
-
-    return _componentwise(op, field)
-
-
-_SPECTRAL = {
-    "inv_laplacian": inv_laplacian,
-    "riesz_half": riesz_half,
-    "bessel_inv": bessel_inv,
-    "bessel_riesz_half": bessel_riesz_half,
-}
-
-
-def apply_spectral(kind: str, field: Field, annihilate_mean: bool = False) -> Field:
-    """Dispatch on the four multiplier kinds."""
-    try:
-        op = _SPECTRAL[kind]
-    except KeyError:
-        raise ValueError(f"unknown spectral operator {kind!r}") from None
-    if kind in ("inv_laplacian", "riesz_half"):
-        return op(field, annihilate_mean=annihilate_mean)
-    return op(field)
 
 
 # ---------------------------------------------------------------------------
@@ -605,16 +563,18 @@ def max_abs(field: Field) -> float:
     return float(_pointwise_magnitude(field).max())
 
 
+def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
+    """Squared Dirichlet norm of a field from its full spectrum."""
+    # Parseval with the unnormalised transform.
+    scale = g.period**g.dim / g.npoints**2
+    return float(np.sum(kappa_sq(g) * np.abs(fhat) ** 2) * scale)
+
+
 def dirichlet_norm(field: Field) -> float:
     """L2 norm of the full gradient, evaluated in frequency space."""
 
     def one(f: ScalarField) -> float:
-        g = f.grid
-        fhat = _fftn(f.values)
-        ks = kappa_sq(g)
-        # Parseval with the unnormalised transform.
-        scale = g.period**g.dim / g.npoints**2
-        return float(np.sum(ks * np.abs(fhat) ** 2) * scale)
+        return _dirichlet_sq_from_hat(f.grid, _fftn(f.values))
 
     if isinstance(field, ScalarField):
         return float(np.sqrt(one(field)))
@@ -628,21 +588,6 @@ def dirichlet_norm(field: Field) -> float:
 def sobolev_norm(field: Field) -> float:
     """W^{1,2} norm as the sum of the L2 and Dirichlet norms."""
     return lp_norm(field, 2.0) + dirichlet_norm(field)
-
-
-def reduce(kind: str, field: Field, p: float = 2.0):
-    """Dispatch on {Lp_norm, mean, max_abs, dirichlet_norm, sobolev_norm}."""
-    if kind == "Lp_norm":
-        return lp_norm(field, p)
-    if kind == "mean":
-        return mean(field)
-    if kind == "max_abs":
-        return max_abs(field)
-    if kind == "dirichlet_norm":
-        return dirichlet_norm(field)
-    if kind == "sobolev_norm":
-        return sobolev_norm(field)
-    raise ValueError(f"unknown reduction {kind!r}")
 
 
 def zero_mean(field: Field) -> Field:

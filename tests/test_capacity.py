@@ -3,12 +3,21 @@ import pytest
 
 from formbound.capacity import (
     CompactSet,
+    _band_limited_probe,
+    _green_apply,
+    _inverse_apply,
     ball_set,
     capacity,
     cube_set,
     gauge_check,
 )
-from formbound.torus import Grid, dirichlet_norm
+from formbound.torus import (
+    Grid,
+    ScalarField,
+    _dirichlet_sq_from_hat,
+    dirichlet_norm,
+    kappa_sq,
+)
 
 
 CENTER3 = (0.5, 0.5, 0.5)
@@ -38,7 +47,10 @@ def test_capacity_internal_consistency(cube_result):
     assert abs(res.value - dirichlet_norm(res.potential) ** 2) <= 1e-10 * res.value
     assert res.kkt_residual <= 1e-10
     assert res.flavor == "homogeneous"
-    assert res.iterations > 0
+    assert res.rounds >= 1
+    assert res.iterations >= res.rounds
+    # positive charges sit only on active cells, which lie in the set
+    assert int((res.measure.cell_mass > 0.0).sum()) <= res.active_cells <= e.count
 
 
 def test_equilibrium_potential_on_support(cube_result):
@@ -145,3 +157,55 @@ def test_flavor_validation():
     g = Grid(3, 16, 1.0)
     with pytest.raises(ValueError):
         capacity(cube_set(g, CENTER3, 0.25), "riesz")
+
+
+def _complex_symbol_apply(grid, values, inhomogeneous, green):
+    """The full-spectrum complex-transform formula, as an oracle."""
+    ks = kappa_sq(grid)
+    if green and inhomogeneous:
+        symbol = 1.0 / (1.0 + ks)
+    elif green:
+        safe = np.where(ks > 0.0, ks, 1.0)
+        symbol = np.where(ks > 0.0, 1.0 / safe, 0.0)
+    else:
+        symbol = 1.0 + ks if inhomogeneous else ks
+    return np.fft.ifftn(np.fft.fftn(values) * symbol).real
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("inhomogeneous", [False, True])
+def test_real_transform_symbols_match_complex_oracle(dim, inhomogeneous):
+    g = Grid(dim, 16, 2.0)
+    values = np.random.default_rng(dim).standard_normal(g.shape)
+    for apply, green in ((_green_apply, True), (_inverse_apply, False)):
+        got = apply(g, values, inhomogeneous)
+        want = _complex_symbol_apply(g, values, inhomogeneous, green)
+        assert got.shape == g.shape and got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_results_identical_across_thread_counts(monkeypatch):
+    g = Grid(3, 32, 1.0)
+    e = ball_set(g, CENTER3, 0.125)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FORMBOUND_THREADS", threads)
+        res = capacity(e)
+        rep = gauge_check(e, tau=0.75, nprobe=3, seed=2, result=res)
+        runs.append((res, rep))
+    (r1, g1), (r2, g2) = runs
+    assert r1.value == r2.value
+    assert np.array_equal(r1.potential.values, r2.potential.values)
+    assert r1.iterations == r2.iterations
+    assert g1.gauge_ratio == g2.gauge_ratio
+    assert g1.gauge_ratio_min == g2.gauge_ratio_min
+
+
+def test_gauge_base_norm_from_probe_spectrum():
+    g = Grid(3, 32, 1.0)
+    rng = np.random.default_rng(4)
+    for _ in range(3):
+        probe, hats = _band_limited_probe(g, rng)
+        spectral = np.sqrt(_dirichlet_sq_from_hat(g, hats))
+        direct = dirichlet_norm(ScalarField(g, probe))
+        assert abs(spectral - direct) <= 1e-13 * direct

@@ -49,6 +49,18 @@ def test_decompose_fbf_round_trip(tmp_path, capsys):
     assert by_name["reconstruction_residual"] <= 1e-10
 
 
+def test_verdict_rejects_nonfinite_input(tmp_path, capsys):
+    g = Grid(3, 16, 1.0)
+    field = presets.make_field("vortex", g)
+    field[0].values[1, 2, 3] = np.nan
+    src = tmp_path / "nan.fbf"
+    fbf.write_field(src, field)
+    code = main(["verdict", "--dim", "3", "--grid", "16",
+                 "--input", str(src)])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_verdict_certifies_vortex(tmp_path):
     out = tmp_path / "rep.json"
     code = main(["verdict", "--dim", "3", "--grid", "32",
@@ -119,6 +131,9 @@ def test_capacity_gauge_records(tmp_path):
     by_name = {r["name"]: r for r in rep["records"]}
     assert abs(by_name["capacity"]["constant"] - 0.672031349306) <= 1e-9
     assert abs(by_name["gauge_energy_ratio"]["constant"] - 1.0) <= 1e-9
+    details = rep["details"]
+    assert details["iterations"] >= details["rounds"] >= 1
+    assert 0 < details["active_cells"] <= details["set_cells"]
 
 
 def test_trace_and_formnorm_smoke(capsys):

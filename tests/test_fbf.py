@@ -82,3 +82,13 @@ def test_truncated_payload(tmp_path, grid2, noise):
     path.write_bytes(raw[: len(raw) - 16])
     with pytest.raises(fbf.FormatError):
         fbf.read_field(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_sample_rejected(tmp_path, grid2, noise, bad):
+    f = noise(grid2, seed=6, kind="scalar")
+    f.values[3, 7] = bad
+    path = tmp_path / "n.fbf"
+    fbf.write_field(path, f)
+    with pytest.raises(fbf.FormatError, match="non-finite"):
+        fbf.read_field(path)
