@@ -22,30 +22,20 @@ class FormatError(ValueError):
     """Malformed or unsupported field file."""
 
 
-def _component_arrays(field) -> list[np.ndarray]:
-    if isinstance(field, ScalarField):
-        return [field.values]
-    if isinstance(field, VectorField):
-        return [c.values for c in field.components]
-    if isinstance(field, MatrixField):
-        return [e.values for row in field.entries for e in row]
-    raise TypeError(f"not a field: {type(field)!r}")
-
-
 def write_field(path, field) -> None:
     """Serialize a scalar, vector, or matrix field."""
-    comps = _component_arrays(field)
+    if not isinstance(field, (ScalarField, VectorField, MatrixField)):
+        raise TypeError(f"not a field: {type(field)!r}")
     grid = field.grid
-    code = 1 if any(np.iscomplexobj(c) for c in comps) else 0
-    dtype = _DTYPES[code]
+    comps = field.values.reshape((-1,) + grid.shape)
+    code = 1 if np.iscomplexobj(comps) else 0
     header = np.array(
         [VERSION, grid.dim, *grid.shape, len(comps), code], dtype="<u4"
     )
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.tobytes())
-        for comp in comps:
-            fh.write(np.ascontiguousarray(comp, dtype=dtype).tobytes())
+        fh.write(np.ascontiguousarray(comps, dtype=_DTYPES[code]).tobytes())
 
 
 def read_field(path, period: float = 1.0):
@@ -87,6 +77,4 @@ def read_field(path, period: float = 1.0):
         return ScalarField(grid, comps[0])
     if ncomp == dim:
         return VectorField.from_array(grid, comps)
-    mat = comps.reshape((dim, dim) + grid.shape)
-    skew = bool(np.max(np.abs(mat + np.transpose(mat, (1, 0) + tuple(range(2, 2 + dim))))) <= 1e-12 * (1.0 + np.max(np.abs(mat))))
-    return MatrixField.from_array(grid, mat, skew_symmetric=skew)
+    return MatrixField.from_array(grid, comps.reshape((dim, dim) + grid.shape))

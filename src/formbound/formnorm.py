@@ -25,6 +25,7 @@ and sandwiched against the trace route with the factor 2 sqrt(n).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,14 @@ from .torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    _bessel_half_symbol,
+    _dirichlet_sq_from_hat,
     _fftn,
     _ifftn,
+    _inv_lap_symbol,
+    _key,
+    _riesz_half_symbol,
+    _stacked,
     kappa_axes,
     kappa_sq,
 )
@@ -70,17 +77,25 @@ class FormEstimate:
 
 
 def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
-    ks = kappa_sq(grid)
+    """S: (-Lap)^(-1/2) without the zero mode, or (1 - Lap)^(-1/2)."""
     if flavor == "inhomogeneous":
-        return 1.0 / np.sqrt(1.0 + ks)
-    with np.errstate(divide="ignore"):
-        sym = np.where(ks > 0.0, 1.0 / np.sqrt(np.where(ks > 0.0, ks, 1.0)), 0.0)
-    return sym
+        return _bessel_half_symbol(*_key(grid))
+    return _riesz_half_symbol(*_key(grid))
 
 
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}")
+
+
+def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
+    """sum conj(x) y as a numpy reduction: np.vdot and np.linalg.norm run
+    on the BLAS thread pool, whose size would move the last digits."""
+    return np.sum(np.conj(x) * y)
+
+
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(np.real(_vdot(x, x))))
 
 
 def power_iteration(
@@ -96,16 +111,16 @@ def power_iteration(
     once the relative Rayleigh change is below rtol and the relative
     eigen-residual below residual_tol.
     """
-    x = start / np.linalg.norm(start)
+    x = start / _norm(start)
     history = []
     value = 0.0
     for it in range(1, max_iter + 1):
         y = apply_op(x)
-        new = float(np.real(np.vdot(x, y)))
-        norm_y = float(np.linalg.norm(y))
+        new = float(np.real(_vdot(x, y)))
+        norm_y = _norm(y)
         if norm_y == 0.0:
             return 0.0, x, it, 0.0, (0.0,)
-        residual = float(np.linalg.norm(y - new * x)) / max(new, 1e-300)
+        residual = _norm(y - new * x) / max(new, 1e-300)
         history.append(new)
         done = it > 1 and abs(new - value) <= rtol * max(new, 1e-300) \
             and residual <= residual_tol
@@ -179,38 +194,43 @@ class _Operator:
             if field is not None and field.grid != grid:
                 raise GridMismatchError("coefficient grids differ")
         self.kappa = kappa_axes(grid)
-        self.A = None if A is None else [
-            [A.entries[i][j].values for j in range(grid.dim)]
-            for i in range(grid.dim)
-        ]
-        self.b = None if b is None else [c.values for c in b.components]
+        self.A = None if A is None else A.values
+        self.b = None if b is None else b.values
         self.q = None if q is None else q.values
 
     def _half(self, hats, conjugate: bool):
-        grid = self.grid
-        grads = [_ifftn(1j * k * hats) for k in self.kappa]
-        w = _ifftn(hats)
-        out_hat = np.zeros_like(hats)
-        point = np.zeros(grid.shape, dtype=np.complex128)
-
+        d = self.grid.dim
         A, b, q = self.A, self.b, self.q
-        if A is not None:
-            for i in range(grid.dim):
-                # adjoint uses the conjugate transpose of A
-                flux = sum(
-                    (np.conj(A[j][i]) if conjugate else A[i][j]) * grads[j]
-                    for j in range(grid.dim)
-                )
-                out_hat += 1j * self.kappa[i] * _fftn(flux)
-        if b is not None:
-            if conjugate:
-                for i in range(grid.dim):
-                    out_hat -= 1j * self.kappa[i] * _fftn(np.conj(b[i]) * w)
-            else:
-                point += sum(b[i] * grads[i] for i in range(grid.dim))
+        # one inverse transform for grad u and u, one forward transform for
+        # the fluxes, the adjoint's drift terms and the point term
+        waves = _ifftn(_stacked(itertools.chain((1j * k * hats for k in self.kappa), [hats]),
+                                (d + 1,) + hats.shape), d, overwrite=True)
+        grads, w = waves[:d], waves[d]
+        n_flux = d if A is not None else 0
+        n_drift = d if b is not None and conjugate else 0
+        spatial = np.empty((n_flux + n_drift + 1,) + hats.shape, dtype=np.complex128)
+        for i in range(n_flux):
+            # adjoint uses the conjugate transpose of A
+            spatial[i] = sum(
+                (np.conj(A[j][i]) if conjugate else A[i][j]) * grads[j]
+                for j in range(d)
+            )
+        for i in range(n_drift):
+            np.multiply(np.conj(b[i]), w, out=spatial[n_flux + i])
+        point = spatial[-1]
+        point[...] = 0.0
+        if b is not None and not conjugate:
+            point += sum(b[i] * grads[i] for i in range(d))
         if q is not None:
             point += (np.conj(q) if conjugate else q) * w
-        return out_hat + _fftn(point)
+        del waves, grads, w
+        hat = _fftn(spatial, d, overwrite=True)
+        out_hat = np.zeros_like(hats)
+        for i in range(n_flux):
+            out_hat += 1j * self.kappa[i] * hat[i]
+        for i in range(n_drift):
+            out_hat -= 1j * self.kappa[i] * hat[n_flux + i]
+        return out_hat + hat[-1]
 
     def compressed(self, hats, sym, conjugate: bool):
         return self._half(hats * sym, conjugate) * sym
@@ -242,7 +262,7 @@ def _operator_norm(
     hats = vec.reshape(grid.shape)
     u = ScalarField(grid, _ifftn(hats * sym))
     rx = op.compressed(hats, sym, conjugate=False)
-    norm_rx = float(np.linalg.norm(rx))
+    norm_rx = _norm(rx)
     if norm_rx > 0.0:
         v = ScalarField(grid, _ifftn(rx * sym / norm_rx))
     else:
@@ -303,11 +323,6 @@ def commutator_norm(
                           "power_iteration")
 
 
-def _dirichlet_sq(grid: Grid, hats: np.ndarray) -> float:
-    scale = grid.period**grid.dim / grid.npoints**2
-    return float(np.sum(kappa_sq(grid) * np.abs(hats) ** 2) * scale)
-
-
 def nonlinear_form_constant(
     b: VectorField,
     restarts: int = 20,
@@ -324,7 +339,7 @@ def nonlinear_form_constant(
     restart-limited lower bound.
     """
     grid = b.grid
-    bv = [c.values.real for c in b.components]
+    bv = b.values.real
     bmax = max(float(np.abs(c).max()) for c in bv)
     dim = grid.dim
     if bmax == 0.0:
@@ -334,13 +349,12 @@ def nonlinear_form_constant(
     smooth = 1e-8
     kappa = kappa_axes(grid)
     ks = kappa_sq(grid)
-    with np.errstate(divide="ignore"):
-        inv_ks = np.where(ks > 0.0, 1.0 / np.where(ks > 0.0, ks, 1.0), 0.0)
+    inv_ks = -_inv_lap_symbol(*_key(grid))
     vol = grid.cell_volume
 
     def split(u):
         hats = _fftn(u)
-        grads = [_ifftn(1j * k * hats).real for k in kappa]
+        grads = _ifftn(np.stack([1j * k * hats for k in kappa]), dim).real
         bg = sum(bv[i] * grads[i] for i in range(dim))
         return hats, grads, bg
 
@@ -348,7 +362,7 @@ def nonlinear_form_constant(
         hats, _grads, bg = split(u)
         num = float(np.sum(np.sqrt(bg**2 + smooth**2)
                            * np.sqrt(u**2 + smooth**2)) * vol)
-        den = _dirichlet_sq(grid, hats)
+        den = _dirichlet_sq_from_hat(grid, hats)
         return num / den, hats, bg, num, den
 
     def gradient(u, hats, bg, num, den):
@@ -357,12 +371,12 @@ def nonlinear_form_constant(
         mag_u = np.sqrt(u**2 + smooth**2)
         mag_bg = np.sqrt(bg**2 + smooth**2)
         # d num: -div(b phi |u|) + |b.grad u| g'(u), as a value-space density
-        flux_hat = sum(
-            1j * kappa[i] * _fftn(bv[i] * phi * mag_u) for i in range(dim)
-        )
-        dnum = -_ifftn(flux_hat).real + mag_bg * gee
-        # d den = 2 (-Lap u)
-        dden = 2.0 * _ifftn(ks * hats).real
+        # and d den = 2 (-Lap u), both back from one inverse transform
+        fluxes = _fftn(np.stack([bv[i] * phi * mag_u for i in range(dim)]), dim)
+        flux_hat = sum(1j * kappa[i] * fluxes[i] for i in range(dim))
+        div_flux, lap_u = _ifftn(np.stack([flux_hat, ks * hats]), dim).real
+        dnum = -div_flux + mag_bg * gee
+        dden = 2.0 * lap_u
         grad_vals = (dnum * den - dden * num) / den**2
         grad_hat = _fftn(grad_vals) * inv_ks   # H^1 preconditioning
         grad_hat.flat[0] = 0.0
@@ -383,19 +397,19 @@ def nonlinear_form_constant(
             + 1j * rng.standard_normal((len(modes),) * dim)
         hats0.flat[0] = 0.0
         u = _ifftn(hats0).real
-        u /= np.sqrt(_dirichlet_sq(grid, _fftn(u)))
+        u /= np.sqrt(_dirichlet_sq_from_hat(grid, _fftn(u)))
 
         step = 0.5
         value, hats, bg, num, den = objective(u)
         for _ in range(steps):
             g = gradient(u, hats, bg, num, den)
-            gnorm = np.sqrt(_dirichlet_sq(grid, _fftn(g)))
+            gnorm = np.sqrt(_dirichlet_sq_from_hat(grid, _fftn(g)))
             if gnorm == 0.0:
                 break
             # unit ascent direction keeps the trajectory invariant under
             # b -> alpha b, so the estimate scales exactly linearly
             trial = u + step * (g / gnorm)
-            trial /= np.sqrt(_dirichlet_sq(grid, _fftn(trial)))
+            trial /= np.sqrt(_dirichlet_sq_from_hat(grid, _fftn(trial)))
             new_value, nhats, nbg, nnum, nden = objective(trial)
             if new_value > value:
                 last_rel = (new_value - value) / max(new_value, 1e-300)

@@ -7,35 +7,40 @@ The homogeneous split of a mean-free field b is
     b = grad(inv_laplacian(div b)) + mat_div(inv_laplacian(curl b)),
 
 exact mode by mode with the curl convention of torus.py.  All multiplier
-compositions are fused in frequency space: one forward transform per input
-component, one inverse per output component, so the reconstruction residual
-is pure rounding.  One caveat inherited from real spectral calculus: energy
-at the unpaired Nyquist frequency of a real field has no real derivative
-representation, so its solenoidal part shows up in the residual instead of
-in F.  Band-limited inputs (anything sampled from a smooth function) are
+compositions are fused in frequency space: one batched forward transform
+of the input field and one batched inverse transform of every output
+component, both through torus, so the reconstruction residual is pure
+rounding.  The symbols come from the torus table (``_deriv_kappas``).
+One caveat inherited from real spectral calculus: energy at the unpaired
+Nyquist frequency of a real field has no real derivative representation,
+so its solenoidal part shows up in the residual instead of in F.
+Band-limited inputs (anything sampled from a smooth function) are
 reconstructed to machine precision.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _sfft
 
 from .torus import (
-    Grid,
     MatrixField,
     RankError,
     ScalarField,
     VectorField,
-    fft_workers,
-    kappa_axes,
+    _deriv_kappas,
+    _fftn,
+    _ifftn,
+    _key,
+    _maybe_real,
+    _pairs,
+    _skew_field,
+    _stacked,
     mat_div,
     max_abs,
-    mean,
     div as _div,
-    grad as _grad,
 )
 
 __all__ = [
@@ -66,77 +71,45 @@ class DecompositionResult:
     residual_q: float | None = None
 
 
-def _hats(v: VectorField) -> list[np.ndarray]:
-    w = fft_workers()
-    return [_sfft.fftn(c.values, workers=w) for c in v.components]
-
-
-def _deriv_kappas(g: Grid) -> tuple[list[np.ndarray], np.ndarray]:
-    """Wavenumbers with the own-axis Nyquist entry zeroed, plus their |.|^2.
-
-    A real field's unpaired Nyquist mode carries no direction of travel,
-    and the real-cast spectral derivative treats it as zero.  Building
-    the projections from the same convention keeps each mode's multiplier
-    partner-symmetric, so P and Q stay exactly idempotent on real input
-    after the cast back to real values.
-    """
-    kaps = []
-    n = g.points_per_axis
-    for kap in kappa_axes(g):
-        k = kap.copy()
-        k.flat[n // 2] = 0.0
-        kaps.append(k)
-    ks = kaps[0] ** 2
-    for k in kaps[1:]:
-        ks = ks + k**2
-    return kaps, ks
-
-
-def _back(grid: Grid, hat: np.ndarray, real: bool) -> ScalarField:
-    out = _sfft.ifftn(hat, workers=fft_workers())
-    return ScalarField(grid, out.real if real else out)
-
-
-def _skew_from_hats(grid: Grid, ent_hats, real: bool) -> MatrixField:
-    d = grid.dim
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    rows: list[list[ScalarField]] = [[zero] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            f = _back(grid, ent_hats[(i, j)], real)
-            rows[i][j] = f
-            rows[j][i] = f * (-1.0)
-    return MatrixField(tuple(tuple(r) for r in rows), skew_symmetric=True)
+def _fused_split(b: VectorField, homogeneous: bool):
+    """(mean, c, F) of the homogeneous or the Bessel split of b, from one
+    batched forward and one batched inverse transform."""
+    g = b.grid
+    d = g.dim
+    kaps, ks, bessel = _deriv_kappas(*_key(g))
+    hats = _fftn(b.values, d)
+    mean_part = np.array([h.flat[0] / g.npoints for h in hats])
+    if b.is_real:
+        mean_part = mean_part.real
+    if homogeneous:
+        for h in hats:
+            h.flat[0] = 0.0
+    s = sum(kaps[j] * hats[j] for j in range(d))
+    if homogeneous:
+        c_hat = (kaps[i] * s / ks for i in range(d))
+        f_hat = (-1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) / ks
+                 for i, j in _pairs(d))
+    else:
+        c_hat = (bessel * (kaps[i] * s + hats[i]) for i in range(d))
+        f_hat = (-1j * bessel * (kaps[j] * hats[i] - kaps[i] * hats[j])
+                 for i, j in _pairs(d))
+    spec = _stacked(itertools.chain(c_hat, f_hat), (d + d * (d - 1) // 2,) + g.shape)
+    del hats, s, c_hat, f_hat
+    back = _maybe_real(_ifftn(spec, d, overwrite=True), b.values)
+    return mean_part, VectorField.from_array(g, back[:d]), _skew_field(g, back[d:])
 
 
 def hodge_decompose(b: VectorField) -> DecompositionResult:
     """Split b into mean + gradient part c + divergence part mat_div(F)."""
     if not isinstance(b, VectorField):
         raise RankError("hodge_decompose expects a vector field")
-    g = b.grid
-    d = g.dim
-    real = not np.iscomplexobj(b.stack())
-    kaps, ks = _deriv_kappas(g)
-    hats = _hats(b)
-    mean_part = np.array([h.flat[0] / g.npoints for h in hats])
-    if real:
-        mean_part = mean_part.real
-    for h in hats:
-        h.flat[0] = 0.0
-    ks = np.where(ks > 0.0, ks, 1.0)
-    s = sum(kaps[j] * hats[j] for j in range(d))
-    c = VectorField(tuple(_back(g, kaps[i] * s / ks, real) for i in range(d)))
-    ent_hats = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            ent_hats[(i, j)] = -1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) / ks
-    F = _skew_from_hats(g, ent_hats, real)
+    mean_part, c, F = _fused_split(b, homogeneous=True)
     recon = c + mat_div(F)
     defect = 0.0
-    for i in range(d):
+    for i in range(b.grid.dim):
         defect = max(
             defect,
-            float(np.max(np.abs(b.components[i].values - mean_part[i] - recon.components[i].values))),
+            float(np.max(np.abs(b.values[i] - mean_part[i] - recon.values[i]))),
         )
     return DecompositionResult(mean_part=mean_part, c=c, F=F, residual=defect)
 
@@ -152,18 +125,19 @@ def project(which: str, b: VectorField) -> VectorField:
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")
     g = b.grid
     d = g.dim
-    real = not np.iscomplexobj(b.stack())
-    kaps, ks = _deriv_kappas(g)
-    hats = _hats(b)
+    kaps, ks, _ = _deriv_kappas(*_key(g))
+    hats = _fftn(b.values, d)
     for h in hats:
         h.flat[0] = 0.0
-    ks = np.where(ks > 0.0, ks, 1.0)
     s = sum(kaps[j] * hats[j] for j in range(d))
-    out = []
     for i in range(d):
         p_hat = kaps[i] * s / ks
-        out.append(p_hat if which == "P" else hats[i] - p_hat)
-    return VectorField(tuple(_back(g, o, real) for o in out))
+        if which == "P":
+            hats[i] = p_hat
+        else:
+            hats[i] -= p_hat
+    back = _ifftn(hats, d, overwrite=True)
+    return VectorField.from_array(g, _maybe_real(back, b.values))
 
 
 def _pointwise_opnorm(sym: np.ndarray, d: int) -> np.ndarray:
@@ -183,15 +157,10 @@ def reduce_principal(A: MatrixField, b: VectorField):
     """
     if A.grid != b.grid:
         raise ValueError("A and b live on different grids")
-    d = A.grid.dim
     At = A.transpose()
     As = (A + At) * 0.5
-    Ac_rows = tuple(
-        tuple((A.entries[i][j] - At.entries[i][j]) * 0.5 for j in range(d)) for i in range(d)
-    )
-    Ac = MatrixField(Ac_rows, skew_symmetric=True)
-    b1 = b - mat_div(Ac)
-    s_inf = float(_pointwise_opnorm(As.stack(), d).max())
+    b1 = b - mat_div((A - At) * 0.5)
+    s_inf = float(_pointwise_opnorm(As.values, A.grid.dim).max())
     return As, b1, s_inf
 
 
@@ -206,25 +175,16 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
         raise ValueError("b and q live on different grids")
     g = b.grid
     d = g.dim
-    real_b = not np.iscomplexobj(b.stack())
-    real_q = not np.iscomplexobj(q.values)
-    kaps, ks = _deriv_kappas(g)
-    hats = _hats(b)
-    bessel = 1.0 / (1.0 + ks)
-    s = sum(kaps[j] * hats[j] for j in range(d))
-    c = VectorField(
-        tuple(_back(g, bessel * (kaps[i] * s + hats[i]), real_b) for i in range(d))
-    )
-    ent_hats = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            ent_hats[(i, j)] = -1j * bessel * (kaps[j] * hats[i] - kaps[i] * hats[j])
-    F = _skew_from_hats(g, ent_hats, real_b)
-    qhat = _sfft.fftn(q.values, workers=fft_workers())
-    h = VectorField(tuple(_back(g, -1j * kaps[i] * bessel * qhat, real_q) for i in range(d)))
-    gamma = _back(g, bessel * qhat, real_q)
-    recon_b = c + mat_div(F)
-    residual = max_abs(b - recon_b)
+    _, c, F = _fused_split(b, homogeneous=False)
+    residual = max_abs(b - (c + mat_div(F)))
+    kaps, _, bessel = _deriv_kappas(*_key(g))
+    qhat = _fftn(q.values)
+    spec = _stacked(itertools.chain((-1j * kaps[i] * bessel * qhat for i in range(d)),
+                                    [bessel * qhat]), (d + 1,) + g.shape)
+    del qhat
+    back = _maybe_real(_ifftn(spec, d, overwrite=True), q.values)
+    h = VectorField.from_array(g, back[:d])
+    gamma = ScalarField(g, back[d])
     recon_q = _div(h) + gamma
     residual_q = float(np.max(np.abs(q.values - recon_q.values)))
     return DecompositionResult(

@@ -39,9 +39,10 @@ from .oscillation import Cube
 from .torus import (
     Grid,
     ScalarField,
+    _bessel_half_symbol,
     _fftn,
     _ifftn,
-    kappa_sq,
+    _key,
     riesz_half,
 )
 
@@ -75,6 +76,8 @@ class DiscreteMeasure:
             raise ValueError(
                 f"cell masses have shape {mass.shape}, grid wants {self.grid.shape}"
             )
+        if not np.isfinite(mass).all():
+            raise ValueError("non-finite cell mass (NaN or inf)")
         if mass.size and float(mass.min()) < _MASS_TOL:
             raise ValueError(f"negative cell mass {mass.min():g}")
         object.__setattr__(self, "cell_mass", np.clip(mass, 0.0, None))
@@ -219,11 +222,11 @@ def _torus_dist_sq(grid: Grid) -> np.ndarray:
     return out
 
 
-def _ball_counts(mass: np.ndarray, dist_sq: np.ndarray, radius: float) -> np.ndarray:
-    # mu(B_r(x)) for every center x at once: circular convolution with
-    # the (symmetric) ball indicator.
+def _ball_counts(mass_hat: np.ndarray, dist_sq: np.ndarray, radius: float) -> np.ndarray:
+    # mu(B_r(x)) for every center x at once: circular convolution of the
+    # mass (given by its spectrum) with the (symmetric) ball indicator.
     kernel = (dist_sq <= radius * radius).astype(np.float64)
-    out = _ifftn(_fftn(mass) * _fftn(kernel))
+    out = _ifftn(mass_hat * _fftn(kernel))
     return out.real
 
 
@@ -253,11 +256,12 @@ def ball_growth_test(
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = _torus_dist_sq(grid)
     sub = (slice(None, None, stride),) * grid.dim
+    mass_hat = _fftn(measure.cell_mass)
 
     best = 0.0
     witness = None
     for r in radii:
-        counts = _ball_counts(measure.cell_mass, dist_sq, r)[sub]
+        counts = _ball_counts(mass_hat, dist_sq, r)[sub]
         flat = int(counts.argmax())
         mass = float(counts.flat[flat])
         value = mass if grid.dim == 2 else mass / r ** (grid.dim - 2)
@@ -286,8 +290,7 @@ def _riesz_potential(density: ScalarField) -> np.ndarray:
 
 
 def _bessel_potential(density: ScalarField) -> np.ndarray:
-    grid = density.grid
-    symbol = 1.0 / np.sqrt(1.0 + kappa_sq(grid))
+    symbol = _bessel_half_symbol(*_key(density.grid))
     return _ifftn(_fftn(density.values.real) * symbol).real
 
 
@@ -403,12 +406,12 @@ def fefferman_phong_test(
 
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = _torus_dist_sq(grid)
-    integrand = values ** (1.0 + eps) * grid.cell_volume
+    integrand_hat = _fftn(values ** (1.0 + eps) * grid.cell_volume)
 
     best = 0.0
     witness = None
     for r in radii:
-        integrals = _ball_counts(integrand, dist_sq, r)
+        integrals = _ball_counts(integrand_hat, dist_sq, r)
         flat = int(integrals.argmax())
         value = float(integrals.flat[flat]) * r ** (2.0 * (1.0 + eps) - grid.dim)
         if value > best:

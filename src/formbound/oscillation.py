@@ -166,6 +166,19 @@ def _scalar_bmo(f: ScalarField, flavor: str, r: int, family: CubeFamily):
     return best_osc
 
 
+def _reduced_entries(field: MatrixField) -> list[tuple[int, int]]:
+    """Entries whose oscillation sup is the whole matrix's.
+
+    A skew field (read from its samples) needs only its upper triangle:
+    the diagonal is zero and each lower entry is a negated upper one, whose
+    oscillation and r-means are bit for bit the same.
+    """
+    d = field.grid.dim
+    if field.is_skew():
+        return [(i, j) for i in range(d) for j in range(i + 1, d)]
+    return [(i, j) for i in range(d) for j in range(d)]
+
+
 def bmo_norm(field, flavor: str = "BMO", r: int = 1, family: CubeFamily | None = None) -> BmoReport:
     """Oscillation norm of a scalar field, or entrywise max for a matrix."""
     if flavor not in FLAVORS:
@@ -173,14 +186,12 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1, family: CubeFamily | None =
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
     if isinstance(field, MatrixField):
-        d = field.grid.dim
         best = None
-        for i in range(d):
-            for j in range(d):
-                rep = bmo_norm(field.entries[i][j], flavor=flavor, r=r, family=family)
-                if best is None or rep.norm > best.norm:
-                    rep.entry = (i, j)
-                    best = rep
+        for i, j in _reduced_entries(field):
+            rep = bmo_norm(field[i, j], flavor=flavor, r=r, family=family)
+            if best is None or rep.norm > best.norm:
+                rep.entry = (i, j)
+                best = rep
         return best
     if not isinstance(field, ScalarField):
         raise RankError("bmo_norm expects a scalar or matrix field")
@@ -194,11 +205,13 @@ def vmo_profile(field, deltas, r: int = 1) -> list[tuple[float, float]]:
     r-oscillation over cubes of side <= delta.
 
     deltas below the grid resolution are rejected; the profile is
-    nondecreasing in delta because the cube families are nested.
+    nondecreasing in delta because the cube families are nested.  Each
+    (side, shift) layer is reduced once and its sup shared by every delta
+    whose family contains the side.
     """
     if isinstance(field, MatrixField):
         per_entry = [
-            vmo_profile(e, deltas, r=r) for row in field.entries for e in row
+            vmo_profile(field[i, j], deltas, r=r) for i, j in _reduced_entries(field)
         ]
         return [
             (per_entry[0][i][0], max(p[i][1] for p in per_entry))
@@ -208,16 +221,16 @@ def vmo_profile(field, deltas, r: int = 1) -> list[tuple[float, float]]:
         raise RankError("vmo_profile expects a scalar or matrix field")
     grid = field.grid
     h = grid.spacing
-    out = []
+    deltas = [float(delta) for delta in deltas]
+    tops = []
     for delta in deltas:
         if delta < h * (1.0 - 1e-12):
             raise ValueError(f"delta {delta} is below the grid resolution {h}")
         max_side = max(1, int(np.floor(delta / h * (1.0 + 1e-12))))
-        fam = dyadic_family(grid, min_side=1, max_side=min(max_side, grid.points_per_axis))
-        best = 0.0
-        for side in fam.sides:
-            for shift in fam.shifts_for(side):
-                osc, _ = _block_reduce(field.values, side, shift, r)
-                best = max(best, float(osc.max()))
-        out.append((float(delta), best))
-    return out
+        tops.append(min(max_side, grid.points_per_axis))
+    fam = dyadic_family(grid, min_side=1, max_side=max(tops, default=1))
+    side_sup = {side: max(float(_block_reduce(field.values, side, shift, r)[0].max())
+                          for shift in fam.shifts_for(side))
+                for side in fam.sides}
+    return [(delta, max([0.0] + [v for s, v in side_sup.items() if s <= top]))
+            for delta, top in zip(deltas, tops)]

@@ -21,6 +21,7 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    _ifftn,
     grad,
     mat_div,
 )
@@ -128,19 +129,20 @@ def coulomb_gauge(grid: Grid) -> VectorField:
     x = grid.coordinates()
     w = 2.0 * np.pi / grid.period
     f = np.cos(w * x[0]) * np.sin(w * x[1]) + np.zeros(grid.shape)
+    return mat_div(_skew_12(grid, f))
+
+
+def _skew_12(grid: Grid, f: np.ndarray) -> MatrixField:
+    """The skew matrix field with F_12 = f = -F_21 and no other entries."""
     d = grid.dim
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    entries = [[zero.copy() for _ in range(d)] for _ in range(d)]
-    entries[0][1] = ScalarField(grid, f)
-    entries[1][0] = ScalarField(grid, -f)
-    F0 = MatrixField(tuple(tuple(row) for row in entries), skew_symmetric=True)
-    return mat_div(F0)
+    F0 = np.zeros((d, d) + grid.shape)
+    F0[0, 1] = f
+    F0[1, 0] = -f
+    return MatrixField.from_array(grid, F0)
 
 
 def _band_limited(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
     """Real field whose spectrum is confined to |k_i| <= band per axis."""
-    import scipy.fft
-
     hats = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
     keep = np.ones(grid.shape, dtype=bool)
@@ -150,7 +152,7 @@ def _band_limited(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray
         keep &= np.abs(k).reshape(form) <= band
     hats[~keep] = 0.0
     hats.flat[0] = 0.0
-    vals = scipy.fft.ifftn(hats).real
+    vals = _ifftn(hats).real
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 
@@ -201,14 +203,7 @@ def log_singular(grid: Grid) -> ScalarField:
 def log_stream(grid: Grid) -> VectorField:
     """Drift whose stream matrix carries a log singularity: b = Div F0,
     F0_{12} = -F0_{21} = log_singular."""
-    f = log_singular(grid)
-    d = grid.dim
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    entries = [[zero.copy() for _ in range(d)] for _ in range(d)]
-    entries[0][1] = f
-    entries[1][0] = -1.0 * f
-    F0 = MatrixField(tuple(tuple(row) for row in entries), skew_symmetric=True)
-    return mat_div(F0)
+    return mat_div(_skew_12(grid, log_singular(grid).values))
 
 
 def trig_scalar(grid: Grid) -> ScalarField:

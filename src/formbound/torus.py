@@ -11,6 +11,19 @@ here.  Conventions:
 * differentiation multiplies mode k by i*kappa with kappa = 2*pi*k/L and k
   the signed integer frequency from fftfreq.
 
+Fields.  A scalar field holds one array of the grid's shape; a vector field
+one array of shape (dim, *grid) and a matrix field one of shape
+(dim, dim, *grid).  Components and entries are views of that array, so a
+write through a view reaches the field.  Every field is built through one
+constructor, which rejects NaN and infinite samples.
+
+Transforms.  Every transform in the package goes through ``_fftn`` /
+``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real, used by the
+capacity solver) here.  Given ``dim`` they transform the last ``dim`` axes
+and treat the leading axes as a batch, so a vector or matrix field costs
+one call; each component's result has the same bits as its own transform.
+Fourier symbols are built once per (dim, n, period) and cached.
+
 Derivatives of real fields are returned real: the (purely imaginary)
 asymmetric Nyquist contribution of odd multipliers is discarded, which is
 the usual spectral-derivative convention.  Composite identities that must
@@ -69,22 +82,51 @@ class RankError(TypeError):
 
 
 def fft_workers() -> int:
-    """Worker count for FFT calls, capped by FORMBOUND_THREADS if set."""
+    """The thread budget: FORMBOUND_THREADS if set, else the core count.
+
+    It is the worker count of every transform, and it caps the pipeline
+    pool in verdict.py.
+    """
     env = os.environ.get("FORMBOUND_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            return 1
+            workers = 0
+        if workers < 1:
+            raise ValueError(
+                f"FORMBOUND_THREADS must be a positive integer, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 
-def _fftn(values: np.ndarray) -> np.ndarray:
-    return _sfft.fftn(values, workers=fft_workers())
+def _axes(dim: int | None) -> tuple[int, ...] | None:
+    return None if dim is None else tuple(range(-dim, 0))
 
 
-def _ifftn(values: np.ndarray) -> np.ndarray:
-    return _sfft.ifftn(values, workers=fft_workers())
+def _fftn(values: np.ndarray, dim: int | None = None,
+          overwrite: bool = False) -> np.ndarray:
+    """Transform over the last ``dim`` axes (every axis when None).
+
+    With ``overwrite`` a complex input is transformed in place.
+    """
+    return _sfft.fftn(values, axes=_axes(dim), overwrite_x=overwrite,
+                      workers=fft_workers())
+
+
+def _ifftn(values: np.ndarray, dim: int | None = None,
+           overwrite: bool = False) -> np.ndarray:
+    return _sfft.ifftn(values, axes=_axes(dim), overwrite_x=overwrite,
+                       workers=fft_workers())
+
+
+def _stacked(parts, shape: tuple[int, ...]) -> np.ndarray:
+    """A complex batch of the arrays ``parts`` yields, filled one at a time
+    so that only one part is alive besides the batch."""
+    out = np.empty(shape, dtype=np.complex128)
+    for k, part in enumerate(parts):
+        out[k] = part
+    return out
 
 
 def _rfftn(values: np.ndarray) -> np.ndarray:
@@ -146,6 +188,15 @@ class Grid:
         return out
 
 
+# ---------------------------------------------------------------------------
+# the symbol table: every Fourier symbol, built once per (dim, n, period)
+# ---------------------------------------------------------------------------
+
+
+def _key(grid: Grid) -> tuple[int, int, float]:
+    return grid.dim, grid.points_per_axis, grid.period
+
+
 @lru_cache(maxsize=64)
 def _kappa_axes(dim: int, n: int, period: float) -> tuple[np.ndarray, ...]:
     kap = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
@@ -166,179 +217,239 @@ def _kappa_sq(dim: int, n: int, period: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
+def _inv_lap_symbol(dim: int, n: int, period: float) -> np.ndarray:
+    ks = _kappa_sq(dim, n, period).copy()
+    ks.flat[0] = 1.0
+    sym = -1.0 / ks
+    sym.flat[0] = 0.0
+    return sym
+
+
+@lru_cache(maxsize=64)
+def _riesz_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
+    """(-Lap)^(-1/2), zero mode dropped."""
+    ks = _kappa_sq(dim, n, period).copy()
+    ks.flat[0] = 1.0
+    sym = 1.0 / np.sqrt(ks)
+    sym.flat[0] = 0.0
+    return sym
+
+
+@lru_cache(maxsize=64)
+def _bessel_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
+    """(1 - Lap)^(-1/2)."""
+    return 1.0 / np.sqrt(1.0 + _kappa_sq(dim, n, period))
+
+
+@lru_cache(maxsize=64)
+def _bessel_inv_symbol(dim: int, n: int, period: float) -> np.ndarray:
+    return 1.0 / (1.0 + _kappa_sq(dim, n, period))
+
+
+@lru_cache(maxsize=64)
+def _deriv_kappas(dim: int, n: int, period: float):
+    """Wavenumbers with the own-axis Nyquist entry zeroed, for the fused
+    Hodge splits: (kaps, grounded |kaps|^2, 1 / (1 + |kaps|^2)).
+
+    A real field's unpaired Nyquist mode carries no direction of travel,
+    and the real-cast spectral derivative treats it as zero.  Building
+    the projections from the same convention keeps each mode's multiplier
+    partner-symmetric, so P and Q stay exactly idempotent on real input
+    after the cast back to real values.  The grounded square has its
+    zeros (the mean and the Nyquist-only modes) replaced by 1; the Bessel
+    factor is taken from the Nyquist-zeroed square, so it differs from
+    ``_bessel_inv_symbol`` on the Nyquist planes.
+    """
+    kaps = []
+    for kap in _kappa_axes(dim, n, period):
+        k = kap.copy()
+        k.flat[n // 2] = 0.0
+        kaps.append(k)
+    ks = kaps[0] ** 2
+    for k in kaps[1:]:
+        ks = ks + k**2
+    return tuple(kaps), np.where(ks > 0.0, ks, 1.0), 1.0 / (1.0 + ks)
+
+
 def kappa_axes(grid: Grid) -> tuple[np.ndarray, ...]:
     """Angular wavenumbers 2*pi*k/L per axis, shaped for broadcasting."""
-    return _kappa_axes(grid.dim, grid.points_per_axis, grid.period)
+    return _kappa_axes(*_key(grid))
 
 
 def kappa_sq(grid: Grid) -> np.ndarray:
     """|2*pi*k/L|^2 on the full frequency lattice."""
-    return _kappa_sq(grid.dim, grid.points_per_axis, grid.period)
+    return _kappa_sq(*_key(grid))
 
 
-def _coerce(grid: Grid, values: np.ndarray) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# fields
+# ---------------------------------------------------------------------------
+
+
+def _coerce(grid: Grid, values: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(values)
-    if arr.shape != grid.shape:
-        raise GridMismatchError(f"values shape {arr.shape} != grid shape {grid.shape}")
-    if np.iscomplexobj(arr):
-        return np.ascontiguousarray(arr, dtype=np.complex128)
-    return np.ascontiguousarray(arr, dtype=np.float64)
+    want = lead + grid.shape
+    if arr.shape != want:
+        raise GridMismatchError(f"values shape {arr.shape} != expected shape {want}")
+    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+    arr = np.ascontiguousarray(arr, dtype=dtype)
+    bad = arr.size - int(np.count_nonzero(np.isfinite(arr)))
+    if bad:
+        raise ValueError(f"{bad} non-finite sample(s) (NaN or inf) in a field")
+    return arr
 
 
 @dataclass
-class ScalarField:
+class _Field:
+    """One array of samples; its leading ``rank`` axes index components."""
+
     grid: Grid
     values: np.ndarray
 
+    rank = 0
+
     def __post_init__(self) -> None:
-        self.values = _coerce(self.grid, self.values)
+        self.values = _coerce(self.grid, self.values, (self.grid.dim,) * self.rank)
+
+    @classmethod
+    def from_array(cls, grid: Grid, stacked: np.ndarray):
+        field = object.__new__(cls)
+        _Field.__init__(field, grid, stacked)
+        return field
 
     @property
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
+    def copy(self):
+        return self.from_array(self.grid, self.values.copy())
 
-    def _check(self, other: "ScalarField") -> None:
+    def conj(self):
+        return self.from_array(self.grid, np.conj(self.values))
+
+    def _operand(self, other):
+        if not isinstance(other, _Field):
+            return other
+        if type(other) is not type(self):
+            raise RankError("fields of different rank combined")
         if other.grid != self.grid:
             raise GridMismatchError("fields live on different grids")
+        return other.values
 
     def __add__(self, other):
-        if isinstance(other, ScalarField):
-            self._check(other)
-            return ScalarField(self.grid, self.values + other.values)
-        return ScalarField(self.grid, self.values + other)
+        return self.from_array(self.grid, self.values + self._operand(other))
 
     def __sub__(self, other):
-        if isinstance(other, ScalarField):
-            self._check(other)
-            return ScalarField(self.grid, self.values - other.values)
-        return ScalarField(self.grid, self.values - other)
+        return self.from_array(self.grid, self.values - self._operand(other))
 
     def __mul__(self, other):
-        if isinstance(other, ScalarField):
-            self._check(other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * other)
+        return self.from_array(self.grid, self.values * self._operand(other))
 
     __rmul__ = __mul__
 
-    def conj(self) -> "ScalarField":
-        return ScalarField(self.grid, np.conj(self.values))
-
 
 @dataclass
-class VectorField:
-    components: tuple[ScalarField, ...]
+class ScalarField(_Field):
+    """Scalar field: one array of the grid's shape."""
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
+
+def _view(grid: Grid, values: np.ndarray) -> ScalarField:
+    """A scalar field sharing ``values``, which is already checked."""
+    field = object.__new__(ScalarField)
+    field.grid = grid
+    field.values = values
+    return field
+
+
+def _stack_of(fields, grid: Grid) -> np.ndarray:
+    for f in fields:
+        if f.grid != grid:
+            raise GridMismatchError("components live on different grids")
+    return np.stack([f.values for f in fields])
+
+
+@dataclass(init=False)
+class VectorField(_Field):
+    """Vector field; ``components`` and ``v[i]`` are views of its rows."""
+
+    rank = 1
+
+    def __init__(self, components) -> None:
+        comps = tuple(components)
         if not comps:
             raise RankError("vector field needs at least one component")
         grid = comps[0].grid
         if len(comps) != grid.dim:
             raise RankError(f"expected {grid.dim} components, got {len(comps)}")
-        for c in comps[1:]:
-            if c.grid != grid:
-                raise GridMismatchError("vector components live on different grids")
-        self.components = comps
-
-    @classmethod
-    def from_array(cls, grid: Grid, stacked: np.ndarray) -> "VectorField":
-        return cls(tuple(ScalarField(grid, stacked[i]) for i in range(grid.dim)))
+        super().__init__(grid, _stack_of(comps, grid))
 
     @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack([c.values for c in self.components])
+    def components(self) -> tuple[ScalarField, ...]:
+        return tuple(_view(self.grid, v) for v in self.values)
 
     def __getitem__(self, i: int) -> ScalarField:
-        return self.components[i]
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return VectorField(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def __mul__(self, scalar) -> "VectorField":
-        return VectorField(tuple(c * scalar for c in self.components))
-
-    __rmul__ = __mul__
+        return _view(self.grid, self.values[i])
 
 
-@dataclass
-class MatrixField:
-    entries: tuple[tuple[ScalarField, ...], ...]
-    skew_symmetric: bool = False
+@dataclass(init=False)
+class MatrixField(_Field):
+    """Matrix field; ``entries`` and ``m[i, j]`` are views of its entries."""
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.entries)
+    rank = 2
+
+    def __init__(self, entries) -> None:
+        rows = tuple(tuple(row) for row in entries)
         grid = rows[0][0].grid
         d = grid.dim
         if len(rows) != d or any(len(r) != d for r in rows):
             raise RankError(f"expected a {d}x{d} matrix of fields")
-        for row in rows:
-            for entry in row:
-                if entry.grid != grid:
-                    raise GridMismatchError("matrix entries live on different grids")
-        self.entries = rows
-
-    @classmethod
-    def from_array(cls, grid: Grid, stacked: np.ndarray, skew_symmetric: bool = False) -> "MatrixField":
-        d = grid.dim
-        rows = tuple(
-            tuple(ScalarField(grid, stacked[i, j]) for j in range(d)) for i in range(d)
-        )
-        return cls(rows, skew_symmetric=skew_symmetric)
+        super().__init__(grid, np.stack([_stack_of(row, grid) for row in rows]))
 
     @property
-    def grid(self) -> Grid:
-        return self.entries[0][0].grid
-
-    def stack(self) -> np.ndarray:
-        return np.stack([np.stack([e.values for e in row]) for row in self.entries])
+    def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
+        return tuple(tuple(_view(self.grid, e) for e in row) for row in self.values)
 
     def __getitem__(self, ij: tuple[int, int]) -> ScalarField:
-        i, j = ij
-        return self.entries[i][j]
+        return _view(self.grid, self.values[ij])
 
     def transpose(self) -> "MatrixField":
+        return MatrixField.from_array(self.grid, np.swapaxes(self.values, 0, 1))
+
+    def is_skew(self) -> bool:
+        """Whether the diagonal is zero and F_ji = -F_ij, sample for sample."""
+        v = self.values
         d = self.grid.dim
-        rows = tuple(tuple(self.entries[j][i] for j in range(d)) for i in range(d))
-        return MatrixField(rows, skew_symmetric=self.skew_symmetric)
-
-    def __add__(self, other: "MatrixField") -> "MatrixField":
-        d = self.grid.dim
-        rows = tuple(
-            tuple(self.entries[i][j] + other.entries[i][j] for j in range(d)) for i in range(d)
-        )
-        return MatrixField(rows)
-
-    def __sub__(self, other: "MatrixField") -> "MatrixField":
-        d = self.grid.dim
-        rows = tuple(
-            tuple(self.entries[i][j] - other.entries[i][j] for j in range(d)) for i in range(d)
-        )
-        return MatrixField(rows)
-
-    def __mul__(self, scalar) -> "MatrixField":
-        rows = tuple(tuple(e * scalar for e in row) for row in self.entries)
-        return MatrixField(rows, skew_symmetric=self.skew_symmetric)
-
-    __rmul__ = __mul__
+        return all(np.array_equal(v[j, i], -v[i, j])
+                   for i in range(d) for j in range(i, d))
 
 
 Field = ScalarField | VectorField | MatrixField
 
 
-def _maybe_real(out: np.ndarray, *inputs: np.ndarray) -> np.ndarray:
-    if any(np.iscomplexobj(v) for v in inputs):
-        return out
-    return out.real
+def _pairs(d: int) -> list[tuple[int, int]]:
+    """Upper-triangle index pairs (i < j), row by row."""
+    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+def _skew_field(grid: Grid, upper: np.ndarray) -> MatrixField:
+    """Skew matrix field from its upper entries, stacked in ``_pairs`` order."""
+    d = grid.dim
+    out = np.zeros((d, d) + grid.shape, dtype=upper.dtype)
+    for (i, j), ent in zip(_pairs(d), upper):
+        out[i, j] = ent
+        out[j, i] = -ent
+    return MatrixField.from_array(grid, out)
+
+
+def _maybe_real(out: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """``out``, cast to real when the input ``like`` was real."""
+    return out if np.iscomplexobj(like) else out.real
+
+
+def _check_field(field) -> None:
+    if not isinstance(field, _Field):
+        raise RankError(f"not a field: {type(field)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +463,9 @@ def grad(f: ScalarField) -> VectorField:
         raise RankError("grad expects a scalar field")
     g = f.grid
     fhat = _fftn(f.values)
-    comps = []
-    for kap in kappa_axes(g):
-        comps.append(ScalarField(g, _maybe_real(_ifftn(1j * kap * fhat), f.values)))
-    return VectorField(tuple(comps))
+    spec = _stacked((1j * kap * fhat for kap in kappa_axes(g)), (g.dim,) + g.shape)
+    out = _ifftn(spec, g.dim, overwrite=True)
+    return VectorField.from_array(g, _maybe_real(out, f.values))
 
 
 def div(v: VectorField) -> ScalarField:
@@ -364,9 +474,9 @@ def div(v: VectorField) -> ScalarField:
         raise RankError("div expects a vector field")
     g = v.grid
     acc = np.zeros(g.shape, dtype=np.complex128)
-    for kap, comp in zip(kappa_axes(g), v.components):
-        acc += 1j * kap * _fftn(comp.values)
-    return ScalarField(g, _maybe_real(_ifftn(acc), v.stack()))
+    for kap, hat in zip(kappa_axes(g), _fftn(v.values, g.dim)):
+        acc += 1j * kap * hat
+    return ScalarField(g, _maybe_real(_ifftn(acc), v.values))
 
 
 def curl(v: VectorField) -> MatrixField:
@@ -378,20 +488,14 @@ def curl(v: VectorField) -> MatrixField:
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")
     g = v.grid
-    d = g.dim
     kaps = kappa_axes(g)
-    hats = [_fftn(c.values) for c in v.components]
-    real_in = not np.iscomplexobj(v.stack())
-    zero = ScalarField(g, np.zeros(g.shape))
-    rows: list[list[ScalarField]] = [[zero] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            ent = _ifftn(1j * (kaps[j] * hats[i] - kaps[i] * hats[j]))
-            if real_in:
-                ent = ent.real
-            rows[i][j] = ScalarField(g, ent)
-            rows[j][i] = ScalarField(g, -ent)
-    return MatrixField(tuple(tuple(r) for r in rows), skew_symmetric=True)
+    hats = _fftn(v.values, g.dim)
+    pairs = _pairs(g.dim)
+    spec = _stacked((1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) for i, j in pairs),
+                    (len(pairs),) + g.shape)
+    del hats
+    upper = _ifftn(spec, g.dim, overwrite=True)
+    return _skew_field(g, _maybe_real(upper, v.values))
 
 
 def mat_div(m: MatrixField) -> VectorField:
@@ -399,16 +503,15 @@ def mat_div(m: MatrixField) -> VectorField:
     if not isinstance(m, MatrixField):
         raise RankError("mat_div expects a matrix field")
     g = m.grid
-    d = g.dim
     kaps = kappa_axes(g)
-    comps = []
-    stacked = m.stack()
-    for i in range(d):
-        acc = np.zeros(g.shape, dtype=np.complex128)
-        for j in range(d):
-            acc += 1j * kaps[j] * _fftn(m.entries[i][j].values)
-        comps.append(ScalarField(g, _maybe_real(_ifftn(acc), stacked)))
-    return VectorField(tuple(comps))
+    hats = _fftn(m.values, g.dim)
+    out = np.zeros((g.dim,) + g.shape, dtype=np.complex128)
+    for acc, row in zip(out, hats):
+        for kap, hat in zip(kaps, row):
+            acc += 1j * kap * hat
+    del hats
+    out = _ifftn(out, g.dim, overwrite=True)
+    return VectorField.from_array(g, _maybe_real(out, m.values))
 
 
 # ---------------------------------------------------------------------------
@@ -416,92 +519,39 @@ def mat_div(m: MatrixField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _mean_value(values: np.ndarray) -> complex:
-    return complex(values.mean())
-
-
-def _apply_multiplier(
-    f: ScalarField, symbol: np.ndarray, homogeneous: bool, annihilate_mean: bool
-) -> ScalarField:
-    g = f.grid
-    if homogeneous:
-        m = _mean_value(f.values)
-        scale = float(np.max(np.abs(f.values))) if f.values.size else 0.0
-        if abs(m) > _MEAN_TOL * max(1.0, scale) and not annihilate_mean:
-            raise MeanModeError(
-                "homogeneous multiplier on a field with nonzero mean "
-                f"(|mean| = {abs(m):.3e}); pass annihilate_mean=True to project it out"
-            )
-    fhat = _fftn(f.values)
-    out = _ifftn(symbol * fhat)
-    return ScalarField(g, _maybe_real(out, f.values))
-
-
-def _componentwise(op, field: Field, **kw) -> Field:
-    if isinstance(field, ScalarField):
-        return op(field, **kw)
-    if isinstance(field, VectorField):
-        return VectorField(tuple(op(c, **kw) for c in field.components))
-    if isinstance(field, MatrixField):
-        rows = tuple(tuple(op(e, **kw) for e in row) for row in field.entries)
-        return MatrixField(rows, skew_symmetric=field.skew_symmetric)
-    raise RankError(f"not a field: {type(field)!r}")
-
-
-@lru_cache(maxsize=64)
-def _inv_lap_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    ks = _kappa_sq(dim, n, period).copy()
-    ks.flat[0] = 1.0
-    sym = -1.0 / ks
-    sym.flat[0] = 0.0
-    return sym
-
-
-@lru_cache(maxsize=64)
-def _riesz_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    ks = _kappa_sq(dim, n, period).copy()
-    ks.flat[0] = 1.0
-    sym = 1.0 / np.sqrt(ks)
-    sym.flat[0] = 0.0
-    return sym
-
-
-@lru_cache(maxsize=64)
-def _bessel_inv_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    return 1.0 / (1.0 + _kappa_sq(dim, n, period))
+def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
+                      annihilate_mean: bool) -> Field:
+    """Multiply every component's spectrum by the cached ``symbol_of`` table."""
+    _check_field(field)
+    g = field.grid
+    if homogeneous and not annihilate_mean:
+        for comp in field.values.reshape((-1,) + g.shape):
+            m = complex(comp.mean())
+            scale = float(np.max(np.abs(comp))) if comp.size else 0.0
+            if abs(m) > _MEAN_TOL * max(1.0, scale):
+                raise MeanModeError(
+                    "homogeneous multiplier on a field with nonzero mean "
+                    f"(|mean| = {abs(m):.3e}); pass annihilate_mean=True to project it out"
+                )
+    hat = _fftn(field.values, g.dim)
+    hat *= symbol_of(*_key(g))
+    out = _ifftn(hat, g.dim, overwrite=True)
+    return field.from_array(g, _maybe_real(out, field.values))
 
 
 def inv_laplacian(field: Field, annihilate_mean: bool = False) -> Field:
     """Inverse Laplacian: multiply mode k by -1/|2 pi k / L|^2, zero mode -> 0."""
-
-    def op(f: ScalarField) -> ScalarField:
-        g = f.grid
-        sym = _inv_lap_symbol(g.dim, g.points_per_axis, g.period)
-        return _apply_multiplier(f, sym, homogeneous=True, annihilate_mean=annihilate_mean)
-
-    return _componentwise(op, field)
+    return _apply_multiplier(field, _inv_lap_symbol, True, annihilate_mean)
 
 
 def riesz_half(field: Field, annihilate_mean: bool = False) -> Field:
     """Half-order Riesz smoothing (-Delta)^(-1/2); zero mode dropped."""
-
-    def op(f: ScalarField) -> ScalarField:
-        g = f.grid
-        sym = _riesz_half_symbol(g.dim, g.points_per_axis, g.period)
-        return _apply_multiplier(f, sym, homogeneous=True, annihilate_mean=annihilate_mean)
-
-    return _componentwise(op, field)
+    return _apply_multiplier(field, _riesz_half_symbol, True, annihilate_mean)
 
 
 def bessel_inv(field: Field) -> Field:
     """(1 - Delta)^(-1); acts on every mode including the mean."""
-
-    def op(f: ScalarField) -> ScalarField:
-        g = f.grid
-        sym = _bessel_inv_symbol(g.dim, g.points_per_axis, g.period)
-        return _apply_multiplier(f, sym, homogeneous=False, annihilate_mean=False)
-
-    return _componentwise(op, field)
+    return _apply_multiplier(field, _bessel_inv_symbol, False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -510,17 +560,10 @@ def bessel_inv(field: Field) -> Field:
 
 
 def _pointwise_magnitude(field: Field) -> np.ndarray:
-    if isinstance(field, ScalarField):
+    _check_field(field)
+    if field.rank == 0:
         return np.abs(field.values)
-    if isinstance(field, VectorField):
-        return np.sqrt(np.sum(np.abs(field.stack()) ** 2, axis=0))
-    if isinstance(field, MatrixField):
-        return np.sqrt(np.sum(np.abs(field.stack()) ** 2, axis=(0, 1)))
-    raise RankError(f"not a field: {type(field)!r}")
-
-
-def _grid_of(field: Field) -> Grid:
-    return field.grid
+    return np.sqrt(np.sum(np.abs(field.values) ** 2, axis=tuple(range(field.rank))))
 
 
 def integral(field: ScalarField) -> complex | float:
@@ -533,7 +576,8 @@ def l2_inner(f: ScalarField, g: ScalarField) -> complex:
     """L2 pairing integral of f * conj(g)."""
     if f.grid != g.grid:
         raise GridMismatchError("fields live on different grids")
-    return complex(np.vdot(g.values, f.values) * f.grid.cell_volume)
+    # a numpy reduction, not np.vdot, so the BLAS pool size cannot move it
+    return complex(np.sum(np.conj(g.values) * f.values) * f.grid.cell_volume)
 
 
 def lp_norm(field: Field, p: float = 2.0) -> float:
@@ -541,7 +585,7 @@ def lp_norm(field: Field, p: float = 2.0) -> float:
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     mag = _pointwise_magnitude(field)
-    vol = _grid_of(field).cell_volume
+    vol = field.grid.cell_volume
     if np.isinf(p):
         return float(mag.max())
     return float((np.sum(mag**p) * vol) ** (1.0 / p))
@@ -549,14 +593,11 @@ def lp_norm(field: Field, p: float = 2.0) -> float:
 
 def mean(field: Field):
     """Average over sample points; vector/matrix means keep their shape."""
-    if isinstance(field, ScalarField):
-        m = field.values.mean()
-        return float(m.real) if field.is_real else complex(m)
-    if isinstance(field, VectorField):
-        return np.array([mean(c) for c in field.components])
-    if isinstance(field, MatrixField):
-        return np.array([[mean(e) for e in row] for row in field.entries])
-    raise RankError(f"not a field: {type(field)!r}")
+    _check_field(field)
+    if field.rank:
+        return field.values.mean(axis=_axes(field.grid.dim))
+    m = field.values.mean()
+    return float(m.real) if field.is_real else complex(m)
 
 
 def max_abs(field: Field) -> float:
@@ -572,17 +613,10 @@ def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
 
 def dirichlet_norm(field: Field) -> float:
     """L2 norm of the full gradient, evaluated in frequency space."""
-
-    def one(f: ScalarField) -> float:
-        return _dirichlet_sq_from_hat(f.grid, _fftn(f.values))
-
-    if isinstance(field, ScalarField):
-        return float(np.sqrt(one(field)))
-    if isinstance(field, VectorField):
-        return float(np.sqrt(sum(one(c) for c in field.components)))
-    if isinstance(field, MatrixField):
-        return float(np.sqrt(sum(one(e) for row in field.entries for e in row)))
-    raise RankError(f"not a field: {type(field)!r}")
+    _check_field(field)
+    g = field.grid
+    hats = _fftn(field.values, g.dim).reshape((-1,) + g.shape)
+    return float(np.sqrt(sum(_dirichlet_sq_from_hat(g, h) for h in hats)))
 
 
 def sobolev_norm(field: Field) -> float:
@@ -592,11 +626,7 @@ def sobolev_norm(field: Field) -> float:
 
 def zero_mean(field: Field) -> Field:
     """Subtract the mean from every component."""
-    if isinstance(field, ScalarField):
-        return field - mean(field)
-    if isinstance(field, VectorField):
-        return VectorField(tuple(c - mean(c) for c in field.components))
-    if isinstance(field, MatrixField):
-        rows = tuple(tuple(e - mean(e) for e in row) for row in field.entries)
-        return MatrixField(rows, skew_symmetric=field.skew_symmetric)
-    raise RankError(f"not a field: {type(field)!r}")
+    m = mean(field)
+    if field.rank:
+        m = np.reshape(m, np.shape(m) + (1,) * field.grid.dim)
+    return field.from_array(field.grid, field.values - m)

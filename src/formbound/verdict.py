@@ -19,14 +19,14 @@ finite cut.  The defaults (10 in normalized units) are configuration, carried
 in the verdict's provenance.  Refinement trends across grids, not single
 values, are what the test suite leans on.
 
-Sub-tests of one pipeline run concurrently when FORMBOUND_THREADS allows;
-records are assembled in a fixed order so reports are bit-identical across
-reruns regardless of the worker count.
+Sub-tests of one pipeline run concurrently in a pool of min(4, budget)
+threads, the budget being torus.fft_workers (FORMBOUND_THREADS or the core
+count); records are assembled in a fixed order so reports are bit-identical
+across reruns regardless of the worker count.
 """
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -48,8 +48,10 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    bessel_inv,
     curl,
     div,
+    fft_workers,
     grad,
     inv_laplacian,
     lp_norm,
@@ -128,19 +130,9 @@ class Verdict:
         return out
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FORMBOUND_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
-
-
 def _run_all(tasks):
     """Evaluate thunks, concurrently when allowed; results keep task order."""
-    workers = _max_workers()
+    workers = min(4, fft_workers())
     if workers <= 1 or len(tasks) <= 1:
         return [t() for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -154,8 +146,7 @@ def _from_measure(rep: MeasureReport, threshold: float | None) -> ConditionRecor
 
 
 def _zero_vector(grid: Grid) -> VectorField:
-    zero = ScalarField(grid, np.zeros(grid.shape))
-    return VectorField(tuple(zero.copy() for _ in range(grid.dim)))
+    return VectorField.from_array(grid, np.zeros((grid.dim,) + grid.shape))
 
 
 def _zero_scalar(grid: Grid) -> ScalarField:
@@ -197,6 +188,16 @@ def _form_record(name: str, thunk, threshold: float | None = None):
                                f"did not converge: {exc}"), None
     passed = True if threshold is None else est.value <= threshold
     return ConditionRecord(name, est.value, threshold, passed), est
+
+
+def _fold_principal(A: MatrixField | None, b: VectorField):
+    """The effective drift, with the skew part of A folded in, and the
+    record list opened by the symmetric part's sup."""
+    if A is None:
+        return b, [_is_finite_record("symmetric_sup", 0.0, "A absent")]
+    _As, b1, s_inf = reduce_principal(A, b)
+    return b1, [_is_finite_record("symmetric_sup", s_inf,
+                                  "ess sup of the pointwise norm of sym A")]
 
 
 def _gradient_energy_density(q: ScalarField) -> np.ndarray:
@@ -260,14 +261,7 @@ def assess_homogeneous(
     b0 = b if b is not None else _zero_vector(grid)
     q0 = q if q is not None else _zero_scalar(grid)
 
-    records: list[ConditionRecord] = []
-    if A is not None:
-        _As, b1, s_inf = reduce_principal(A, b0)
-        records.append(_is_finite_record("symmetric_sup", s_inf,
-                                         "ess sup of the pointwise norm of sym A"))
-    else:
-        b1 = b0
-        records.append(_is_finite_record("symmetric_sup", 0.0, "A absent"))
+    b1, records = _fold_principal(A, b0)
 
     prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="homogeneous")
 
@@ -300,6 +294,7 @@ def assess_homogeneous(
     rho = rho + _gradient_energy_density(q0)
 
     bmo_rep = bmo_norm(dec.F)
+    del dec  # free the split's fields before the estimates that peak in memory
     records.append(ConditionRecord(
         "stream_bmo", bmo_rep.norm, thr.bmo, bmo_rep.norm <= thr.bmo,
         f"worst entry {bmo_rep.entry}"))
@@ -332,14 +327,7 @@ def assess_inhomogeneous(
     b0 = b if b is not None else _zero_vector(grid)
     q0 = q if q is not None else _zero_scalar(grid)
 
-    records: list[ConditionRecord] = []
-    if A is not None:
-        _As, b1, s_inf = reduce_principal(A, b0)
-        records.append(_is_finite_record("symmetric_sup", s_inf,
-                                         "ess sup of the pointwise norm of sym A"))
-    else:
-        b1 = b0
-        records.append(_is_finite_record("symmetric_sup", 0.0, "A absent"))
+    b1, records = _fold_principal(A, b0)
 
     dec = inhomogeneous_decompose(b1, q0)
     bmo_rep = bmo_norm(dec.F, flavor="BMO_sharp")
@@ -350,16 +338,14 @@ def assess_inhomogeneous(
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + sum(np.abs(c.values) ** 2 for c in dec.h.components)
     rho = rho + np.abs(dec.gamma.values)
+    del dec  # free the split's fields before the estimates that peak in memory
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
-
-    from formbound.torus import bessel_inv
 
     def _strengthened() -> DiscreteMeasure:
         # |(1-Lap)^{-1} div b|^2 + |(1-Lap)^{-1} b|^2
-        sm_div = bessel_inv(div(b1))
-        vals = np.abs(sm_div.values) ** 2
-        for comp in b1.components:
-            vals = vals + np.abs(bessel_inv(comp).values) ** 2
+        vals = np.abs(bessel_inv(div(b1)).values) ** 2
+        for comp in bessel_inv(b1).values:
+            vals = vals + np.abs(comp) ** 2
         return DiscreteMeasure.from_density(ScalarField(grid, vals))
 
     variants, strong_mu = _run_all([

@@ -108,7 +108,7 @@ def test_criterion_02_algebraic_identities():
                 rows = ((zero, c0, c1),
                         (-1.0 * c0, zero, c2),
                         (-1.0 * c1, -1.0 * c2, zero))
-            skew = MatrixField(rows, skew_symmetric=True)
+            skew = MatrixField(rows)
             res = div(mat_div(skew))
             scale = max(_sup(b), 1e-30)
             worst = max(worst, float(np.abs(res.values).max()) / scale)

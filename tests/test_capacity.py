@@ -209,3 +209,12 @@ def test_gauge_base_norm_from_probe_spectrum():
         spectral = np.sqrt(_dirichlet_sq_from_hat(g, hats))
         direct = dirichlet_norm(ScalarField(g, probe))
         assert abs(spectral - direct) <= 1e-13 * direct
+
+
+def test_nonfinite_indicator_rejected():
+    g = Grid(3, 8, 1.0)
+    vals = np.zeros(g.shape)
+    vals[2:6, 2:6, 2:6] = 1.0
+    vals[3, 3, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        CompactSet.from_field(ScalarField(g, vals))

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
+import pytest
 
 from formbound import fbf, presets
 from formbound.cli import main
@@ -9,8 +14,6 @@ from formbound.torus import Grid
 
 
 def _schema():
-    import pathlib
-
     root = pathlib.Path(__file__).resolve().parents[1]
     with open(root / "docs" / "report_schema.json") as fh:
         return json.load(fh)
@@ -32,6 +35,58 @@ def test_carleson_threshold_failure(capsys):
     code = main(["carleson", "--dim", "3", "--grid", "16", "--threshold", "1e-9"])
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_failed_record_note_in_summary(capsys):
+    code = main(["bmo", "--dim", "2", "--grid", "16", "--threshold", "1e-3"])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] (flavor BMO, r = 1)" in out
+
+
+def test_passed_record_note_not_in_summary(capsys):
+    code = main(["bmo", "--dim", "2", "--grid", "16"])
+    assert code == 0
+    assert "flavor" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_bad_thread_budget_exit_1(threads, monkeypatch, capsys):
+    # main writes --threads into the environment; monkeypatch restores it
+    monkeypatch.setenv("FORMBOUND_THREADS", "1")
+    code = main(["bmo", "--dim", "2", "--grid", "16", "--threads", threads])
+    assert code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_bad_thread_env_exit_1(monkeypatch, capsys):
+    monkeypatch.setenv("FORMBOUND_THREADS", "two")
+    code = main(["bmo", "--dim", "2", "--grid", "16"])
+    assert code == 1
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_reports_independent_of_thread_counts(tmp_path):
+    # the BLAS pool and the program's own budget, both at 1 and both at 2
+    root = pathlib.Path(__file__).resolve().parents[1]
+    runs = {
+        "trace": ["trace", "--dim", "3", "--grid", "32", "--measure", "bump"],
+        "formnorm": ["formnorm", "--dim", "3", "--grid", "32"],
+        "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],
+    }
+    for name, argv in runs.items():
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(root / "src"))
+            env.pop("FORMBOUND_THREADS", None)
+            out = tmp_path / f"{name}_{threads}.json"
+            subprocess.run([sys.executable, "-m", "formbound.cli", *argv,
+                            "--threads", threads, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1], name
 
 
 def test_decompose_fbf_round_trip(tmp_path, capsys):

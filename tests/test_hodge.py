@@ -107,7 +107,7 @@ def test_reduce_principal_folds_skew(grid2, noise):
     assert max_abs(As.entries[0][1]) <= 1e-14
     assert max_abs(As.entries[0][0] - one) <= 1e-14
     assert abs(s_inf - 1.0) <= 1e-12
-    skew = MatrixField(((zero, s), (s * (-1.0), zero)), skew_symmetric=True)
+    skew = MatrixField(((zero, s), (s * (-1.0), zero)))
     want = b - mat_div(skew)
     assert max(max_abs(b1[i] - want[i]) for i in range(2)) <= 1e-12
 

@@ -248,3 +248,12 @@ def test_default_ball_sample_tracks_peak():
     assert (5, 9, 13) in centers
     plain = {c for c, _ in default_ball_sample(g)}
     assert (5, 9, 13) not in plain
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_mass_rejected(bad):
+    g = Grid(3, 16, 1.0)
+    mass = np.full(g.shape, g.cell_volume)
+    mass[4, 5, 6] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DiscreteMeasure(g, mass)

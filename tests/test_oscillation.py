@@ -81,6 +81,41 @@ def test_matrix_field_entrywise(grid2, noise):
     assert rep.entry in ((0, 1), (1, 0))
 
 
+def test_skew_matrix_reduces_upper_entries(grid3, noise, monkeypatch):
+    import formbound.oscillation as osc
+
+    F = hodge_decompose(noise(grid3, seed=25)).F
+    seen = []
+    scalar_bmo = osc._scalar_bmo
+
+    def counting(f, *args):
+        seen.append(f)
+        return scalar_bmo(f, *args)
+
+    monkeypatch.setattr(osc, "_scalar_bmo", counting)
+    rep = bmo_norm(F)
+    assert len(seen) == 3
+    full = max(bmo_norm(e).norm for row in F.entries for e in row)
+    assert rep.norm == full
+    assert rep.entry in ((0, 1), (0, 2), (1, 2))
+    seen.clear()
+    G = F.copy()
+    G.values[1, 0] *= 2.0
+    bmo_norm(G)
+    assert len(seen) == 9
+
+
+def test_vmo_profile_matches_per_delta_sup(grid2, noise):
+    f = noise(grid2, seed=26, kind="scalar")
+    deltas = [0.5, 0.125, 0.25, 1.0 / 32.0]
+    prof = vmo_profile(f, deltas)
+    for (delta, value), want in zip(prof, deltas):
+        assert delta == want
+        side = int(delta / grid2.spacing)
+        fam = dyadic_family(grid2, max_side=side)
+        assert value == max(bmo_norm(f, family=fam).norm, 0.0)
+
+
 def test_dyadic_family_counts():
     g = Grid(2, 16, 1.0)
     plain = dyadic_family(g, half_shifts=False).cubes()

@@ -229,3 +229,51 @@ def test_fft_workers_env(monkeypatch):
     assert fft_workers() == 2
     monkeypatch.delenv("FORMBOUND_THREADS")
     assert fft_workers() >= 1
+
+
+def test_fft_workers_rejects_bad_budget(monkeypatch):
+    for bad in ("0", "-2", "abc", "1.5"):
+        monkeypatch.setenv("FORMBOUND_THREADS", bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            fft_workers()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_samples_rejected(grid3, bad):
+    vals = np.zeros(grid3.shape)
+    vals[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ScalarField(grid3, vals)
+    stacked = np.zeros((3,) + grid3.shape, dtype=np.complex128)
+    stacked[2, 0, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        VectorField.from_array(grid3, stacked)
+
+
+def test_components_are_views_of_one_array(grid3, noise):
+    b = noise(grid3, seed=31)
+    assert b.values.shape == (3,) + grid3.shape
+    for i, c in enumerate(b.components):
+        assert np.shares_memory(c.values, b.values)
+        assert np.array_equal(c.values, b.values[i])
+    b[1].values[0, 0, 0] = 7.0
+    assert b.values[1, 0, 0, 0] == 7.0
+    F = curl(b)
+    assert F.values.shape == (3, 3) + grid3.shape
+    F[0, 2].values[1, 1, 1] = -3.0
+    assert F.entries[0][2].values[1, 1, 1] == -3.0
+    rebuilt = VectorField(b.components)
+    assert np.array_equal(rebuilt.values, b.values)
+    assert not np.shares_memory(rebuilt.values, b.values)
+
+
+def test_skewness_read_from_samples(grid3, noise):
+    F = curl(noise(grid3, seed=32))
+    assert F.is_skew()
+    assert (F * 2.0).is_skew() and F.transpose().is_skew()
+    vals = F.values.copy()
+    vals[0, 1, 0, 0, 0] = np.nextafter(vals[0, 1, 0, 0, 0], np.inf)
+    assert not MatrixField.from_array(grid3, vals).is_skew()
+    vals = F.values.copy()
+    vals[2, 2, 3, 3, 3] = 1e-300
+    assert not MatrixField.from_array(grid3, vals).is_skew()
