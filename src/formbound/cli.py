@@ -31,6 +31,7 @@ from formbound.formnorm import (
 from formbound.hodge import hodge_decompose, inhomogeneous_decompose
 from formbound.measures import inhomogeneous_variants, carleson_test
 from formbound.oscillation import bmo_norm
+from formbound.report import Record
 from formbound.torus import Grid, ScalarField, VectorField, fft_workers, lp_norm
 from formbound.verdict import (
     assess_homogeneous,
@@ -69,7 +70,7 @@ def preset(name: str, grid: Grid, seed: int = 0):
 def _common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
     sub.add_argument("--dim", type=int, default=dim_default, choices=(2, 3))
     sub.add_argument("--grid", type=int, default=32,
-                     help="points per axis (power of two, >= 8)")
+                     help="points per axis (power of two, >= 16)")
     sub.add_argument("--period", type=float, default=1.0)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the JSON report here")
@@ -228,19 +229,29 @@ def _config_echo(args, grid: Grid, **extra) -> dict:
     return cfg
 
 
-def _exit_code(records: list[dict], overall: str | None) -> int:
-    if overall == "certified_unbounded_n2":
-        return 2
-    if overall is not None:
-        return 0
-    return 0 if all(r["passed"] for r in records) else 2
+def _report(args, cfg: dict, records, overall: str | None = None, **extra):
+    """The run's report and exit code: 2 on an n=2 obstruction, or, with
+    no verdict, on any failed record; else 0."""
+    rep = report.build(args.cmd, cfg, [report.render_record(r) for r in records],
+                       overall=overall, **extra)
+    if overall is None:
+        failed = not all(r.passed for r in records)
+    else:
+        failed = overall == "certified_unbounded_n2"
+    return rep, 2 if failed else 0
+
+
+def _verdict_report(args, grid: Grid, verdict, **extra_config):
+    cfg = _config_echo(args, grid, **extra_config)
+    return _report(args, cfg, verdict.records, verdict.overall,
+                   profiles=verdict.profiles,
+                   details={"provenance": verdict.provenance})
 
 
 def _cmd_decompose(args):
     grid = _make_grid(args)
     b = _drift(args, grid)
     q = _maybe_q(args, grid)
-    records = []
     if args.flavor == "homogeneous":
         dec = hodge_decompose(b)
         extra = {}
@@ -249,29 +260,28 @@ def _cmd_decompose(args):
         dec = inhomogeneous_decompose(b, q0)
         extra = {"q_residual": dec.residual_q,
                  "h_l2": lp_norm(dec.h), "gamma_l2": lp_norm(dec.gamma)}
-    stream_max = float(np.abs(dec.F.values).max())
-    records.append(report.record_entry(
-        "reconstruction_residual", dec.residual, 1e-8, dec.residual <= 1e-8))
-    records.append(report.record_entry("stream_max_abs", stream_max,
-                                       note="max |F_ij| over entries"))
-    records.append(report.record_entry("gradient_l2", lp_norm(dec.c)))
+    records = [
+        Record("reconstruction_residual", dec.residual, 1e-8),
+        Record("stream_max_abs", float(np.abs(dec.F.values).max()),
+               note="max |F_ij| over entries"),
+        Record("gradient_l2", lp_norm(dec.c)),
+    ]
     details = {"mean_part": [float(m) for m in np.atleast_1d(dec.mean_part)]}
     for key, val in extra.items():
         details[key] = float(val)
-    cfg = _config_echo(args, grid)
-    return report.build("decompose", cfg, records, details=details), 0
+    # the split's records are diagnostics: they never set the exit code
+    rep, _ = _report(args, _config_echo(args, grid), records, details=details)
+    return rep, 0
 
 
 def _cmd_bmo(args):
     grid = _make_grid(args)
     f = presets.make_scalar(args.scalar_preset, grid)
     rep = bmo_norm(f, flavor=args.flavor, r=args.r)
-    passed = True if args.threshold is None else rep.norm <= args.threshold
-    records = [report.record_entry("bmo_norm", rep.norm, args.threshold,
-                                   passed, rep.worst_cube,
-                                   f"flavor {rep.flavor}, r = {rep.r_exponent}")]
+    records = [Record("bmo_norm", rep.norm, args.threshold, witness=rep.worst_cube,
+                      note=f"flavor {rep.flavor}, r = {rep.r_exponent}")]
     cfg = _config_echo(args, grid, scalar_preset=args.scalar_preset, r=args.r)
-    return report.build("bmo", cfg, records), _exit_code(records, None)
+    return _report(args, cfg, records)
 
 
 def _cmd_carleson(args):
@@ -282,9 +292,8 @@ def _cmd_carleson(args):
             mu, thresholds={"carleson": args.threshold})["carleson"]
     else:
         rep = carleson_test(mu, threshold=args.threshold)
-    records = [report.from_measure_report(rep)]
     cfg = _config_echo(args, grid, truncated=bool(args.truncated))
-    return report.build("carleson", cfg, records), _exit_code(records, None)
+    return _report(args, cfg, [rep])
 
 
 def _cmd_capacity(args):
@@ -300,8 +309,8 @@ def _cmd_capacity(args):
         e = cube_set(grid, corner, side)
         geometry = {"set": "cube", "side": side}
     result = capacity(e, flavor=args.flavor)
-    records = [report.record_entry("capacity", result.value,
-                                   note=f"{args.flavor}, {geometry['set']}")]
+    records = [Record("capacity", result.value,
+                      note=f"{args.flavor}, {geometry['set']}")]
     details = {
         "iterations": result.iterations,
         "rounds": result.rounds,
@@ -313,34 +322,28 @@ def _cmd_capacity(args):
     if args.tau is not None:
         gauge = gauge_check(e, args.tau, seed=args.seed, result=result)
         ratio = gauge.energy_lhs / gauge.energy_rhs
-        records.append(report.record_entry(
-            "gauge_energy_ratio", ratio, None,
-            0.85 <= ratio <= 1.15,
-            note="||grad u^tau||^2 over tau^2/(2tau-1) cap"))
-        records.append(report.record_entry(
-            "gauge_distortion_hi", gauge.gauge_ratio,
-            (1.0 + 2.0 * args.tau) * 1.1, gauge.within_bounds))
-        records.append(report.record_entry(
-            "gauge_distortion_lo", gauge.gauge_ratio_min,
-            None, gauge.within_bounds,
-            note=f"lower bound {0.9 / (1.0 + 2.0 * args.tau):.6g}"))
+        records += [
+            Record("gauge_energy_ratio", ratio, None, 0.85 <= ratio <= 1.15,
+                   note="||grad u^tau||^2 over tau^2/(2tau-1) cap"),
+            Record("gauge_distortion_hi", gauge.gauge_ratio,
+                   (1.0 + 2.0 * args.tau) * 1.1, gauge.within_bounds),
+            Record("gauge_distortion_lo", gauge.gauge_ratio_min, None,
+                   gauge.within_bounds,
+                   note=f"lower bound {0.9 / (1.0 + 2.0 * args.tau):.6g}"),
+        ]
     cfg = _config_echo(args, grid, **geometry)
     if args.tau is not None:
         cfg["tau"] = args.tau
-    return report.build("capacity", cfg, records, details=details), \
-        _exit_code(records, None)
+    return _report(args, cfg, records, details=details)
 
 
 def _cmd_trace(args):
     grid = _make_grid(args)
     mu = presets.make_measure(args.measure, grid, seed=args.seed)
     est = trace_constant(mu, flavor=args.flavor, seed=args.seed)
-    passed = True if args.threshold is None else est.value <= args.threshold
-    records = [report.record_entry("trace", est.value, args.threshold, passed)]
     details = {"iterations": est.iterations, "residual": est.residual}
-    cfg = _config_echo(args, grid)
-    return report.build("trace", cfg, records, details=details), \
-        _exit_code(records, None)
+    return _report(args, _config_echo(args, grid),
+                   [Record("trace", est.value, args.threshold)], details=details)
 
 
 def _cmd_formnorm(args):
@@ -351,22 +354,18 @@ def _cmd_formnorm(args):
     # Rayleigh value has converged (value error is quadratic in it)
     est = form_norm(None, b, q, flavor=args.flavor, seed=args.seed,
                     residual_tol=1e-4, max_iter=4000)
-    passed = True if args.threshold is None else est.value <= args.threshold
-    records = [report.record_entry("form_norm", est.value, args.threshold,
-                                   passed)]
+    records = [Record("form_norm", est.value, args.threshold)]
     details = {"iterations": est.iterations, "residual": est.residual}
     if args.nonlinear:
         big, small, ok = nonlinear_form_constant(b, seed=args.seed)
-        records.append(report.record_entry(
-            "nonlinear_constant", big.value, note="ascent lower estimate"))
-        records.append(report.record_entry(
-            "drift_l2_constant", small.value, note="sqrt trace of |b|^2 dx"))
         ratio = small.value if big.value == 0 else small.value / big.value
-        records.append(report.record_entry(
-            "sandwich", ratio, None, ok, note="c against C and 2 sqrt(n) C"))
+        records += [
+            Record("nonlinear_constant", big.value, note="ascent lower estimate"),
+            Record("drift_l2_constant", small.value, note="sqrt trace of |b|^2 dx"),
+            Record("sandwich", ratio, None, ok, note="c against C and 2 sqrt(n) C"),
+        ]
     cfg = _config_echo(args, grid, nonlinear=bool(args.nonlinear))
-    return report.build("formnorm", cfg, records, details=details), \
-        _exit_code(records, None)
+    return _report(args, cfg, records, details=details)
 
 
 def _cmd_verdict(args):
@@ -377,11 +376,7 @@ def _cmd_verdict(args):
         verdict = assess_homogeneous(None, b, q, seed=args.seed)
     else:
         verdict = assess_inhomogeneous(None, b, q, seed=args.seed)
-    records = [report.from_condition_record(r) for r in verdict.records]
-    cfg = _config_echo(args, grid)
-    rep = report.build("verdict", cfg, records, overall=verdict.overall,
-                       details={"provenance": verdict.provenance})
-    return rep, _exit_code(records, verdict.overall)
+    return _verdict_report(args, grid, verdict)
 
 
 def _cmd_magnetic(args):
@@ -395,11 +390,7 @@ def _cmd_magnetic(args):
     else:
         q = _maybe_q(args, grid)
     verdict = assess_magnetic(a, q, seed=args.seed)
-    records = [report.from_condition_record(r) for r in verdict.records]
-    cfg = _config_echo(args, grid, q_from_gauge=bool(args.q_from_gauge))
-    rep = report.build("magnetic", cfg, records, overall=verdict.overall,
-                       details={"provenance": verdict.provenance})
-    return rep, _exit_code(records, verdict.overall)
+    return _verdict_report(args, grid, verdict, q_from_gauge=bool(args.q_from_gauge))
 
 
 def _cmd_infinitesimal(args):
@@ -411,14 +402,9 @@ def _cmd_infinitesimal(args):
     else:
         deltas = [grid.period / 8.0, grid.period / 16.0, grid.period / 32.0]
     verdict = assess_infinitesimal(b, q, deltas, seed=args.seed)
-    records = [report.from_condition_record(r) for r in verdict.records]
     if args.csv:
         report.write_profile_csv(args.csv, verdict.profiles)
-    cfg = _config_echo(args, grid, deltas=deltas)
-    rep = report.build("infinitesimal", cfg, records, overall=verdict.overall,
-                       profiles=verdict.profiles,
-                       details={"provenance": verdict.provenance})
-    return rep, _exit_code(records, verdict.overall)
+    return _verdict_report(args, grid, verdict, deltas=deltas)
 
 
 _HANDLERS = {
@@ -447,6 +433,7 @@ def _summarize(rep: dict, stream) -> None:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    saved_threads = os.environ.get("FORMBOUND_THREADS")
     try:
         args = parser.parse_args(argv)
         if getattr(args, "threads", None) is not None:
@@ -469,6 +456,12 @@ def main(argv=None) -> int:
             SolverError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        # --threads holds for this run only; the caller's budget returns
+        if saved_threads is None:
+            os.environ.pop("FORMBOUND_THREADS", None)
+        else:
+            os.environ["FORMBOUND_THREADS"] = saved_threads
 
 
 if __name__ == "__main__":

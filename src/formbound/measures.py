@@ -36,6 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .oscillation import Cube
+from .report import Record
 from .torus import (
     Grid,
     ScalarField,
@@ -49,7 +50,6 @@ from .torus import (
 __all__ = [
     "DiscreteMeasure",
     "DyadicTree",
-    "MeasureReport",
     "ball_energy_test",
     "ball_growth_test",
     "carleson_test",
@@ -100,27 +100,6 @@ class DiscreteMeasure:
         if factor < 0:
             raise ValueError("scale factor must be nonnegative")
         return DiscreteMeasure(self.grid, self.cell_mass * factor)
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Outcome of one admissibility test.
-
-    ``passed`` compares the constant against the caller's threshold;
-    with no threshold the test is informational and passes.
-    """
-
-    test: str
-    constant: float
-    witness: object
-    threshold: float | None = None
-    passed: bool = True
-    note: str = ""
-
-
-def _finish(test: str, constant: float, witness, threshold, note: str = "") -> MeasureReport:
-    passed = True if threshold is None else bool(constant <= threshold)
-    return MeasureReport(test, float(constant), witness, threshold, passed, note)
 
 
 class DyadicTree:
@@ -190,11 +169,11 @@ def _carleson_scan(tree: DyadicTree, first_level: int) -> tuple[float, Cube | No
 
 def carleson_test(
     measure: DiscreteMeasure, threshold: float | None = None
-) -> MeasureReport:
+) -> Record:
     """Least c5 with sum_{Q in P} [mu(Q)/|Q|^(1-1/n)]^2 |Q| <= c5 mu(P)."""
     tree = DyadicTree(measure)
     constant, witness = _carleson_scan(tree, 0)
-    return _finish("carleson", constant, witness, threshold)
+    return Record("carleson", constant, threshold, witness=witness)
 
 
 def geometric_radii(grid: Grid) -> list[float]:
@@ -246,11 +225,11 @@ def ball_growth_test(
     radii: Sequence[float] | None = None,
     stride: int = 1,
     threshold: float | None = None,
-) -> MeasureReport:
+) -> Record:
     """Least c2 with mu(B_r(x)) <= c2 r^(n-2) over centers and radii.
 
     In two dimensions r^(n-2) = 1 and admissibility actually forces
-    mu = 0; the report then carries the max ball mass with a note.
+    mu = 0; the record then carries the max ball mass with a note.
     """
     grid = measure.grid
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
@@ -276,7 +255,7 @@ def ball_growth_test(
     if grid.dim == 2:
         extra = "n=2: reporting max ball mass; admissibility forces mu = 0"
         note = f"{note}; {extra}" if note else extra
-    return _finish("ball_growth", best, witness, threshold, note)
+    return Record("ball_growth", best, threshold, witness=witness, note=note)
 
 
 def _riesz_potential(density: ScalarField) -> np.ndarray:
@@ -326,7 +305,7 @@ def _ball_energy(
     potential,
     test_name: str,
     threshold,
-) -> MeasureReport:
+) -> Record:
     grid = measure.grid
     if ball_sample is None:
         ball_sample = default_ball_sample(grid, measure)
@@ -347,14 +326,14 @@ def _ball_energy(
         if value > best:
             best = value
             witness = (tuple(center), radius)
-    return _finish(test_name, best, witness, threshold)
+    return Record(test_name, best, threshold, witness=witness)
 
 
 def ball_energy_test(
     measure: DiscreteMeasure,
     ball_sample: Sequence[tuple[tuple[int, ...], float]] | None = None,
     threshold: float | None = None,
-) -> MeasureReport:
+) -> Record:
     """Least c3 with int_B (I1 mu_B)^2 dx <= c3 mu(B) over sampled balls."""
     if measure.grid.dim != 3:
         raise ValueError("ball energy test needs dim 3")
@@ -365,7 +344,7 @@ def pointwise_test(
     measure: DiscreteMeasure,
     tolerance: float = 1e-8,
     threshold: float | None = None,
-) -> MeasureReport:
+) -> Record:
     """Least c4 with I1[(I1 mu)^2] <= c4 I1 mu at cells where I1 mu > tol."""
     grid = measure.grid
     if grid.dim != 3:
@@ -373,18 +352,18 @@ def pointwise_test(
     return _pointwise(measure, _riesz_potential, tolerance, "pointwise", threshold)
 
 
-def _pointwise(measure, potential, tolerance, test_name, threshold) -> MeasureReport:
+def _pointwise(measure, potential, tolerance, test_name, threshold) -> Record:
     grid = measure.grid
     pot = potential(measure.density())
     top = float(pot.max())
     if top <= 0.0:
-        return _finish(test_name, 0.0, None, threshold)
+        return Record(test_name, 0.0, threshold)
     squared = potential(ScalarField(grid, pot * pot))
     keep = pot > tolerance * top
     ratio = np.where(keep, squared, 0.0) / np.where(keep, pot, 1.0)
     flat = int(ratio.argmax())
     witness = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
-    return _finish(test_name, float(ratio.flat[flat]), witness, threshold)
+    return Record(test_name, float(ratio.flat[flat]), threshold, witness=witness)
 
 
 def fefferman_phong_test(
@@ -392,7 +371,7 @@ def fefferman_phong_test(
     eps: float,
     radii: Sequence[float] | None = None,
     threshold: float | None = None,
-) -> MeasureReport:
+) -> Record:
     """Max over balls of r^(2(1+eps)-n) int_{B_r} rho^(1+eps) dx."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
@@ -417,7 +396,7 @@ def fefferman_phong_test(
         if value > best:
             best = value
             witness = (tuple(int(i) for i in np.unravel_index(flat, grid.shape)), r)
-    return _finish("fefferman_phong", best, witness, threshold)
+    return Record("fefferman_phong", best, threshold, witness=witness)
 
 
 def inhomogeneous_variants(
@@ -425,10 +404,10 @@ def inhomogeneous_variants(
     ball_sample: Sequence[tuple[tuple[int, ...], float]] | None = None,
     tolerance: float = 1e-8,
     thresholds: dict[str, float] | None = None,
-) -> dict[str, MeasureReport]:
+) -> dict[str, Record]:
     """W^{1,2} variants: Bessel potential, Carleson tree cut at side L/2.
 
-    Returns reports keyed 'carleson', 'ball_energy', 'pointwise'.  The
+    Returns records keyed 'carleson', 'ball_energy', 'pointwise'.  The
     Bessel kernel is bounded at frequency zero, so these run in both
     two and three dimensions.
     """
@@ -436,13 +415,8 @@ def inhomogeneous_variants(
     tree = DyadicTree(measure)
     constant, witness = _carleson_scan(tree, 1)
     out = {
-        "carleson": _finish(
-            "carleson_w12",
-            constant,
-            witness,
-            thresholds.get("carleson"),
-            note="cubes of side <= L/2",
-        )
+        "carleson": Record("carleson_w12", constant, thresholds.get("carleson"),
+                           witness=witness, note="cubes of side <= L/2")
     }
     out["ball_energy"] = _ball_energy(
         measure, ball_sample, _bessel_potential, "ball_energy_w12",

@@ -15,10 +15,38 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import dataclass
 
 SCHEMA_VERSION = 1
 
 _RECORD_KEYS = ("name", "constant", "threshold", "passed", "witness", "note")
+
+
+@dataclass(frozen=True)
+class Record:
+    """One tested condition, from the test that measures it to the report.
+
+    ``witness`` is the cube, ball or cell that realizes the constant, in
+    the shapes ``witness_payload`` accepts.  Unless given, ``passed``
+    follows the one pass rule: with no threshold the record is
+    informational and passes, otherwise it passes when
+    ``constant <= threshold``, which is False for a NaN constant.  Records
+    held to another rule (a decay factor, finiteness, a band) give
+    ``passed`` themselves.
+    """
+
+    name: str
+    constant: float | None
+    threshold: float | None = None
+    passed: bool | None = None
+    witness: object = None
+    note: str = ""
+
+    def __post_init__(self) -> None:
+        passed = self.passed
+        if passed is None:
+            passed = self.threshold is None or self.constant <= self.threshold
+        object.__setattr__(self, "passed", bool(passed))
 
 
 def render_float(x: float) -> str:
@@ -72,10 +100,11 @@ def witness_payload(witness):
     """Index-coordinate form of a test witness.
 
     Accepts the shapes the test modules produce: a dyadic cube, a
-    (center, radius) ball, a bare cell tuple, or None.
+    (center, radius) ball, a bare cell tuple, or None; a payload already
+    in index form passes through.
     """
-    if witness is None:
-        return None
+    if witness is None or isinstance(witness, dict):
+        return witness
     corner = getattr(witness, "corner", None)
     if corner is not None:
         return {"cube_corner": [int(i) for i in corner],
@@ -90,6 +119,18 @@ def witness_payload(witness):
     return None
 
 
+def render_record(rec: Record) -> dict:
+    """The report entry of a record."""
+    return {
+        "name": str(rec.name),
+        "constant": None if rec.constant is None else float(rec.constant),
+        "threshold": None if rec.threshold is None else float(rec.threshold),
+        "passed": rec.passed,
+        "witness": witness_payload(rec.witness),
+        "note": str(rec.note),
+    }
+
+
 def record_entry(
     name: str,
     constant,
@@ -98,24 +139,7 @@ def record_entry(
     witness=None,
     note: str = "",
 ) -> dict:
-    return {
-        "name": str(name),
-        "constant": None if constant is None else float(constant),
-        "threshold": None if threshold is None else float(threshold),
-        "passed": bool(passed),
-        "witness": witness_payload(witness) if not isinstance(witness, (dict, type(None))) else witness,
-        "note": str(note),
-    }
-
-
-def from_measure_report(rep) -> dict:
-    return record_entry(rep.test, rep.constant, rep.threshold, rep.passed,
-                        rep.witness, rep.note)
-
-
-def from_condition_record(rec) -> dict:
-    return record_entry(rec.condition, rec.constant, rec.threshold,
-                        rec.passed, None, rec.note)
+    return render_record(Record(name, constant, threshold, passed, witness, note))
 
 
 def build(subcommand: str, config: dict, records: list[dict],

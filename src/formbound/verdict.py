@@ -36,13 +36,13 @@ from formbound.formnorm import ConvergenceError, form_norm, trace_constant
 from formbound.hodge import hodge_decompose, inhomogeneous_decompose, reduce_principal
 from formbound.measures import (
     DiscreteMeasure,
-    MeasureReport,
     ball_growth_test,
     carleson_test,
     fefferman_phong_test,
     inhomogeneous_variants,
 )
-from formbound.oscillation import bmo_norm, vmo_profile
+from formbound.oscillation import BmoReport, bmo_norm, vmo_profile
+from formbound.report import Record
 from formbound.torus import (
     Grid,
     MatrixField,
@@ -82,28 +82,10 @@ class Thresholds:
     trace_decay: float = 2.0
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
-    condition: str
-    constant: float
-    threshold: float | None
-    passed: bool
-    note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "constant": float(self.constant),
-            "threshold": None if self.threshold is None else float(self.threshold),
-            "passed": bool(self.passed),
-            "note": self.note,
-        }
-
-
 @dataclass
 class Verdict:
     pipeline: str
-    records: tuple[ConditionRecord, ...]
+    records: tuple[Record, ...]
     overall: str
     provenance: dict
     profiles: dict | None = None
@@ -112,22 +94,11 @@ class Verdict:
         if self.overall not in OUTCOMES:
             raise ValueError(f"overall must be one of {OUTCOMES}, got {self.overall!r}")
 
-    def record(self, condition: str) -> ConditionRecord:
+    def record(self, name: str) -> Record:
         for rec in self.records:
-            if rec.condition == condition:
+            if rec.name == name:
                 return rec
-        raise KeyError(condition)
-
-    def as_dict(self) -> dict:
-        out = {
-            "pipeline": self.pipeline,
-            "overall": self.overall,
-            "records": [r.as_dict() for r in self.records],
-            "provenance": self.provenance,
-        }
-        if self.profiles is not None:
-            out["profiles"] = self.profiles
-        return out
+        raise KeyError(name)
 
 
 def _run_all(tasks):
@@ -138,11 +109,6 @@ def _run_all(tasks):
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(t) for t in tasks]
         return [f.result() for f in futures]
-
-
-def _from_measure(rep: MeasureReport, threshold: float | None) -> ConditionRecord:
-    passed = True if threshold is None else rep.constant <= threshold
-    return ConditionRecord(rep.test, rep.constant, threshold, passed, rep.note)
 
 
 def _zero_vector(grid: Grid) -> VectorField:
@@ -174,20 +140,26 @@ def _provenance(grid: Grid, thr: Thresholds, **extra) -> dict:
     return out
 
 
-def _is_finite_record(name: str, value: float, note: str = "") -> ConditionRecord:
-    return ConditionRecord(name, float(value), None, bool(np.isfinite(value)), note)
+def _is_finite_record(name: str, value: float, note: str = "") -> Record:
+    return Record(name, float(value), passed=bool(np.isfinite(value)), note=note)
 
 
-def _form_record(name: str, thunk, threshold: float | None = None):
+def _form_record(name: str, thunk, threshold: float | None = None) -> Record:
     """Run a compressed-norm estimate, mapping non-convergence to a failed
     record instead of an exception."""
     try:
         est = thunk()
     except ConvergenceError as exc:
-        return ConditionRecord(name, float("nan"), threshold, False,
-                               f"did not converge: {exc}"), None
-    passed = True if threshold is None else est.value <= threshold
-    return ConditionRecord(name, est.value, threshold, passed), est
+        return Record(name, float("nan"), threshold, False,
+                      note=f"did not converge: {exc}")
+    return Record(name, est.value, threshold)
+
+
+def _bmo_record(name: str, rep: BmoReport, threshold: float) -> Record:
+    """An oscillation record, witnessed by the worst cube (and, for a
+    matrix field, noted with the worst entry)."""
+    note = "" if rep.entry is None else f"worst entry {rep.entry}"
+    return Record(name, rep.norm, threshold, witness=rep.worst_cube, note=note)
 
 
 def _fold_principal(A: MatrixField | None, b: VectorField):
@@ -211,26 +183,21 @@ def _gradient_energy_density(q: ScalarField) -> np.ndarray:
 
 def _admissibility_records(
     grid: Grid, rho: np.ndarray, eps: float, thr: Thresholds
-) -> list[ConditionRecord]:
+) -> list[Record]:
     """Carleson + ball growth + Fefferman-Phong battery for a density rho."""
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
-    reports = _run_all([
-        lambda: carleson_test(mu),
-        lambda: ball_growth_test(mu),
-        lambda: fefferman_phong_test(mu.density(), eps),
+    return _run_all([
+        lambda: carleson_test(mu, threshold=thr.carleson),
+        lambda: ball_growth_test(mu, threshold=thr.ball_growth),
+        lambda: fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
     ])
-    return [
-        _from_measure(reports[0], thr.carleson),
-        _from_measure(reports[1], thr.ball_growth),
-        _from_measure(reports[2], thr.fefferman_phong),
-    ]
 
 
 def _fold(records, necessary, sufficiency=()) -> str:
     # envelope records already fail on nan/inf constants (the comparison
     # against the threshold is False); decay records pass with an infinite
     # factor by design, so only the pass flags are consulted here
-    by_name = {r.condition: r for r in records}
+    by_name = {r.name: r for r in records}
     for name in necessary:
         if not by_name[name].passed:
             return "inconclusive"
@@ -268,10 +235,10 @@ def assess_homogeneous(
     if grid.dim == 2:
         div_mass = lp_norm(div(b1), 1.0)
         q_mass = lp_norm(q0, 1.0)
-        div_rec = ConditionRecord("n2_divergence_mass", div_mass, thr.null_tolerance,
-                                  div_mass <= thr.null_tolerance, "L1 of div b")
-        q_rec = ConditionRecord("n2_potential_mass", q_mass, thr.null_tolerance,
-                                q_mass <= thr.null_tolerance, "L1 of q")
+        div_rec = Record("n2_divergence_mass", div_mass, thr.null_tolerance,
+                         note="L1 of div b")
+        q_rec = Record("n2_potential_mass", q_mass, thr.null_tolerance,
+                       note="L1 of q")
         records.extend([div_rec, q_rec])
         if not (div_rec.passed and q_rec.passed):
             return Verdict("homogeneous", tuple(records), "certified_unbounded_n2", prov)
@@ -279,13 +246,10 @@ def assess_homogeneous(
         # of b1 already carries the - (A - A^T)/2 correction
         rot = curl(b1)[0, 1]
         pot = inv_laplacian(rot, annihilate_mean=True)
-        rep = bmo_norm(pot)
-        records.append(ConditionRecord("rotation_bmo", rep.norm, thr.bmo,
-                                       rep.norm <= thr.bmo))
-        form_rec, _ = _form_record(
+        records.append(_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo))
+        records.append(_form_record(
             "form_norm", lambda: form_norm(None, b1, None, seed=seed,
-                                           residual_tol=1e-5, max_iter=4000))
-        records.append(form_rec)
+                                           residual_tol=1e-5, max_iter=4000)))
         overall = _fold(records, ("symmetric_sup", "rotation_bmo", "form_norm"))
         return Verdict("homogeneous", tuple(records), overall, prov)
 
@@ -295,14 +259,11 @@ def assess_homogeneous(
 
     bmo_rep = bmo_norm(dec.F)
     del dec  # free the split's fields before the estimates that peak in memory
-    records.append(ConditionRecord(
-        "stream_bmo", bmo_rep.norm, thr.bmo, bmo_rep.norm <= thr.bmo,
-        f"worst entry {bmo_rep.entry}"))
+    records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
     records.extend(_admissibility_records(grid, rho, eps, thr))
-    form_rec, _ = _form_record(
+    records.append(_form_record(
         "form_norm",
-        lambda: form_norm(A, b, q, seed=seed, residual_tol=1e-5, max_iter=4000))
-    records.append(form_rec)
+        lambda: form_norm(A, b, q, seed=seed, residual_tol=1e-5, max_iter=4000)))
 
     overall = _fold(
         records,
@@ -331,9 +292,7 @@ def assess_inhomogeneous(
 
     dec = inhomogeneous_decompose(b1, q0)
     bmo_rep = bmo_norm(dec.F, flavor="BMO_sharp")
-    records.append(ConditionRecord(
-        "stream_bmo_sharp", bmo_rep.norm, thr.bmo, bmo_rep.norm <= thr.bmo,
-        f"worst entry {bmo_rep.entry}"))
+    records.append(_bmo_record("stream_bmo_sharp", bmo_rep, thr.bmo))
 
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + sum(np.abs(c.values) ** 2 for c in dec.h.components)
@@ -356,23 +315,20 @@ def assess_inhomogeneous(
         }),
         _strengthened,
     ])
-    records.extend([
-        _from_measure(variants["carleson"], thr.carleson),
-        _from_measure(variants["ball_energy"], thr.ball_growth),
-        _from_measure(variants["pointwise"], thr.trace),
-    ])
+    records.extend([variants["carleson"], variants["ball_energy"],
+                    variants["pointwise"]])
 
-    trace_rec, _ = _form_record(
+    trace_rec = _form_record(
         "trace",
         lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed,
                                residual_tol=1e-5, max_iter=4000),
         thr.trace)
-    strong_rec, _ = _form_record(
+    strong_rec = _form_record(
         "strengthened_drift",
         lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed,
                                residual_tol=1e-5, max_iter=4000),
         thr.trace)
-    form_rec, _ = _form_record(
+    form_rec = _form_record(
         "form_norm",
         lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed,
                           residual_tol=1e-5, max_iter=4000),
@@ -413,42 +369,36 @@ def assess_magnetic(
     q_eff = ScalarField(grid, q0.values + asq)
     prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="magnetic")
 
-    records: list[ConditionRecord] = []
+    records: list[Record] = []
     if grid.dim == 2:
         div_mass = lp_norm(div(a), 1.0)
         q_mass = lp_norm(q_eff, 1.0)
-        div_rec = ConditionRecord("n2_divergence_mass", div_mass, thr.null_tolerance,
-                                  div_mass <= thr.null_tolerance, "L1 of div a")
-        q_rec = ConditionRecord(
-            "n2_effective_potential_mass", q_mass, thr.null_tolerance,
-            q_mass <= thr.null_tolerance, "L1 of q + |a|^2")
+        div_rec = Record("n2_divergence_mass", div_mass, thr.null_tolerance,
+                         note="L1 of div a")
+        q_rec = Record("n2_effective_potential_mass", q_mass, thr.null_tolerance,
+                       note="L1 of q + |a|^2")
         records.extend([div_rec, q_rec])
         if not (div_rec.passed and q_rec.passed):
             return Verdict("magnetic", tuple(records), "certified_unbounded_n2", prov)
         rot = curl(a)[0, 1]
         pot = inv_laplacian(rot, annihilate_mean=True)
-        rep = bmo_norm(pot)
-        records.append(ConditionRecord("rotation_bmo", rep.norm, thr.bmo,
-                                       rep.norm <= thr.bmo))
+        records.append(_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo))
         overall = _fold(records, ("rotation_bmo",))
         return Verdict("magnetic", tuple(records), overall, prov)
 
     dec = hodge_decompose(a)
     bmo_rep = bmo_norm(dec.F)
-    records.append(ConditionRecord(
-        "stream_bmo", bmo_rep.norm, thr.bmo, bmo_rep.norm <= thr.bmo,
-        f"worst entry {bmo_rep.entry}"))
+    records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
 
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + _gradient_energy_density(q_eff)
     records.extend(_admissibility_records(grid, rho, eps, thr))
 
     a_arg = None if float(np.abs(asq).max()) == 0.0 else a
-    form_rec, _ = _form_record(
+    records.append(_form_record(
         "form_norm",
         lambda: form_norm(None, a_arg, q_eff, seed=seed,
-                          residual_tol=1e-5, max_iter=4000))
-    records.append(form_rec)
+                          residual_tol=1e-5, max_iter=4000)))
 
     overall = _fold(
         records,
@@ -528,13 +478,12 @@ def assess_infinitesimal(
         (lambda dd: (lambda: _local(dd)))(d) for d in deltas
     ]))]
 
-    def _decay_record(name: str, profile, cut: float) -> ConditionRecord:
+    def _decay_record(name: str, profile, cut: float) -> Record:
         if all(v == 0.0 for _, v in profile):
-            return ConditionRecord(name, np.inf, cut, True, "profile identically 0")
-        factors = _decay_factors(profile)
-        worst = min(factors)
-        return ConditionRecord(name, worst, cut, worst >= cut,
-                               "per-halving decay factor (larger is better)")
+            return Record(name, np.inf, cut, True, note="profile identically 0")
+        worst = min(_decay_factors(profile))
+        return Record(name, worst, cut, worst >= cut,
+                      note="per-halving decay factor (larger is better)")
 
     records = (
         _decay_record("vmo_decay", vmo, thr.vmo_decay),

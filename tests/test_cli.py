@@ -52,11 +52,24 @@ def test_passed_record_note_not_in_summary(capsys):
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_bad_thread_budget_exit_1(threads, monkeypatch, capsys):
-    # main writes --threads into the environment; monkeypatch restores it
+    # a bad --threads fails even over a good FORMBOUND_THREADS
     monkeypatch.setenv("FORMBOUND_THREADS", "1")
     code = main(["bmo", "--dim", "2", "--grid", "16", "--threads", threads])
     assert code == 1
     assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["1", "0"])
+def test_thread_budget_not_leaked(threads, monkeypatch):
+    # --threads holds for one run: the caller's value, or its absence, returns
+    monkeypatch.delenv("FORMBOUND_THREADS", raising=False)
+    before = dict(os.environ)
+    main(["bmo", "--dim", "2", "--grid", "16", "--threads", threads])
+    assert dict(os.environ) == before
+    monkeypatch.setenv("FORMBOUND_THREADS", "2")
+    before = dict(os.environ)
+    main(["bmo", "--dim", "2", "--grid", "16", "--threads", threads])
+    assert dict(os.environ) == before
 
 
 def test_bad_thread_env_exit_1(monkeypatch, capsys):
@@ -74,6 +87,10 @@ def test_reports_independent_of_thread_counts(tmp_path):
         "trace": ["trace", "--dim", "3", "--grid", "32", "--measure", "bump"],
         "formnorm": ["formnorm", "--dim", "3", "--grid", "32"],
         "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],
+        # at 2 threads the pipelines run their tests in the min(4, budget) pool
+        "verdict": ["verdict", "--dim", "3", "--grid", "32"],
+        "verdict_inhomogeneous": ["verdict", "--dim", "3", "--grid", "32",
+                                  "--preset", "random", "--flavor", "inhomogeneous"],
     }
     for name, argv in runs.items():
         reports = []
@@ -124,6 +141,20 @@ def test_verdict_certifies_vortex(tmp_path):
     rep = json.loads(out.read_text())
     jsonschema.validate(rep, _schema())
     assert rep["overall"] == "certified_bounded"
+
+
+def test_verdict_records_keep_witnesses(tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["verdict", "--dim", "3", "--grid", "16", "--preset", "random",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    jsonschema.validate(rep, _schema())
+    witness = {r["name"]: r["witness"] for r in rep["records"]}
+    assert witness["carleson"] == {"cube_corner": [0, 0, 0], "cube_side": 16}
+    assert set(witness["stream_bmo"]) == {"cube_corner", "cube_side"}
+    for name in ("ball_growth", "fefferman_phong"):
+        assert set(witness[name]) == {"ball_center", "ball_radius"}
+    assert witness["form_norm"] is None
 
 
 def test_verdict_two_dimensional_obstruction(capsys):

@@ -38,7 +38,7 @@ def test_carleson_truncated_lebesgue():
     # cut at side L/2: levels j = 1..D of 4^(-j) relative to the top cube
     want = (1.0 - 4.0 ** (-6)) / 3.0
     assert abs(rep.constant - want) <= 1e-12
-    assert rep.test == "carleson_w12"
+    assert rep.name == "carleson_w12"
 
 
 def test_carleson_point_mass_chain():
@@ -205,10 +205,10 @@ def test_inhomogeneous_variants_lebesgue():
     g = Grid(3, 16, 1.0)
     out = inhomogeneous_variants(presets.make_measure("lebesgue", g))
     assert set(out) == {"carleson", "ball_energy", "pointwise"}
-    assert out["pointwise"].test == "pointwise_w12"
+    assert out["pointwise"].name == "pointwise_w12"
     # Bessel potential of the unit density is 1, so the ratio is exactly 1
     assert abs(out["pointwise"].constant - 1.0) <= 1e-12
-    assert out["ball_energy"].test == "ball_energy_w12"
+    assert out["ball_energy"].name == "ball_energy_w12"
     assert out["ball_energy"].constant > 0.0
 
 

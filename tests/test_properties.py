@@ -1,5 +1,6 @@
-"""Property tests of the spectral core: Parseval, the Hodge projections,
-and batched transforms against one transform per component."""
+"""Property tests of the spectral core (Parseval, the Hodge projections,
+batched transforms against one transform per component) and of the
+measure tests (dyadic mass conservation, invariance under torus shifts)."""
 
 import os
 
@@ -10,6 +11,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formbound.hodge import project  # noqa: E402
+from formbound.measures import (  # noqa: E402
+    DiscreteMeasure,
+    DyadicTree,
+    ball_growth_test,
+    fefferman_phong_test,
+)
 from formbound.torus import (  # noqa: E402
     Grid,
     ScalarField,
@@ -98,3 +105,40 @@ def test_batched_transform_equals_per_component(grid, seed, batch, complex_, wor
             del os.environ["FORMBOUND_THREADS"]
         else:
             os.environ["FORMBOUND_THREADS"] = saved
+
+
+def _random_measure(grid: Grid, seed: int) -> DiscreteMeasure:
+    # exponential masses, a third of the cells emptied: uneven enough that
+    # the sups sit at a few cells
+    rng = np.random.default_rng(seed)
+    mass = rng.exponential(size=grid.shape) * (rng.random(grid.shape) > 1 / 3)
+    return DiscreteMeasure(grid, mass)
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids, seed=seeds)
+def test_dyadic_tree_conserves_mass(grid, seed):
+    mu = _random_measure(grid, seed)
+    tree = DyadicTree(mu)
+    tol = 1e-12 * mu.total
+    for level, mass in enumerate(tree.masses):
+        assert mass.shape == (1 << level,) * grid.dim
+        assert abs(float(mass.sum()) - mu.total) <= tol
+    for parent, child in zip(tree.masses, tree.masses[1:]):
+        corners = np.ndindex(*(2,) * grid.dim)
+        pooled = sum(child[tuple(slice(o, None, 2) for o in c)] for c in corners)
+        assert np.abs(parent - pooled).max() <= tol
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, seed=seeds, eps=st.sampled_from([0.25, 0.5, 1.0]),
+       data=st.data())
+def test_ball_tests_invariant_under_cell_shifts(grid, seed, eps, data):
+    n = grid.points_per_axis
+    shift = tuple(data.draw(st.integers(0, n - 1)) for _ in range(grid.dim))
+    mu = _random_measure(grid, seed)
+    moved = DiscreteMeasure(grid, np.roll(mu.cell_mass, shift, axis=range(grid.dim)))
+    for test in (ball_growth_test,
+                 lambda m: fefferman_phong_test(m.density(), eps)):
+        base, shifted = test(mu).constant, test(moved).constant
+        assert abs(shifted - base) <= 1e-9 * base

@@ -4,9 +4,8 @@ import jsonschema
 import pytest
 
 from formbound import report
-from formbound.measures import MeasureReport
 from formbound.oscillation import Cube
-from formbound.verdict import ConditionRecord
+from formbound.report import Record
 
 
 def _schema():
@@ -56,13 +55,23 @@ def test_witness_payload_shapes():
 
 
 def test_record_builders():
-    mrep = MeasureReport("carleson", 1.25, Cube((0, 0), 8), threshold=2.0,
-                         passed=True, note="x")
-    entry = report.from_measure_report(mrep)
-    assert entry["name"] == "carleson"
-    assert entry["witness"]["cube_side"] == 8
-    crec = ConditionRecord("form_norm", 0.5, None, True, "")
-    entry2 = report.from_condition_record(crec)
+    # the one pass rule: no threshold passes, else constant <= threshold
+    assert Record("x", 3.0).passed
+    assert Record("x", 2.0, threshold=2.0).passed
+    assert not Record("x", 2.5, threshold=2.0).passed
+    assert not Record("x", float("nan"), threshold=2.0).passed
+    # records held to another rule give passed themselves
+    assert Record("x", 2.5, 2.0, passed=True).passed
+    assert not Record("x", float("nan"), passed=False).passed
+    rec = Record("carleson", 1.25, 2.0, witness=Cube((0, 0), 8), note="x")
+    entry = report.render_record(rec)
+    assert entry == {"name": "carleson", "constant": 1.25, "threshold": 2.0,
+                     "passed": True,
+                     "witness": {"cube_corner": [0, 0], "cube_side": 8},
+                     "note": "x"}
+    assert report.record_entry("carleson", 1.25, 2.0, True, Cube((0, 0), 8),
+                               "x") == entry
+    entry2 = report.render_record(Record("form_norm", 0.5))
     assert entry2["threshold"] is None
     assert entry2["witness"] is None
 
