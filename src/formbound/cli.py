@@ -350,10 +350,7 @@ def _cmd_formnorm(args):
     grid = _make_grid(args)
     b = _drift(args, grid)
     q = _maybe_q(args, grid)
-    # clustered top spectra stall the eigen-residual long after the
-    # Rayleigh value has converged (value error is quadratic in it)
-    est = form_norm(None, b, q, flavor=args.flavor, seed=args.seed,
-                    residual_tol=1e-4, max_iter=4000)
+    est = form_norm(None, b, q, flavor=args.flavor, seed=args.seed)
     records = [Record("form_norm", est.value, args.threshold)]
     details = {"iterations": est.iterations, "residual": est.residual}
     if args.nonlinear:

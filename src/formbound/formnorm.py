@@ -12,10 +12,12 @@ matrix-free realization of the object under test:
                     b.grad; for divergence-free b this coincides with
                     form_norm(0, b, 0), which downstream checks rely on
 
-Hermitian problems use power iteration directly; non-Hermitian ones run
-it on the Hermitian square R*R.  Rayleigh quotients of a positive
-semidefinite iteration are nondecreasing, which is asserted by tests on
-the recorded history.
+Each norm is the top eigenvalue of a Hermitian positive semidefinite
+operator (the compression itself, or R*R for a non-Hermitian R), found
+by one ARPACK call (scipy.sparse.linalg.eigs: implicitly restarted
+Arnoldi, which is Lanczos on a Hermitian operator) with fixed settings
+and a seeded start.  The reported value is the Rayleigh quotient of the
+returned unit Ritz vector, so it bounds the norm from below.
 
 The nonlinear constant of the pointwise inequality |b.grad u| |u|
 against ||grad u||^2 is a nonconvex supremum; it is estimated from
@@ -55,11 +57,20 @@ __all__ = [
     "commutator_norm",
     "form_norm",
     "nonlinear_form_constant",
-    "power_iteration",
     "trace_constant",
 ]
 
 FLAVORS = ("homogeneous", "inhomogeneous")
+
+
+# Lanczos settings: one wanted pair from a basis of four vectors (three
+# did not converge on the 32^3 vortex in 300 restarts; six and eight
+# raise the 64^3 peak memory by 8 and 16 MiB), ARPACK's relative Ritz
+# tolerance, and a cap on implicit restarts, each of which costs
+# ncv - 1 = 3 matvecs.
+_NCV = 4
+_TOL = 1e-8
+_MAX_RESTARTS = 1000
 
 
 class ConvergenceError(RuntimeError):
@@ -69,11 +80,9 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class FormEstimate:
     value: float
-    method: str
     iterations: int
     residual: float
     witness: object = None
-    history: tuple[float, ...] = ()
 
 
 def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
@@ -98,45 +107,49 @@ def _norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.real(_vdot(x, x))))
 
 
-def power_iteration(
-    apply_op,
-    start: np.ndarray,
-    rtol: float = 1e-8,
-    residual_tol: float = 1e-6,
-    max_iter: int = 2000,
-):
-    """Power iteration for a Hermitian positive semidefinite operator.
-
-    Returns (eigenvalue, vector, iterations, residual, history).  Stops
-    once the relative Rayleigh change is below rtol and the relative
-    eigen-residual below residual_tol.
-    """
-    x = start / _norm(start)
-    history = []
-    value = 0.0
-    for it in range(1, max_iter + 1):
-        y = apply_op(x)
-        new = float(np.real(_vdot(x, y)))
-        norm_y = _norm(y)
-        if norm_y == 0.0:
-            return 0.0, x, it, 0.0, (0.0,)
-        residual = _norm(y - new * x) / max(new, 1e-300)
-        history.append(new)
-        done = it > 1 and abs(new - value) <= rtol * max(new, 1e-300) \
-            and residual <= residual_tol
-        value = new
-        x = y / norm_y
-        if done:
-            return value, x, it, residual, tuple(history)
-    raise ConvergenceError(
-        f"power iteration at {value:.6e} with residual {residual:.2e} "
-        f"after {max_iter} iterations"
-    )
-
-
 def _start_vector(grid: Grid, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.standard_normal(grid.npoints) + 1j * rng.standard_normal(grid.npoints)
+
+
+def _top_eigenpair(apply_op, grid: Grid, seed: int):
+    """Top eigenpair of a Hermitian positive semidefinite operator on
+    grid-sized vectors, by implicitly restarted Lanczos.
+
+    Returns (value, unit vector, matvecs, relative eigen-residual).  The
+    zero operator, which ARPACK rejects, gives 0.0.
+    """
+    # imported here: scipy.sparse.linalg adds about 60 ms to every start
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+
+    matvecs = 0
+
+    def counted(x):
+        nonlocal matvecs
+        matvecs += 1
+        return apply_op(x)
+
+    start = _start_vector(grid, seed)
+    if not counted(start).any():
+        return 0.0, start / _norm(start), matvecs, 0.0
+    op = LinearOperator((grid.npoints,) * 2, matvec=counted, dtype=np.complex128)
+    # eigsh hands a complex operator to eigs with which="LR" but drops
+    # rng, which seeds the vector ARPACK restarts from when its Krylov
+    # space becomes invariant (an operator of rank below ncv)
+    try:
+        _, vecs = eigs(op, k=1, which="LR", ncv=_NCV, tol=_TOL, v0=start,
+                       maxiter=_MAX_RESTARTS, rng=seed)
+    except ArpackNoConvergence:
+        raise ConvergenceError(
+            f"Lanczos not within {_TOL:g} after {_MAX_RESTARTS} restarts "
+            f"({matvecs} matvecs)"
+        ) from None
+    # the residual's matvec runs after ARPACK has freed its workspace
+    x = vecs[:, 0]
+    x /= _norm(x)
+    y = counted(x)
+    value = float(np.real(_vdot(x, y)))
+    return value, x, matvecs, _norm(y - value * x) / max(value, 1e-300)
 
 
 def trace_constant(
@@ -144,9 +157,6 @@ def trace_constant(
     flavor: str = "homogeneous",
     mask: np.ndarray | None = None,
     seed: int = 0,
-    rtol: float = 1e-8,
-    residual_tol: float = 1e-6,
-    max_iter: int = 2000,
 ) -> FormEstimate:
     """Best C in  int |u|^2 dmu <= C ||u||^2  for the flavor's norm.
 
@@ -158,12 +168,12 @@ def trace_constant(
     _check_flavor(flavor)
     grid = measure.grid
     if measure.total <= 0.0:
-        return FormEstimate(0.0, "power_iteration", 0, 0.0)
+        return FormEstimate(0.0, 0, 0.0)
     rho = measure.cell_mass / grid.cell_volume
     sym = _sqrt_inv_symbol(grid, flavor)
     flat_mask = None if mask is None else np.asarray(mask, bool).reshape(-1)
     if flat_mask is not None and not flat_mask.any():
-        return FormEstimate(0.0, "power_iteration", 0, 0.0)
+        return FormEstimate(0.0, 0, 0.0)
 
     def apply_op(x):
         if flat_mask is not None:
@@ -174,14 +184,11 @@ def trace_constant(
             y = np.where(flat_mask, y, 0.0)
         return y
 
-    value, vec, iters, residual, history = power_iteration(
-        apply_op, _start_vector(grid, seed), rtol=rtol,
-        residual_tol=residual_tol, max_iter=max_iter
-    )
+    value, vec, iters, residual = _top_eigenpair(apply_op, grid, seed)
     witness = ScalarField(
         grid, _ifftn(_fftn(vec.reshape(grid.shape)) * sym)
     )
-    return FormEstimate(value, "power_iteration", iters, residual, witness, history)
+    return FormEstimate(value, iters, residual, witness)
 
 
 class _Operator:
@@ -201,14 +208,21 @@ class _Operator:
     def _half(self, hats, conjugate: bool):
         d = self.grid.dim
         A, b, q = self.A, self.b, self.q
-        # one inverse transform for grad u and u, one forward transform for
-        # the fluxes, the adjoint's drift terms and the point term
-        waves = _ifftn(_stacked(itertools.chain((1j * k * hats for k in self.kappa), [hats]),
-                                (d + 1,) + hats.shape), d, overwrite=True)
-        grads, w = waves[:d], waves[d]
+        # one inverse transform of only what this half reads (grad u for
+        # the fluxes and the drift's point term, u for the potential and
+        # the adjoint's drift terms), one forward transform of the products
+        n_grad = d if A is not None or (b is not None and not conjugate) else 0
+        n_w = 1 if q is not None or (b is not None and conjugate) else 0
+        waves = _ifftn(_stacked(itertools.chain((1j * k * hats for k in self.kappa[:n_grad]),
+                                                [hats][:n_w]),
+                                (n_grad + n_w,) + hats.shape), d, overwrite=True)
+        grads = waves[:n_grad]
+        w = waves[n_grad] if n_w else None
         n_flux = d if A is not None else 0
         n_drift = d if b is not None and conjugate else 0
-        spatial = np.empty((n_flux + n_drift + 1,) + hats.shape, dtype=np.complex128)
+        n_point = 1 if q is not None or (b is not None and not conjugate) else 0
+        spatial = np.empty((n_flux + n_drift + n_point,) + hats.shape,
+                           dtype=np.complex128)
         for i in range(n_flux):
             # adjoint uses the conjugate transpose of A
             spatial[i] = sum(
@@ -217,12 +231,13 @@ class _Operator:
             )
         for i in range(n_drift):
             np.multiply(np.conj(b[i]), w, out=spatial[n_flux + i])
-        point = spatial[-1]
-        point[...] = 0.0
-        if b is not None and not conjugate:
-            point += sum(b[i] * grads[i] for i in range(d))
-        if q is not None:
-            point += (np.conj(q) if conjugate else q) * w
+        if n_point:
+            point = spatial[-1]
+            point[...] = 0.0
+            if b is not None and not conjugate:
+                point += sum(b[i] * grads[i] for i in range(d))
+            if q is not None:
+                point += (np.conj(q) if conjugate else q) * w
         del waves, grads, w
         hat = _fftn(spatial, d, overwrite=True)
         out_hat = np.zeros_like(hats)
@@ -230,21 +245,15 @@ class _Operator:
             out_hat += 1j * self.kappa[i] * hat[i]
         for i in range(n_drift):
             out_hat -= 1j * self.kappa[i] * hat[n_flux + i]
-        return out_hat + hat[-1]
+        if n_point:
+            out_hat += hat[-1]
+        return out_hat
 
     def compressed(self, hats, sym, conjugate: bool):
         return self._half(hats * sym, conjugate) * sym
 
 
-def _operator_norm(
-    op: _Operator,
-    flavor: str,
-    seed: int,
-    rtol: float,
-    residual_tol: float,
-    max_iter: int,
-    method_tag: str,
-) -> FormEstimate:
+def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
     grid = op.grid
     sym = _sqrt_inv_symbol(grid, flavor)
 
@@ -255,10 +264,7 @@ def _operator_norm(
         rx = op.compressed(x.reshape(grid.shape), sym, conjugate=False)
         return op.compressed(rx, sym, conjugate=True).reshape(-1)
 
-    value, vec, iters, residual, history = power_iteration(
-        apply_op, _start_vector(grid, seed), rtol=rtol,
-        residual_tol=residual_tol, max_iter=max_iter
-    )
+    value, vec, iters, residual = _top_eigenpair(apply_op, grid, seed)
     hats = vec.reshape(grid.shape)
     u = ScalarField(grid, _ifftn(hats * sym))
     rx = op.compressed(hats, sym, conjugate=False)
@@ -267,10 +273,7 @@ def _operator_norm(
         v = ScalarField(grid, _ifftn(rx * sym / norm_rx))
     else:
         v = ScalarField(grid, np.zeros(grid.shape))
-    return FormEstimate(
-        float(np.sqrt(max(value, 0.0))), method_tag, iters, residual, (u, v),
-        history,
-    )
+    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v))
 
 
 def form_norm(
@@ -279,33 +282,24 @@ def form_norm(
     q: ScalarField | None,
     flavor: str = "homogeneous",
     seed: int = 0,
-    rtol: float = 1e-8,
-    residual_tol: float = 1e-6,
-    max_iter: int = 2000,
 ) -> FormEstimate:
     """Operator norm of S L S, the best constant of the full form.
 
     The form B(u,v) = -<A grad u, grad v> + <b.grad u, v> + <q u, v>
     equals <L u, v> with L = div(A grad .) + b.grad + q; its best
     constant against the flavor's norms is the top singular value of
-    the compression, found by power iteration on R*R.
+    the compression, the root of the top eigenvalue of R*R.
     """
     _check_flavor(flavor)
     grids = [f.grid for f in (A, b, q) if f is not None]
     if not grids:
         raise ValueError("all coefficients empty")
     op = _Operator(grids[0], A, b, q)
-    return _operator_norm(op, flavor, seed, rtol, residual_tol, max_iter,
-                          "power_iteration")
+    return _operator_norm(op, flavor, seed)
 
 
 def commutator_norm(
-    b: VectorField,
-    flavor: str = "homogeneous",
-    seed: int = 0,
-    rtol: float = 1e-8,
-    residual_tol: float = 1e-6,
-    max_iter: int = 2000,
+    b: VectorField, flavor: str = "homogeneous", seed: int = 0
 ) -> FormEstimate:
     """Norm of the antisymmetric half of b.grad.
 
@@ -319,8 +313,7 @@ def commutator_norm(
     grid = b.grid
     half_div = ScalarField(grid, 0.5 * _div(b).values)
     op = _Operator(grid, None, b, half_div)
-    return _operator_norm(op, flavor, seed, rtol, residual_tol, max_iter,
-                          "power_iteration")
+    return _operator_norm(op, flavor, seed)
 
 
 def nonlinear_form_constant(
@@ -343,7 +336,7 @@ def nonlinear_form_constant(
     bmax = max(float(np.abs(c).max()) for c in bv)
     dim = grid.dim
     if bmax == 0.0:
-        zero = FormEstimate(0.0, "subspace_sweep", 0, 0.0)
+        zero = FormEstimate(0.0, 0, 0.0)
         return zero, zero, True
 
     smooth = 1e-8
@@ -429,10 +422,8 @@ def nonlinear_form_constant(
         DiscreteMeasure(grid, sum(c**2 for c in bv) * vol), "homogeneous"
     )
     c_val = float(np.sqrt(upper.value))
-    c_est = FormEstimate(c_val, upper.method, upper.iterations, upper.residual,
-                         upper.witness)
-    C_est = FormEstimate(best, "subspace_sweep", total_steps, last_rel,
-                         best_witness)
+    c_est = FormEstimate(c_val, upper.iterations, upper.residual, upper.witness)
+    C_est = FormEstimate(best, total_steps, last_rel, best_witness)
     sandwich_ok = (best <= c_val * 1.05) and \
         (c_val <= 2.0 * np.sqrt(dim) * best * 1.25)
     return C_est, c_est, bool(sandwich_ok)

@@ -248,8 +248,7 @@ def assess_homogeneous(
         pot = inv_laplacian(rot, annihilate_mean=True)
         records.append(_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo))
         records.append(_form_record(
-            "form_norm", lambda: form_norm(None, b1, None, seed=seed,
-                                           residual_tol=1e-5, max_iter=4000)))
+            "form_norm", lambda: form_norm(None, b1, None, seed=seed)))
         overall = _fold(records, ("symmetric_sup", "rotation_bmo", "form_norm"))
         return Verdict("homogeneous", tuple(records), overall, prov)
 
@@ -262,8 +261,7 @@ def assess_homogeneous(
     records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
     records.extend(_admissibility_records(grid, rho, eps, thr))
     records.append(_form_record(
-        "form_norm",
-        lambda: form_norm(A, b, q, seed=seed, residual_tol=1e-5, max_iter=4000)))
+        "form_norm", lambda: form_norm(A, b, q, seed=seed)))
 
     overall = _fold(
         records,
@@ -320,18 +318,15 @@ def assess_inhomogeneous(
 
     trace_rec = _form_record(
         "trace",
-        lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed,
-                               residual_tol=1e-5, max_iter=4000),
+        lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed),
         thr.trace)
     strong_rec = _form_record(
         "strengthened_drift",
-        lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed,
-                               residual_tol=1e-5, max_iter=4000),
+        lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed),
         thr.trace)
     form_rec = _form_record(
         "form_norm",
-        lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed,
-                          residual_tol=1e-5, max_iter=4000),
+        lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed),
         thr.trace)
     records.extend([trace_rec, strong_rec, form_rec])
 
@@ -397,8 +392,7 @@ def assess_magnetic(
     a_arg = None if float(np.abs(asq).max()) == 0.0 else a
     records.append(_form_record(
         "form_norm",
-        lambda: form_norm(None, a_arg, q_eff, seed=seed,
-                          residual_tol=1e-5, max_iter=4000)))
+        lambda: form_norm(None, a_arg, q_eff, seed=seed)))
 
     overall = _fold(
         records,
@@ -469,9 +463,7 @@ def assess_infinitesimal(
                 (np.arange(side) + c) % n for c in corner
             )
             mask[np.ix_(*sel)] = True
-            est = trace_constant(mu, mask=mask, seed=seed, rtol=1e-7,
-                                 residual_tol=1e-5, max_iter=4000)
-            best = max(best, est.value)
+            best = max(best, trace_constant(mu, mask=mask, seed=seed).value)
         return best
 
     local = [(d, v) for d, v in zip(deltas, _run_all([

@@ -210,14 +210,8 @@ def test_criterion_07_poincare_cross_check():
     grid = Grid(3, 16, 1.0)
     alpha = 2.25
     want = alpha / (4.0 * np.pi**2)
-    tr = trace_constant(
-        presets.make_measure("lebesgue", grid).scaled(alpha),
-        rtol=1e-12, residual_tol=1e-8, max_iter=20000,
-    ).value
-    fn = form_norm(
-        None, None, ScalarField(grid, np.full(grid.shape, alpha)),
-        rtol=1e-12, residual_tol=1e-8, max_iter=20000,
-    ).value
+    tr = trace_constant(presets.make_measure("lebesgue", grid).scaled(alpha)).value
+    fn = form_norm(None, None, ScalarField(grid, np.full(grid.shape, alpha))).value
     ok = abs(tr - want) <= 1e-6 * want and abs(fn - want) <= 1e-6 * want
     assert _emit(7, "poincare cross-check", ok), f"trace={tr} form={fn} want={want}"
 
@@ -237,12 +231,8 @@ def test_criterion_08_vortex_contrast():
         mask = dist_sq <= 0.25**2
         masses.append(float(speed_sq[mask].sum()) * grid.cell_volume)
         mu = DiscreteMeasure.from_density(ScalarField(grid, speed_sq))
-        traces.append(
-            trace_constant(mu, residual_tol=1e-4, max_iter=6000).value
-        )
-        forms.append(
-            form_norm(None, b, None, residual_tol=1e-4, max_iter=6000).value
-        )
+        traces.append(trace_constant(mu).value)
+        forms.append(form_norm(None, b, None).value)
     elapsed = time.perf_counter() - t0
     ok = elapsed <= 600.0
     for prev, cur in zip(forms, forms[1:]):

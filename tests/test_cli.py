@@ -91,6 +91,8 @@ def test_reports_independent_of_thread_counts(tmp_path):
         "verdict": ["verdict", "--dim", "3", "--grid", "32"],
         "verdict_inhomogeneous": ["verdict", "--dim", "3", "--grid", "32",
                                   "--preset", "random", "--flavor", "inhomogeneous"],
+        "verdict_vortex_inhomogeneous": ["verdict", "--dim", "3", "--grid", "32",
+                                         "--flavor", "inhomogeneous"],
     }
     for name, argv in runs.items():
         reports = []
@@ -104,6 +106,17 @@ def test_reports_independent_of_thread_counts(tmp_path):
                            env=env, check=True, capture_output=True)
             reports.append(out.read_bytes())
         assert reports[0] == reports[1], name
+
+
+def test_verdict_certifies_near_degenerate_vortex(tmp_path):
+    # the top two singular values of the 16^3 compression differ by 3e-5
+    # relative
+    out = tmp_path / "rep.json"
+    code = main(["verdict", "--dim", "3", "--grid", "16", "--preset", "vortex",
+                 "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["overall"] == "certified_bounded"
 
 
 def test_decompose_fbf_round_trip(tmp_path, capsys):

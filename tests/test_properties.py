@@ -1,6 +1,7 @@
 """Property tests of the spectral core (Parseval, the Hodge projections,
-batched transforms against one transform per component) and of the
-measure tests (dyadic mass conservation, invariance under torus shifts)."""
+batched transforms against one transform per component), of the
+measure tests (dyadic mass conservation, invariance under torus shifts)
+and of the compressed norms (linear scaling in the drift)."""
 
 import os
 
@@ -10,6 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from formbound import presets  # noqa: E402
+from formbound.formnorm import commutator_norm, form_norm  # noqa: E402
 from formbound.hodge import project  # noqa: E402
 from formbound.measures import (  # noqa: E402
     DiscreteMeasure,
@@ -142,3 +145,15 @@ def test_ball_tests_invariant_under_cell_shifts(grid, seed, eps, data):
                  lambda m: fefferman_phong_test(m.density(), eps)):
         base, shifted = test(mu).constant, test(moved).constant
         assert abs(shifted - base) <= 1e-9 * base
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, preset=st.sampled_from(["random", "vortex", "stream"]),
+       flavor=st.sampled_from(["homogeneous", "inhomogeneous"]),
+       alpha=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+def test_compressed_norms_scale_linearly_in_drift(grid, preset, flavor, alpha):
+    b = presets.make_field(preset, grid)
+    for norm in (lambda c: form_norm(None, c, None, flavor=flavor),
+                 lambda c: commutator_norm(c, flavor=flavor)):
+        base, scaled = norm(b).value, norm(alpha * b).value
+        assert abs(scaled - abs(alpha) * base) <= 1e-12 * abs(alpha) * base

@@ -30,6 +30,12 @@ def test_identity_principal_part():
     assert abs(vd.record("form_norm").constant - 1.0) <= 1e-9
 
 
+def test_zero_drift_certifies_with_zero_form_norm():
+    vd = assess_homogeneous(None, _zero_vec(Grid(2, 16, 1.0)), None)
+    assert vd.overall == "certified_bounded"
+    assert vd.record("form_norm").constant == 0.0
+
+
 def test_vortex_battery():
     g = Grid(3, 32, 1.0)
     vd = assess_homogeneous(None, presets.make_field("vortex", g), None)
