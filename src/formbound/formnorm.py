@@ -14,10 +14,13 @@ matrix-free realization of the object under test:
 
 Each norm is the top eigenvalue of a Hermitian positive semidefinite
 operator (the compression itself, or R*R for a non-Hermitian R), found
-by one ARPACK call (scipy.sparse.linalg.eigs: implicitly restarted
-Arnoldi, which is Lanczos on a Hermitian operator) with fixed settings
-and a seeded start.  The reported value is the Rayleigh quotient of the
-returned unit Ritz vector, so it bounds the norm from below.
+by one ARPACK call with fixed settings and a seeded start: implicitly
+restarted Lanczos (scipy.sparse.linalg.eigsh) on the real symmetric
+trace operators, and implicitly restarted Arnoldi, which is Lanczos on
+a Hermitian operator (eigs), on the complex form operators.  A problem
+on at most four unknowns (a small mask) is solved densely.  The
+reported value is the Rayleigh quotient of the returned unit vector,
+so it bounds the norm from below.
 
 The nonlinear constant of the pointwise inequality |b.grad u| |u|
 against ||grad u||^2 is a nonconvex supremum; it is estimated from
@@ -44,7 +47,9 @@ from .torus import (
     _fftn,
     _ifftn,
     _inv_lap_symbol,
+    _irfftn,
     _key,
+    _rfftn,
     _riesz_half_symbol,
     _stacked,
     kappa_axes,
@@ -112,15 +117,16 @@ def _start_vector(grid: Grid, seed: int) -> np.ndarray:
     return rng.standard_normal(grid.npoints) + 1j * rng.standard_normal(grid.npoints)
 
 
-def _top_eigenpair(apply_op, grid: Grid, seed: int):
-    """Top eigenpair of a Hermitian positive semidefinite operator on
-    grid-sized vectors, by implicitly restarted Lanczos.
+def _top_eigenpair(apply_op, start: np.ndarray, seed: int):
+    """Top eigenpair of a Hermitian positive semidefinite operator, by
+    implicitly restarted Lanczos from the given start vector.
 
     Returns (value, unit vector, matvecs, relative eigen-residual).  The
     zero operator, which ARPACK rejects, gives 0.0.
     """
     # imported here: scipy.sparse.linalg adds about 60 ms to every start
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
+                                      eigs, eigsh)
 
     matvecs = 0
 
@@ -129,23 +135,35 @@ def _top_eigenpair(apply_op, grid: Grid, seed: int):
         matvecs += 1
         return apply_op(x)
 
-    start = _start_vector(grid, seed)
-    if not counted(start).any():
-        return 0.0, start / _norm(start), matvecs, 0.0
-    op = LinearOperator((grid.npoints,) * 2, matvec=counted, dtype=np.complex128)
-    # eigsh hands a complex operator to eigs with which="LR" but drops
-    # rng, which seeds the vector ARPACK restarts from when its Krylov
-    # space becomes invariant (an operator of rank below ncv)
-    try:
-        _, vecs = eigs(op, k=1, which="LR", ncv=_NCV, tol=_TOL, v0=start,
-                       maxiter=_MAX_RESTARTS, rng=seed)
-    except ArpackNoConvergence:
-        raise ConvergenceError(
-            f"Lanczos not within {_TOL:g} after {_MAX_RESTARTS} restarts "
-            f"({matvecs} matvecs)"
-        ) from None
+    n = start.size
+    if n <= _NCV:
+        # no room for a restarted basis; the whole matrix costs no more
+        # matvecs than one Lanczos pass would
+        _, vecs = np.linalg.eigh(np.column_stack([counted(e) for e in np.eye(n)]))
+        x = vecs[:, -1]
+    else:
+        op = LinearOperator((n, n), matvec=counted, dtype=start.dtype)
+        # a real operator runs symmetric Lanczos; eigsh would hand a complex
+        # one to eigs with which="LR" but drop rng, which seeds the vector
+        # ARPACK restarts from when its Krylov space becomes invariant (an
+        # operator of rank below ncv)
+        solve, which = (eigsh, "LA") if np.isrealobj(start) else (eigs, "LR")
+        try:
+            _, vecs = solve(op, k=1, which=which, ncv=_NCV, tol=_TOL, v0=start,
+                            maxiter=_MAX_RESTARTS, rng=seed)
+        except ArpackNoConvergence:
+            raise ConvergenceError(
+                f"Lanczos not within {_TOL:g} after {_MAX_RESTARTS} restarts "
+                f"({matvecs} matvecs)"
+            ) from None
+        except ArpackError:
+            # ARPACK's first matvec maps v0 into the range of the operator
+            # and stops there if the product is zero: the zero operator
+            if counted(start).any():
+                raise
+            return 0.0, start / _norm(start), matvecs, 0.0
+        x = vecs[:, 0]
     # the residual's matvec runs after ARPACK has freed its workspace
-    x = vecs[:, 0]
     x /= _norm(x)
     y = counted(x)
     value = float(np.real(_vdot(x, y)))
@@ -162,32 +180,33 @@ def trace_constant(
 
     Computed as the top eigenvalue of u -> S (rho S u) with rho the cell
     density of mu.  With a boolean mask, trials are confined to the
-    masked cells (cells outside are zeroed before and after), giving the
-    localized constant used by the shrinking-neighborhood profile.
+    masked cells and the eigenproblem is posed on those cells alone,
+    giving the localized constant used by the shrinking-neighborhood
+    profile.
     """
     _check_flavor(flavor)
     grid = measure.grid
     if measure.total <= 0.0:
         return FormEstimate(0.0, 0, 0.0)
     rho = measure.cell_mass / grid.cell_volume
-    sym = _sqrt_inv_symbol(grid, flavor)
-    flat_mask = None if mask is None else np.asarray(mask, bool).reshape(-1)
-    if flat_mask is not None and not flat_mask.any():
+    # S is real and even, so the operator is real symmetric: real vectors
+    # and half-spectrum transforms
+    sym = _sqrt_inv_symbol(grid, flavor)[..., : grid.points_per_axis // 2 + 1]
+    cells = slice(None) if mask is None else np.flatnonzero(mask)
+    start = _start_vector(grid, seed).real[cells]
+    if start.size == 0:
         return FormEstimate(0.0, 0, 0.0)
 
-    def apply_op(x):
-        if flat_mask is not None:
-            x = np.where(flat_mask, x, 0.0)
-        w = _ifftn(_fftn(x.reshape(grid.shape)) * sym)
-        y = _ifftn(_fftn(rho * w) * sym).reshape(-1)
-        if flat_mask is not None:
-            y = np.where(flat_mask, y, 0.0)
-        return y
+    def smooth(x):
+        u = np.zeros(grid.npoints)
+        u[cells] = x
+        return _irfftn(_rfftn(u.reshape(grid.shape)) * sym, grid.shape)
 
-    value, vec, iters, residual = _top_eigenpair(apply_op, grid, seed)
-    witness = ScalarField(
-        grid, _ifftn(_fftn(vec.reshape(grid.shape)) * sym)
-    )
+    def apply_op(x):
+        return _irfftn(_rfftn(rho * smooth(x)) * sym, grid.shape).reshape(-1)[cells]
+
+    value, vec, iters, residual = _top_eigenpair(apply_op, start, seed)
+    witness = ScalarField(grid, smooth(vec))
     return FormEstimate(value, iters, residual, witness)
 
 
@@ -264,15 +283,12 @@ def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
         rx = op.compressed(x.reshape(grid.shape), sym, conjugate=False)
         return op.compressed(rx, sym, conjugate=True).reshape(-1)
 
-    value, vec, iters, residual = _top_eigenpair(apply_op, grid, seed)
+    value, vec, iters, residual = _top_eigenpair(
+        apply_op, _start_vector(grid, seed), seed)
     hats = vec.reshape(grid.shape)
     u = ScalarField(grid, _ifftn(hats * sym))
     rx = op.compressed(hats, sym, conjugate=False)
-    norm_rx = _norm(rx)
-    if norm_rx > 0.0:
-        v = ScalarField(grid, _ifftn(rx * sym / norm_rx))
-    else:
-        v = ScalarField(grid, np.zeros(grid.shape))
+    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx), 1e-300)))
     return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v))
 
 

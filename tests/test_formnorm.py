@@ -212,18 +212,42 @@ def test_trace_mask_is_contractive():
 
 
 def test_low_rank_trace_is_reproducible():
-    # a one-cell mask leaves a rank-one operator, whose Krylov space goes
-    # invariant and makes ARPACK draw a fresh start from its generator
+    # a point mass leaves a rank-one operator, whose Krylov space goes
+    # invariant and makes ARPACK draw a fresh vector from its generator
     g = Grid(2, 32, 1.0)
-    mu = presets.make_measure("bump", g)
-    mask = np.zeros(g.shape, bool)
-    mask[0, 0] = True
-    first = trace_constant(mu, mask=mask)
+    mu = presets.make_measure("point_mass", g)
+    first = trace_constant(mu)
+    assert first.value > 0.0
     for _ in range(40):
-        est = trace_constant(mu, mask=mask)
+        est = trace_constant(mu)
         assert (est.value, est.iterations, est.residual) == \
             (first.value, first.iterations, first.residual)
         assert np.array_equal(est.witness.values, first.witness.values)
+
+
+@pytest.mark.parametrize("cells", [1, 3, 4])
+def test_small_mask_trace(cells, monkeypatch):
+    # masks of at most ncv cells are solved densely
+    g = Grid(2, 32, 1.0)
+    mu = presets.make_measure("bump", g)
+    mask = np.zeros(g.shape, bool)
+    mask.flat[[0, 33, 66, 99][:cells]] = True
+    dense = trace_constant(mu, mask=mask)
+    assert dense.iterations == cells + 1 and dense.residual <= 1e-10
+    # the top eigenvalue is at least the diagonal entry of S rho S at
+    # cell 0, and equals it on one cell
+    e0 = np.zeros(g.shape)
+    e0.flat[0] = 1.0
+    s = np.fft.ifftn(np.fft.fftn(e0) * formnorm._sqrt_inv_symbol(g, "homogeneous")).real
+    diag = float(np.sum(mu.cell_mass / g.cell_volume * s**2))
+    assert dense.value >= diag * (1.0 - 1e-12)
+    if cells == 1:
+        assert abs(dense.value - diag) <= 1e-12 * diag
+    else:
+        # a smaller basis sends the same problem through ARPACK
+        monkeypatch.setattr(formnorm, "_NCV", cells - 1)
+        lanczos = trace_constant(mu, mask=mask)
+        assert abs(lanczos.value - dense.value) <= 1e-8 * dense.value
 
 
 def test_zero_measure_trace():
