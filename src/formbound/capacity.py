@@ -55,7 +55,6 @@ __all__ = [
     "ball_set",
     "capacity",
     "cube_set",
-    "equilibrium_potential",
     "gauge_check",
 ]
 
@@ -336,36 +335,6 @@ def capacity(
     mu = DiscreteMeasure(grid, charge.reshape(grid.shape))
     return CapacityResult(value, potential, mu, kkt, flavor, iterations, ground,
                           rounds, int(active.sum()))
-
-
-def equilibrium_potential(
-    measure: DiscreteMeasure, normalization: str = "support"
-) -> ScalarField:
-    """Newtonian potential of a measure on the 3-torus.
-
-    The spectral part inverts -Lap on the mean-free density.  With
-    normalization 'support' the additive constant is fixed so the
-    potential's minimum over the measure's support is 1 (matching the
-    equilibrium normalization u = 1 on the set); 'kernel' instead shifts
-    by mean * zeta * L^2 with zeta = 2.837297/(4 pi), the lattice-sum
-    constant relating the periodic Green function to 1/(4 pi |x|), so
-    the result tracks the free-space kernel at mid-range distances.
-    """
-    grid = measure.grid
-    if grid.dim != 3:
-        raise ValueError("Newtonian potential needs dim 3")
-    if measure.total <= 0.0:
-        raise ValueError("zero measure has no potential")
-    if normalization not in ("support", "kernel"):
-        raise ValueError("normalization must be 'support' or 'kernel'")
-
-    density = measure.cell_mass / grid.cell_volume
-    base = _green_apply(grid, density - density.mean(), inhomogeneous=False)
-    if normalization == "kernel":
-        zeta = 2.837297479 / (4.0 * np.pi)
-        return ScalarField(grid, base + density.mean() * zeta * grid.period**2)
-    support = measure.cell_mass > 1e-12 * float(measure.cell_mass.max())
-    return ScalarField(grid, base + (1.0 - float(base[support].min())))
 
 
 @dataclass(frozen=True)

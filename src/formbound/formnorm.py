@@ -15,12 +15,14 @@ matrix-free realization of the object under test:
 Each norm is the top eigenvalue of a Hermitian positive semidefinite
 operator (the compression itself, or R*R for a non-Hermitian R), found
 by one ARPACK call with fixed settings and a seeded start: implicitly
-restarted Lanczos (scipy.sparse.linalg.eigsh) on the real symmetric
-trace operators, and implicitly restarted Arnoldi, which is Lanczos on
-a Hermitian operator (eigs), on the complex form operators.  A problem
-on at most four unknowns (a small mask) is solved densely.  The
-reported value is the Rayleigh quotient of the returned unit vector,
-so it bounds the norm from below.
+restarted Lanczos (scipy.sparse.linalg.eigsh) on real vectors.  The
+trace operators are real symmetric already.  A form operator acts on N
+complex Fourier coefficients, read as 2N real unknowns: for Hermitian
+H that real-linear map is symmetric, has the spectrum of H with every
+eigenvalue doubled, and its real Rayleigh quotient equals <z, Hz>.  A
+problem on at most four unknowns (a small mask) is solved densely.
+The reported value is the Rayleigh quotient of the returned unit
+vector, so it bounds the norm from below.
 
 The nonlinear constant of the pointwise inequality |b.grad u| |u|
 against ||grad u||^2 is a nonconvex supremum; it is estimated from
@@ -102,31 +104,29 @@ def _check_flavor(flavor: str) -> None:
         raise ValueError(f"flavor must be one of {FLAVORS}")
 
 
-def _vdot(x: np.ndarray, y: np.ndarray) -> complex:
-    """sum conj(x) y as a numpy reduction: np.vdot and np.linalg.norm run
-    on the BLAS thread pool, whose size would move the last digits."""
-    return np.sum(np.conj(x) * y)
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum x y as a numpy reduction: np.dot and np.linalg.norm run on the
+    BLAS thread pool, whose size would move the last digits."""
+    return float(np.sum(x * y))
 
 
 def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.real(_vdot(x, x))))
+    return float(np.sqrt(_dot(x, x)))
 
 
-def _start_vector(grid: Grid, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(grid.npoints) + 1j * rng.standard_normal(grid.npoints)
+def _start_vector(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).standard_normal(n)
 
 
 def _top_eigenpair(apply_op, start: np.ndarray, seed: int):
-    """Top eigenpair of a Hermitian positive semidefinite operator, by
-    implicitly restarted Lanczos from the given start vector.
+    """Top eigenpair of a real symmetric positive semidefinite operator,
+    by implicitly restarted Lanczos from the given start vector.
 
     Returns (value, unit vector, matvecs, relative eigen-residual).  The
     zero operator, which ARPACK rejects, gives 0.0.
     """
     # imported here: scipy.sparse.linalg adds about 60 ms to every start
-    from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, LinearOperator,
-                                      eigs, eigsh)
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
     matvecs = 0
 
@@ -142,14 +142,11 @@ def _top_eigenpair(apply_op, start: np.ndarray, seed: int):
         _, vecs = np.linalg.eigh(np.column_stack([counted(e) for e in np.eye(n)]))
         x = vecs[:, -1]
     else:
-        op = LinearOperator((n, n), matvec=counted, dtype=start.dtype)
-        # a real operator runs symmetric Lanczos; eigsh would hand a complex
-        # one to eigs with which="LR" but drop rng, which seeds the vector
-        # ARPACK restarts from when its Krylov space becomes invariant (an
-        # operator of rank below ncv)
-        solve, which = (eigsh, "LA") if np.isrealobj(start) else (eigs, "LR")
+        op = LinearOperator((n, n), matvec=counted, dtype=np.float64)
+        # rng seeds the vector ARPACK restarts from when its Krylov space
+        # becomes invariant (an operator of rank below ncv)
         try:
-            _, vecs = solve(op, k=1, which=which, ncv=_NCV, tol=_TOL, v0=start,
+            _, vecs = eigsh(op, k=1, which="LA", ncv=_NCV, tol=_TOL, v0=start,
                             maxiter=_MAX_RESTARTS, rng=seed)
         except ArpackNoConvergence:
             raise ConvergenceError(
@@ -166,7 +163,7 @@ def _top_eigenpair(apply_op, start: np.ndarray, seed: int):
     # the residual's matvec runs after ARPACK has freed its workspace
     x /= _norm(x)
     y = counted(x)
-    value = float(np.real(_vdot(x, y)))
+    value = _dot(x, y)
     return value, x, matvecs, _norm(y - value * x) / max(value, 1e-300)
 
 
@@ -186,6 +183,8 @@ def trace_constant(
     """
     _check_flavor(flavor)
     grid = measure.grid
+    if mask is not None and np.shape(mask) != grid.shape:
+        raise ValueError(f"mask shape {np.shape(mask)} does not match grid {grid.shape}")
     if measure.total <= 0.0:
         return FormEstimate(0.0, 0, 0.0)
     rho = measure.cell_mass / grid.cell_volume
@@ -193,7 +192,7 @@ def trace_constant(
     # and half-spectrum transforms
     sym = _sqrt_inv_symbol(grid, flavor)[..., : grid.points_per_axis // 2 + 1]
     cells = slice(None) if mask is None else np.flatnonzero(mask)
-    start = _start_vector(grid, seed).real[cells]
+    start = _start_vector(grid.npoints, seed)[cells]
     if start.size == 0:
         return FormEstimate(0.0, 0, 0.0)
 
@@ -276,19 +275,19 @@ def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
     grid = op.grid
     sym = _sqrt_inv_symbol(grid, flavor)
 
-    # iterate on Fourier coefficients; the unnormalized transform scales
-    # the inner product uniformly, so adjoints and Rayleigh quotients
-    # are unaffected
+    # iterate on the real and imaginary parts of the Fourier coefficients;
+    # the unnormalized transform scales the inner product uniformly, so
+    # adjoints and Rayleigh quotients are unaffected
     def apply_op(x):
-        rx = op.compressed(x.reshape(grid.shape), sym, conjugate=False)
-        return op.compressed(rx, sym, conjugate=True).reshape(-1)
+        rx = op.compressed(x.view(np.complex128).reshape(grid.shape), sym, conjugate=False)
+        return op.compressed(rx, sym, conjugate=True).reshape(-1).view(np.float64)
 
     value, vec, iters, residual = _top_eigenpair(
-        apply_op, _start_vector(grid, seed), seed)
-    hats = vec.reshape(grid.shape)
+        apply_op, _start_vector(2 * grid.npoints, seed), seed)
+    hats = vec.view(np.complex128).reshape(grid.shape)
     u = ScalarField(grid, _ifftn(hats * sym))
     rx = op.compressed(hats, sym, conjugate=False)
-    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx), 1e-300)))
+    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx.view(np.float64)), 1e-300)))
     return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v))
 
 

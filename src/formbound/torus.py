@@ -19,9 +19,10 @@ constructor, which rejects NaN and infinite samples.
 
 Transforms.  Every transform in the package goes through ``_fftn`` /
 ``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real, used by the
-capacity solver) here.  Given ``dim`` they transform the last ``dim`` axes
-and treat the leading axes as a batch, so a vector or matrix field costs
-one call; each component's result has the same bits as its own transform.
+capacity solver and the trace constants) here.  Given ``dim`` they
+transform the last ``dim`` axes and treat the leading axes as a batch, so
+a vector or matrix field costs one call; each component's result has the
+same bits as its own transform.
 Fourier symbols are built once per (dim, n, period) and cached.
 
 Derivatives of real fields are returned real: the (purely imaginary)
@@ -59,7 +60,6 @@ __all__ = [
     "mean",
     "max_abs",
     "dirichlet_norm",
-    "sobolev_norm",
     "integral",
     "l2_inner",
     "zero_mean",
@@ -617,11 +617,6 @@ def dirichlet_norm(field: Field) -> float:
     g = field.grid
     hats = _fftn(field.values, g.dim).reshape((-1,) + g.shape)
     return float(np.sqrt(sum(_dirichlet_sq_from_hat(g, h) for h in hats)))
-
-
-def sobolev_norm(field: Field) -> float:
-    """W^{1,2} norm as the sum of the L2 and Dirichlet norms."""
-    return lp_norm(field, 2.0) + dirichlet_norm(field)
 
 
 def zero_mean(field: Field) -> Field:

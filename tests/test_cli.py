@@ -83,9 +83,15 @@ def test_bad_thread_env_exit_1(monkeypatch, capsys):
 def test_reports_independent_of_thread_counts(tmp_path):
     # the BLAS pool and the program's own budget, both at 1 and both at 2
     root = pathlib.Path(__file__).resolve().parents[1]
+    g = Grid(3, 32, 1.0)
+    complex_drift = tmp_path / "complex_drift.fbf"
+    fbf.write_field(complex_drift, presets.make_field("vortex", g)
+                    + 1j * presets.make_field("random", g, seed=1))
     runs = {
         "trace": ["trace", "--dim", "3", "--grid", "32", "--measure", "bump"],
         "formnorm": ["formnorm", "--dim", "3", "--grid", "32"],
+        "formnorm_complex": ["formnorm", "--dim", "3", "--grid", "32",
+                             "--input", str(complex_drift)],
         "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],
         # at 2 threads the pipelines run their tests in the min(4, budget) pool
         "verdict": ["verdict", "--dim", "3", "--grid", "32"],

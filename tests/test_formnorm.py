@@ -68,22 +68,30 @@ def test_form_norm_matches_dense_svd(flavor):
     g = Grid(2, 8, 1.0)
     b = presets.make_field("random", g, seed=3)
     q = ScalarField(g, np.random.default_rng(11).standard_normal(g.shape))
-    want = _dense_top_singular(g, None, b, q, flavor)
-    est = form_norm(None, b, q, flavor=flavor)
-    assert abs(est.value - want) <= 1e-8 * want
+    # complex coefficients: the real view of the Fourier coefficients
+    # must still give the top singular value
+    bc = b + 1j * presets.make_field("random", g, seed=5)
+    qc = ScalarField(g, q.values + 1j * np.random.default_rng(13).standard_normal(g.shape))
+    for bb, qq in ((b, q), (bc, qc)):
+        want = _dense_top_singular(g, None, bb, qq, flavor)
+        est = form_norm(None, bb, qq, flavor=flavor)
+        assert abs(est.value - want) <= 1e-8 * want
 
 
 def test_form_norm_with_principal_matches_dense_svd():
     g = Grid(2, 8, 1.0)
     one = ScalarField(g, np.ones(g.shape))
     zero = ScalarField(g, np.zeros(g.shape))
-    off = ScalarField(g, 0.3 * np.sin(2 * np.pi * np.arange(8) / 8)[:, None] * np.ones(g.shape))
-    A = MatrixField(((one, off), (zero, one)))
+    wave = 2 * np.pi * np.arange(8) / 8
+    off = ScalarField(g, 0.3 * np.sin(wave)[:, None] * np.ones(g.shape))
+    off_c = ScalarField(g, off.values + 0.2j * np.cos(wave)[None, :])
     b = presets.make_field("random", g, seed=3)
     q = ScalarField(g, np.random.default_rng(11).standard_normal(g.shape))
-    want = _dense_top_singular(g, A, b, q, "homogeneous")
-    est = form_norm(A, b, q)
-    assert abs(est.value - want) <= 1e-8 * want
+    for upper in (off, off_c):
+        A = MatrixField(((one, upper), (zero, one)))
+        want = _dense_top_singular(g, A, b, q, "homogeneous")
+        est = form_norm(A, b, q)
+        assert abs(est.value - want) <= 1e-8 * want
 
 
 def test_constant_potential_closed_form():
@@ -248,6 +256,14 @@ def test_small_mask_trace(cells, monkeypatch):
         monkeypatch.setattr(formnorm, "_NCV", cells - 1)
         lanczos = trace_constant(mu, mask=mask)
         assert abs(lanczos.value - dense.value) <= 1e-8 * dense.value
+
+
+def test_trace_rejects_mask_of_wrong_shape():
+    g = Grid(3, 16, 1.0)
+    mu = presets.make_measure("bump", g)
+    for shape in ((16, 16), (17, 16, 16), (16, 16, 16, 1)):
+        with pytest.raises(ValueError, match="mask shape"):
+            trace_constant(mu, mask=np.ones(shape, bool))
 
 
 def test_zero_measure_trace():
