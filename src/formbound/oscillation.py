@@ -13,6 +13,11 @@ in f and monotone in r.  Flavors:
 * BMO_sharp  small cubes only (side <= L/2);
 * bmo        small-cube oscillation sup plus the sup over large cubes
              (side >= L/2) of the plain r-mean of |f|.
+
+Each (side, shift) layer is copied once into a contiguous array with one
+row of side**d samples per cube, so that every mean is a reduction along
+the last axis; the r-mean of |f| is computed only on the layers the bmo
+flavor reads.
 """
 
 from __future__ import annotations
@@ -108,28 +113,33 @@ class BmoReport:
     entry: tuple[int, int] | None = None
 
 
-def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int):
-    """Per-cube oscillation and r-mean of |f| for one (scale, shift) layer."""
+def _r_mean(absvals: np.ndarray, r: int) -> np.ndarray:
+    """((1/|Q|) sum_Q |.|^r)^(1/r) of each row of nonnegative values."""
+    if r == 1:
+        return absvals.mean(axis=-1)
+    return np.sqrt((absvals**2).mean(axis=-1))
+
+
+def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
+                  mass: bool = False):
+    """Per-cube oscillation of one (scale, shift) layer, and with ``mass``
+    the r-mean of |f|; both shaped (n/side,)*d, or None for the mass.
+
+    The layer is laid out once as a contiguous (n_blocks, side**d) array,
+    one row per cube: roll by the shift, split each axis into (block,
+    offset), move the d block axes in front of the d offset axes and
+    flatten each group.  Every reduction then runs along the contiguous
+    last axis, instead of over d strided axes of length side.
+    """
     d = vals.ndim
     if any(shift):
         vals = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(d)))
-    n = vals.shape[0]
-    nb = n // side
-    shape = []
-    for _ in range(d):
-        shape.extend([nb, side])
-    blocks = vals.reshape(shape)
-    axes = tuple(range(1, 2 * d, 2))
-    m = blocks.mean(axis=axes, keepdims=True)
-    dev = np.abs(blocks - m)
-    absf = np.abs(blocks)
-    if r == 1:
-        osc = dev.mean(axis=axes)
-        massr = absf.mean(axis=axes)
-    else:
-        osc = np.sqrt((dev**2).mean(axis=axes))
-        massr = np.sqrt((absf**2).mean(axis=axes))
-    return osc, massr
+    nb = vals.shape[0] // side
+    order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+    blocks = vals.reshape((nb, side) * d).transpose(order).reshape(nb**d, side**d)
+    osc = _r_mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), r)
+    massr = _r_mean(np.abs(blocks), r).reshape((nb,) * d) if mass else None
+    return osc.reshape((nb,) * d), massr
 
 
 def _argmax_cube(arr: np.ndarray, side: int, shift: tuple[int, ...], n: int) -> Cube:
@@ -145,12 +155,13 @@ def _scalar_bmo(f: ScalarField, flavor: str, r: int, family: CubeFamily):
     best_mass = (-1.0, None)
     for side in family.sides:
         for shift in family.shifts_for(side):
-            osc, massr = _block_reduce(f.values, side, shift, r)
+            osc, massr = _block_reduce(f.values, side, shift, r,
+                                       mass=flavor == "bmo" and side >= small_cut)
             if flavor == "BMO" or side <= small_cut:
                 top = float(osc.max())
                 if top > best_osc[0]:
                     best_osc = (top, _argmax_cube(osc, side, shift, n))
-            if flavor == "bmo" and side >= small_cut:
+            if massr is not None:
                 top = float(massr.max())
                 if top > best_mass[0]:
                     best_mass = (top, _argmax_cube(massr, side, shift, n))

@@ -84,8 +84,7 @@ class RankError(TypeError):
 def fft_workers() -> int:
     """The thread budget: FORMBOUND_THREADS if set, else the core count.
 
-    It is the worker count of every transform, and it caps the pipeline
-    pool in verdict.py.
+    It is the worker count of every transform.
     """
     env = os.environ.get("FORMBOUND_THREADS")
     if env:

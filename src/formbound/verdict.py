@@ -19,15 +19,14 @@ finite cut.  The defaults (10 in normalized units) are configuration, carried
 in the verdict's provenance.  Refinement trends across grids, not single
 values, are what the test suite leans on.
 
-Sub-tests of one pipeline run concurrently in a pool of min(4, budget)
-threads, the budget being torus.fft_workers (FORMBOUND_THREADS or the core
-count); records are assembled in a fixed order so reports are bit-identical
-across reruns regardless of the worker count.
+Sub-tests of one pipeline run one after another, in a fixed order; the
+thread budget, torus.fft_workers (FORMBOUND_THREADS or the core count), is
+spent inside each transform.  Reports are bit-identical across reruns
+regardless of the budget.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -51,7 +50,6 @@ from formbound.torus import (
     bessel_inv,
     curl,
     div,
-    fft_workers,
     grad,
     inv_laplacian,
     lp_norm,
@@ -99,16 +97,6 @@ class Verdict:
             if rec.name == name:
                 return rec
         raise KeyError(name)
-
-
-def _run_all(tasks):
-    """Evaluate thunks, concurrently when allowed; results keep task order."""
-    workers = min(4, fft_workers())
-    if workers <= 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(t) for t in tasks]
-        return [f.result() for f in futures]
 
 
 def _zero_vector(grid: Grid) -> VectorField:
@@ -181,16 +169,24 @@ def _gradient_energy_density(q: ScalarField) -> np.ndarray:
     return sum(np.abs(c.values) ** 2 for c in gq.components)
 
 
+def _strengthened_measure(b: VectorField) -> DiscreteMeasure:
+    """|(1-Lap)^{-1} div b|^2 + |(1-Lap)^{-1} b|^2 dx."""
+    vals = np.abs(bessel_inv(div(b)).values) ** 2
+    for comp in bessel_inv(b).values:
+        vals = vals + np.abs(comp) ** 2
+    return DiscreteMeasure.from_density(ScalarField(b.grid, vals))
+
+
 def _admissibility_records(
     grid: Grid, rho: np.ndarray, eps: float, thr: Thresholds
 ) -> list[Record]:
     """Carleson + ball growth + Fefferman-Phong battery for a density rho."""
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
-    return _run_all([
-        lambda: carleson_test(mu, threshold=thr.carleson),
-        lambda: ball_growth_test(mu, threshold=thr.ball_growth),
-        lambda: fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
-    ])
+    return [
+        carleson_test(mu, threshold=thr.carleson),
+        ball_growth_test(mu, threshold=thr.ball_growth),
+        fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
+    ]
 
 
 def _fold(records, necessary, sufficiency=()) -> str:
@@ -298,23 +294,15 @@ def assess_inhomogeneous(
     del dec  # free the split's fields before the estimates that peak in memory
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
 
-    def _strengthened() -> DiscreteMeasure:
-        # |(1-Lap)^{-1} div b|^2 + |(1-Lap)^{-1} b|^2
-        vals = np.abs(bessel_inv(div(b1)).values) ** 2
-        for comp in bessel_inv(b1).values:
-            vals = vals + np.abs(comp) ** 2
-        return DiscreteMeasure.from_density(ScalarField(grid, vals))
-
-    variants, strong_mu = _run_all([
-        lambda: inhomogeneous_variants(mu, thresholds={
-            "carleson": thr.carleson,
-            "ball_energy": thr.ball_growth,
-            "pointwise": thr.trace,
-        }),
-        _strengthened,
-    ])
+    variants = inhomogeneous_variants(mu, thresholds={
+        "carleson": thr.carleson,
+        "ball_energy": thr.ball_growth,
+        "pointwise": thr.trace,
+    })
     records.extend([variants["carleson"], variants["ball_energy"],
                     variants["pointwise"]])
+
+    strong_mu = _strengthened_measure(b1)
 
     trace_rec = _form_record(
         "trace",
@@ -466,9 +454,7 @@ def assess_infinitesimal(
             best = max(best, trace_constant(mu, mask=mask, seed=seed).value)
         return best
 
-    local = [(d, v) for d, v in zip(deltas, _run_all([
-        (lambda dd: (lambda: _local(dd)))(d) for d in deltas
-    ]))]
+    local = [(d, _local(d)) for d in deltas]
 
     def _decay_record(name: str, profile, cut: float) -> Record:
         if all(v == 0.0 for _, v in profile):

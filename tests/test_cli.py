@@ -93,7 +93,7 @@ def test_reports_independent_of_thread_counts(tmp_path):
         "formnorm_complex": ["formnorm", "--dim", "3", "--grid", "32",
                              "--input", str(complex_drift)],
         "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],
-        # at 2 threads the pipelines run their tests in the min(4, budget) pool
+        # at 2 threads every transform runs two workers
         "verdict": ["verdict", "--dim", "3", "--grid", "32"],
         "verdict_inhomogeneous": ["verdict", "--dim", "3", "--grid", "32",
                                   "--preset", "random", "--flavor", "inhomogeneous"],

@@ -3,7 +3,7 @@ import pytest
 
 from formbound import presets
 from formbound.hodge import hodge_decompose
-from formbound.oscillation import Cube, bmo_norm, dyadic_family, vmo_profile
+from formbound.oscillation import Cube, _block_reduce, bmo_norm, dyadic_family, vmo_profile
 from formbound.torus import Grid, ScalarField
 
 
@@ -70,6 +70,60 @@ def test_witness_reproduces_norm(grid2, noise):
     block = f.values[np.ix_(*sl)].real
     osc = np.mean(np.abs(block - block.mean()))
     assert abs(osc - rep.norm) <= 1e-12 * max(rep.norm, 1.0)
+
+
+def _cube_values(vals, cube):
+    n = vals.shape[0]
+    return vals[np.ix_(*(np.arange(c, c + cube.side) % n for c in cube.corner))]
+
+
+def _r_mean(absvals, r):
+    return float(np.mean(absvals**r) ** (1.0 / r))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("r", [1, 2])
+def test_block_reduce_matches_cube_slices(dim, n, dtype, r):
+    # every (side, shift) layer, every cube: the oscillation and the r-mean
+    # of |f| against the cube's own slice of the field
+    grid = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(27)
+    vals = rng.standard_normal(grid.shape)
+    if dtype is np.complex128:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    family = dyadic_family(grid)
+    for side in family.sides:
+        for shift in family.shifts_for(side):
+            osc, massr = _block_reduce(vals, side, shift, r, mass=True)
+            assert osc.shape == massr.shape == (n // side,) * dim
+            for idx in np.ndindex(osc.shape):
+                corner = tuple((i * side + o) % n for i, o in zip(idx, shift))
+                block = _cube_values(vals, Cube(corner, side))
+                want_osc = _r_mean(np.abs(block - block.mean()), r)
+                want_mass = _r_mean(np.abs(block), r)
+                assert abs(osc[idx] - want_osc) <= 1e-13 * max(want_osc, 1.0)
+                assert abs(massr[idx] - want_mass) <= 1e-13 * max(want_mass, 1.0)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bmo_witness_reproduces_large_cube_mean(grid2, noise, r):
+    # a raised cosine makes a half-period cube's r-mean of |f| larger than
+    # the whole torus's, and larger than every small-cube oscillation
+    n = grid2.points_per_axis
+    vals = noise(grid2, seed=28, kind="scalar").values
+    vals += 6.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)[:, None]
+    f = ScalarField(grid2, vals)
+    rep = bmo_norm(f, flavor="bmo", r=r)
+    small = bmo_norm(f, flavor="BMO_sharp", r=r).norm
+    mass = rep.norm - small
+    assert mass > small
+    cube = rep.worst_cube
+    assert cube.side == n // 2
+    assert abs(_r_mean(np.abs(_cube_values(vals, cube)), r) - mass) <= 1e-12 * mass
+    large = [c for c in dyadic_family(grid2).cubes() if c.side >= n // 2]
+    best = max(_r_mean(np.abs(_cube_values(vals, c)), r) for c in large)
+    assert abs(best - mass) <= 1e-12 * mass
 
 
 def test_matrix_field_entrywise(grid2, noise):
