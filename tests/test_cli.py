@@ -266,6 +266,16 @@ def test_conflicting_q_sources(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nonlinear_rejects_complex_input(tmp_path, capsys):
+    g = Grid(3, 16, 1.0)
+    path = tmp_path / "complex.fbf"
+    fbf.write_field(path, 1j * presets.make_field("vortex", g))
+    code = main(["formnorm", "--dim", "3", "--grid", "16", "--nonlinear",
+                 "--input", str(path)])
+    assert code == 1
+    assert "needs a real drift" in capsys.readouterr().err
+
+
 def test_decompose_rejects_scalar_payload(tmp_path, capsys):
     from formbound.torus import ScalarField
 

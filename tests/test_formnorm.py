@@ -78,6 +78,84 @@ def test_form_norm_matches_dense_svd(flavor):
         assert abs(est.value - want) <= 1e-8 * want
 
 
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_form_norm_sparse_drift_matches_dense_svd(flavor):
+    # identically zero components are skipped; one nonzero cell, or a
+    # component of zero mean, must keep its component
+    g = Grid(3, 8, 1.0)
+    full = presets.make_field("random", g, seed=3)
+    planar = VectorField((full[0], full[1], ScalarField(g, np.zeros(g.shape))))
+    one_cell = planar.copy()
+    one_cell[2].values[3, 5, 6] = 1.5
+    zero_mean = planar.copy()
+    zero_mean[2].values[3, 5, 6] = 1.5
+    zero_mean[2].values[6, 1, 2] = -1.5
+    for b in (planar, one_cell, zero_mean):
+        want = _dense_top_singular(g, None, b, None, flavor)
+        est = form_norm(None, b, None, flavor=flavor)
+        assert abs(est.value - want) <= 1e-8 * want
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_zero_potential_is_no_potential(flavor):
+    g = Grid(3, 8, 1.0)
+    b = presets.make_field("vortex", g)
+    zero = ScalarField(g, np.zeros(g.shape))
+    with_zero = form_norm(None, b, zero, flavor=flavor)
+    without = form_norm(None, b, None, flavor=flavor)
+    assert (with_zero.value, with_zero.iterations, with_zero.residual) == \
+        (without.value, without.iterations, without.residual)
+    for got, want in zip(with_zero.witness, without.witness):
+        assert np.array_equal(got.values, want.values)
+
+
+class _OneMatvec(Exception):
+    pass
+
+
+def _transform_volume(monkeypatch, b, q):
+    """Component transforms (leading batch sizes) of one R*R application."""
+    count = 0
+
+    def counted(transform):
+        def run(values, dim=None, overwrite=False):
+            nonlocal count
+            count += values.shape[0] if values.ndim > b.grid.dim else 1
+            return transform(values, dim, overwrite)
+        return run
+
+    def one_matvec(apply_op, start, seed):
+        monkeypatch.setattr(formnorm, "_fftn", counted(formnorm._fftn))
+        monkeypatch.setattr(formnorm, "_ifftn", counted(formnorm._ifftn))
+        apply_op(start)
+        raise _OneMatvec
+
+    monkeypatch.setattr(formnorm, "_top_eigenpair", one_matvec)
+    with pytest.raises(_OneMatvec):
+        form_norm(None, b, q)
+    monkeypatch.undo()
+    return count
+
+
+@pytest.mark.parametrize("name, volume", [
+    ("vortex", 6), ("stream", 6), ("coulomb_gauge", 6),
+    ("gradient", 4), ("log_stream", 4), ("random", 8),
+])
+def test_form_matvec_skips_zero_components(name, volume, monkeypatch):
+    g = Grid(3, 8, 1.0)
+    b = presets.make_field(name, g)
+    zero = ScalarField(g, np.zeros(g.shape))
+    assert _transform_volume(monkeypatch, b, None) == volume
+    assert _transform_volume(monkeypatch, b, zero) == volume
+
+
+def test_zero_operator_makes_no_transform(monkeypatch):
+    g = Grid(3, 8, 1.0)
+    zero = ScalarField(g, np.zeros(g.shape))
+    b = VectorField((zero, zero, zero))
+    assert _transform_volume(monkeypatch, b, zero) == 0
+
+
 def test_form_norm_with_principal_matches_dense_svd():
     g = Grid(2, 8, 1.0)
     one = ScalarField(g, np.ones(g.shape))
@@ -205,6 +283,15 @@ def test_nonlinear_zero_drift():
     zero = VectorField(tuple(ScalarField(g, np.zeros(g.shape)) for _ in range(3)))
     big, small, ok = nonlinear_form_constant(zero)
     assert big.value == 0.0 and small.value == 0.0 and ok
+
+
+def test_nonlinear_rejects_complex_drift():
+    # the ascent runs on real u; dropping the imaginary part of b would
+    # certify a drift that form_norm measures at 0.45
+    g = Grid(3, 8, 1.0)
+    b = presets.make_field("vortex", g)
+    with pytest.raises(ValueError, match="needs a real drift"):
+        nonlinear_form_constant(1j * b, restarts=1, steps=1)
 
 
 def test_trace_mask_is_contractive():
