@@ -350,6 +350,9 @@ def _cmd_formnorm(args):
     grid = _make_grid(args)
     b = _drift(args, grid)
     q = _maybe_q(args, grid)
+    if args.nonlinear and not b.is_real:
+        # rejected before the form estimate, which would run for nothing
+        raise ValueError("nonlinear constant needs a real drift")
     est = form_norm(None, b, q, flavor=args.flavor, seed=args.seed)
     records = [Record("form_norm", est.value, args.threshold)]
     details = {"iterations": est.iterations, "residual": est.residual}

@@ -48,11 +48,13 @@ from .torus import (
     VectorField,
     _bessel_half_symbol,
     _dirichlet_sq_from_hat,
+    _dot,
     _fftn,
     _ifftn,
     _inv_lap_symbol,
     _irfftn,
     _key,
+    _norm,
     _rfftn,
     _riesz_half_symbol,
     kappa_axes,
@@ -103,16 +105,6 @@ def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
 def _check_flavor(flavor: str) -> None:
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}")
-
-
-def _dot(x: np.ndarray, y: np.ndarray) -> float:
-    """sum x y as a numpy reduction: np.dot and np.linalg.norm run on the
-    BLAS thread pool, whose size would move the last digits."""
-    return float(np.sum(x * y))
-
-
-def _norm(x: np.ndarray) -> float:
-    return float(np.sqrt(_dot(x, x)))
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:

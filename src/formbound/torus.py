@@ -137,6 +137,16 @@ def _irfftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _sfft.irfftn(values, s=shape, workers=fft_workers())
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """sum x y as a numpy reduction: np.dot and np.linalg.norm run on the
+    BLAS thread pool, whose size would move the last digits."""
+    return float(np.sum(x * y))
+
+
+def _norm(x: np.ndarray) -> float:
+    return float(np.sqrt(_dot(x, x)))
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, period)^dim.

@@ -1,11 +1,16 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from formbound.capacity import (
     CompactSet,
+    _ChargeSystem,
     _band_limited_probe,
     _green_apply,
-    _inverse_apply,
     ball_set,
     capacity,
     cube_set,
@@ -159,16 +164,14 @@ def test_flavor_validation():
         capacity(cube_set(g, CENTER3, 0.25), "riesz")
 
 
-def _complex_symbol_apply(grid, values, inhomogeneous, green):
+def _complex_green_apply(grid, values, inhomogeneous):
     """The full-spectrum complex-transform formula, as an oracle."""
     ks = kappa_sq(grid)
-    if green and inhomogeneous:
+    if inhomogeneous:
         symbol = 1.0 / (1.0 + ks)
-    elif green:
+    else:
         safe = np.where(ks > 0.0, ks, 1.0)
         symbol = np.where(ks > 0.0, 1.0 / safe, 0.0)
-    else:
-        symbol = 1.0 + ks if inhomogeneous else ks
     return np.fft.ifftn(np.fft.fftn(values) * symbol).real
 
 
@@ -177,11 +180,52 @@ def _complex_symbol_apply(grid, values, inhomogeneous, green):
 def test_real_transform_symbols_match_complex_oracle(dim, inhomogeneous):
     g = Grid(dim, 16, 2.0)
     values = np.random.default_rng(dim).standard_normal(g.shape)
-    for apply, green in ((_green_apply, True), (_inverse_apply, False)):
-        got = apply(g, values, inhomogeneous)
-        want = _complex_symbol_apply(g, values, inhomogeneous, green)
-        assert got.shape == g.shape and got.dtype == np.float64
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got = _green_apply(g, values, inhomogeneous)
+    want = _complex_green_apply(g, values, inhomogeneous)
+    assert got.shape == g.shape and got.dtype == np.float64
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _dense_fd_laplacian(grid):
+    """-Lap_h on the whole grid as a dense matrix, built column by column
+    from periodic shifts of the unit vectors."""
+    h2 = grid.spacing**2
+    cols = []
+    for k in range(grid.npoints):
+        e = np.zeros(grid.npoints)
+        e[k] = 1.0
+        e = e.reshape(grid.shape)
+        col = 2 * grid.dim * e
+        for axis in range(grid.dim):
+            col = col - np.roll(e, 1, axis) - np.roll(e, -1, axis)
+        cols.append(col.reshape(-1) / h2)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("inhomogeneous", [False, True])
+def test_stencil_preconditioner_matches_dense_oracle(dim, n, inhomogeneous):
+    # a cube that straddles the periodic boundary on every axis plus a
+    # ball inside, listed in shuffled order as the active set
+    g = Grid(dim, n, 2.0)
+    corner = (g.period - 2 * g.spacing,) * dim
+    mask = cube_set(g, corner, 4 * g.spacing).mask
+    mask |= ball_set(g, (0.5 * g.period,) * dim, 1.5 * g.spacing).mask
+    rng = np.random.default_rng(dim)
+    idx = rng.permutation(np.flatnonzero(mask.reshape(-1)))
+    vec = rng.standard_normal(idx.size)
+
+    zero_sum = not inhomogeneous
+    system = _ChargeSystem(g, idx, inhomogeneous, zero_sum=zero_sum)
+    dense = _dense_fd_laplacian(g)[np.ix_(idx, idx)]
+    if inhomogeneous:
+        dense += np.eye(idx.size)
+    if zero_sum:
+        proj = np.eye(idx.size) - 1.0 / idx.size
+        dense = proj @ dense @ proj
+    want = dense @ vec
+    got = system.precond(vec)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_results_identical_across_thread_counts(monkeypatch):
@@ -199,6 +243,30 @@ def test_results_identical_across_thread_counts(monkeypatch):
     assert r1.iterations == r2.iterations
     assert g1.gauge_ratio == g2.gauge_ratio
     assert g1.gauge_ratio_min == g2.gauge_ratio_min
+
+
+_BLAS_CASE = """
+import hashlib
+from formbound.capacity import ball_set, capacity
+from formbound.torus import Grid
+r = capacity(ball_set(Grid(3, 64, 1.0), (0.5, 0.5, 0.5), 0.25))
+print(repr(r.value), r.iterations,
+      hashlib.sha1(r.potential.values.tobytes()).hexdigest())
+"""
+
+
+def test_results_identical_across_blas_thread_counts():
+    # a 64^3 ball of 17077 cells, large enough that OpenBLAS threads a dot
+    # product; the pool size is fixed when numpy loads, hence subprocesses
+    root = pathlib.Path(__file__).resolve().parents[1]
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   FORMBOUND_THREADS="1", PYTHONPATH=str(root / "src"))
+        run = subprocess.run([sys.executable, "-c", _BLAS_CASE], env=env,
+                             check=True, capture_output=True, text=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_gauge_base_norm_from_probe_spectrum():

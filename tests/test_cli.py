@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from formbound import fbf, presets
+from formbound import cli, fbf, presets
 from formbound.cli import main
 from formbound.torus import Grid
 
@@ -266,7 +266,12 @@ def test_conflicting_q_sources(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_nonlinear_rejects_complex_input(tmp_path, capsys):
+def test_nonlinear_rejects_complex_input(tmp_path, capsys, monkeypatch):
+    # the drift is rejected before the form estimate runs
+    def never(*args, **kwargs):
+        raise AssertionError("form_norm ran on a drift the command rejects")
+
+    monkeypatch.setattr(cli, "form_norm", never)
     g = Grid(3, 16, 1.0)
     path = tmp_path / "complex.fbf"
     fbf.write_field(path, 1j * presets.make_field("vortex", g))
