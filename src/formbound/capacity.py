@@ -21,15 +21,21 @@ to solver tolerance.
 
 Charges and potentials are real, so the Green operator is one real
 transform pair (rfftn/irfftn) against a cached half-spectrum symbol.  The
-CG preconditioner is local: the 2d-neighbour finite-difference Laplacian
-(plus the identity in the inhomogeneous flavor) restricted to the active
-cells, with periodic neighbours and cells off the active set read as 0.
-Its symbol (4/h^2) sin^2(kh/2) per axis lies within [4/pi^2, 1] of k^2,
-so it is spectrally equivalent to the inverse Green operator on the same
-cells: the condition number grows by at most pi^2/4 and the iteration
-count by at most pi/2, while each CG iteration makes one transform pair
-instead of two and the preconditioner costs O(active cells).  Inner
-products are numpy reductions, so no BLAS thread count moves the result.
+charges sit on the active cells and only those cells are read back, so
+the pair skips every 1-D pass over a line with no charge or no active
+cell (torus._PrunedFFT); the values it computes have the bits of the
+full-grid pair.  The potential of a round prunes only its forward
+transform, and a gauge probe's inverse transform runs only the passes
+over lines inside its band.  The CG preconditioner is local: the
+2d-neighbour finite-difference Laplacian (plus the identity in the
+inhomogeneous flavor) restricted to the active cells, with periodic
+neighbours and cells off the active set read as 0.  Its symbol
+(4/h^2) sin^2(kh/2) per axis lies within [4/pi^2, 1] of k^2, so it is
+spectrally equivalent to the inverse Green operator on the same cells:
+the condition number grows by at most pi^2/4 and the iteration count by
+at most pi/2, while each CG iteration makes one transform pair instead
+of two and the preconditioner costs O(active cells).  Inner products are
+numpy reductions, so no BLAS thread count moves the result.
 Each active-set round warm-starts CG from the previous round's charges on
 the cells it keeps (newly grown cells start at zero); the stopping bound
 rtol * ||rhs|| is the same absolute bound a cold start would use.
@@ -46,14 +52,13 @@ from .measures import DiscreteMeasure, _torus_dist_sq
 from .torus import (
     Grid,
     ScalarField,
+    _PrunedFFT,
     _bessel_inv_symbol,
     _dirichlet_sq_from_hat,
     _dot,
-    _ifftn,
     _inv_lap_symbol,
     _irfftn,
     _norm,
-    _rfftn,
     dirichlet_norm,
 )
 
@@ -114,6 +119,8 @@ class CompactSet:
 
 def ball_set(grid: Grid, center: tuple[float, ...], radius: float) -> CompactSet:
     """Cells whose centers lie within torus distance radius of center."""
+    if not (radius >= 0.0 and np.isfinite(radius)):
+        raise ValueError(f"ball radius must be nonnegative and finite, got {radius}")
     shift = tuple(int(round(c / grid.spacing)) % grid.points_per_axis for c in center)
     dist_sq = np.roll(_torus_dist_sq(grid), shift, axis=range(grid.dim))
     return CompactSet(grid, dist_sq <= radius * radius)
@@ -121,6 +128,8 @@ def ball_set(grid: Grid, center: tuple[float, ...], radius: float) -> CompactSet
 
 def cube_set(grid: Grid, corner: tuple[float, ...], side: float) -> CompactSet:
     """Cells whose centers lie in the axis cube [corner, corner + side)."""
+    if not (side > 0.0 and np.isfinite(side)):
+        raise ValueError(f"cube side must be positive and finite, got {side}")
     n, h = grid.points_per_axis, grid.spacing
     mask = np.ones(grid.shape, dtype=bool)
     cells = max(int(round(side / h)), 1)
@@ -157,13 +166,6 @@ def _green_half_symbol(dim: int, n: int, period: float,
     return -_inv_lap_symbol(dim, n, period)[half]
 
 
-def _green_apply(grid: Grid, values: np.ndarray, inhomogeneous: bool) -> np.ndarray:
-    hat = _rfftn(values)
-    hat *= _green_half_symbol(grid.dim, grid.points_per_axis, grid.period,
-                              inhomogeneous)
-    return _irfftn(hat, grid.shape)
-
-
 def _neighbours(grid: Grid, flat_idx: np.ndarray) -> np.ndarray:
     """Positions in flat_idx of each cell's 2d periodic axis neighbours.
 
@@ -186,7 +188,11 @@ def _neighbours(grid: Grid, flat_idx: np.ndarray) -> np.ndarray:
 
 
 class _ChargeSystem:
-    """K sigma = target on a flat list of active cells, via grid FFTs."""
+    """K sigma = target on a flat list of active cells, via grid FFTs.
+
+    Charges and potentials travel as the lines of the last axis that hold
+    an active cell: the Green transforms skip every other line.
+    """
 
     def __init__(self, grid: Grid, flat_idx: np.ndarray, inhomogeneous: bool,
                  zero_sum: bool):
@@ -194,7 +200,16 @@ class _ChargeSystem:
         self.idx = flat_idx
         self.inhomogeneous = inhomogeneous
         self.zero_sum = zero_sum
-        self._buf = np.zeros(grid.npoints)
+        cells = np.zeros(grid.npoints, dtype=bool)
+        cells[flat_idx] = True
+        cells = cells.reshape(grid.shape)
+        self._forward = _PrunedFFT("rfftn", grid.shape, nonzero=cells)
+        self._inverse = _PrunedFFT("irfftn", grid.shape, read=cells)
+        # both list the rows that hold an active cell
+        row, self._col = np.divmod(flat_idx, grid.points_per_axis)
+        self._row = np.searchsorted(self._forward.rows, row)
+        self._symbol = _green_half_symbol(grid.dim, grid.points_per_axis,
+                                          grid.period, inhomogeneous)
         self._nb = _neighbours(grid, flat_idx)
         # charges plus one trailing zero that unlisted neighbours read
         self._padded = np.zeros(flat_idx.size + 1)
@@ -202,14 +217,17 @@ class _ChargeSystem:
     def _project(self, vec: np.ndarray) -> np.ndarray:
         return vec - vec.mean() if self.zero_sum else vec
 
-    def _green(self, vec: np.ndarray) -> np.ndarray:
-        self._buf[:] = 0.0
-        self._buf[self.idx] = vec
-        return _green_apply(self.grid, self._buf.reshape(self.grid.shape),
-                            self.inhomogeneous).reshape(-1)
+    def _green_hat(self, vec: np.ndarray) -> np.ndarray:
+        """Half spectrum of the potential of charges vec."""
+        lines = np.zeros((self._forward.rows.size, self.grid.points_per_axis))
+        lines[self._row, self._col] = vec
+        hat = self._forward(lines)
+        hat *= self._symbol
+        return hat
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        return self._project(self._green(self._project(vec))[self.idx])
+        lines = self._inverse(self._green_hat(self._project(vec)))
+        return self._project(lines[self._row, self._col])
 
     def precond(self, vec: np.ndarray) -> np.ndarray:
         """Finite-difference -Lap (+ 1) restricted to the active cells."""
@@ -253,7 +271,7 @@ class _ChargeSystem:
         return sigma, iters
 
     def potential(self, sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
-        u = self._green(sigma)
+        u = _irfftn(self._green_hat(sigma), self.grid.shape).reshape(-1)
         if self.zero_sum:
             # constant component of the grounded problem, fixed by the
             # residual mean on the active cells
@@ -372,18 +390,27 @@ class GaugeReport:
     cap_value: float
 
 
+@lru_cache(maxsize=16)
+def _band(dim: int, n: int):
+    """Index of the probe modes |k_i| <= kmax, and the inverse transform
+    that runs only the passes over lines holding one of them."""
+    kmax = max(n // 16, 2)
+    modes = [m % n for m in range(-kmax, kmax + 1)]
+    sub = np.ix_(*([modes] * dim))
+    support = np.zeros((n,) * dim, dtype=bool)
+    support[sub] = True
+    return sub, _PrunedFFT("ifftn", support.shape, nonzero=support)
+
+
 def _band_limited_probe(grid: Grid, rng: np.random.Generator):
     """Random complex probe with modes |k_i| <= kmax, and its spectrum."""
-    kmax = max(grid.points_per_axis // 16, 2)
+    sub, inverse = _band(grid.dim, grid.points_per_axis)
     hats = np.zeros(grid.shape, dtype=np.complex128)
-    n = grid.points_per_axis
-    modes = [m % n for m in range(-kmax, kmax + 1)]
-    sub = np.ix_(*([modes] * grid.dim))
-    block = rng.standard_normal((len(modes),) * grid.dim) \
-        + 1j * rng.standard_normal((len(modes),) * grid.dim)
+    size = tuple(modes.size for modes in sub)
+    block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     hats[sub] = block
     hats.flat[0] = 0.0
-    return _ifftn(hats), hats
+    return inverse(hats.copy()).reshape(grid.shape), hats
 
 
 def gauge_check(

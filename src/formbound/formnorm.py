@@ -8,9 +8,6 @@ matrix-free realization of the object under test:
 
 * trace_constant:   M = multiplication by the measure's density
 * form_norm:        M = L = div(A grad .) + b.grad + q
-* commutator_norm:  M = b.grad + (div b)/2, the antisymmetric part of
-                    b.grad; for divergence-free b this coincides with
-                    form_norm(0, b, 0), which downstream checks rely on
 
 Each norm is the top eigenvalue of a Hermitian positive semidefinite
 operator (the compression itself, or R*R for a non-Hermitian R), found
@@ -64,7 +61,6 @@ from .torus import (
 __all__ = [
     "ConvergenceError",
     "FormEstimate",
-    "commutator_norm",
     "form_norm",
     "nonlinear_form_constant",
     "trace_constant",
@@ -334,24 +330,6 @@ def form_norm(
     if not grids:
         raise ValueError("all coefficients empty")
     op = _Operator(grids[0], A, b, q)
-    return _operator_norm(op, flavor, seed)
-
-
-def commutator_norm(
-    b: VectorField, flavor: str = "homogeneous", seed: int = 0
-) -> FormEstimate:
-    """Norm of the antisymmetric half of b.grad.
-
-    The commutator form (1/2) <b, u-bar grad v - v grad u-bar> is the
-    form of K = b.grad + (div b)/2.  For divergence-free b this equals
-    form_norm(0, b, 0) with identical assembly.
-    """
-    _check_flavor(flavor)
-    from .torus import div as _div
-
-    grid = b.grid
-    half_div = ScalarField(grid, 0.5 * _div(b).values)
-    op = _Operator(grid, None, b, half_div)
     return _operator_norm(op, flavor, seed)
 
 

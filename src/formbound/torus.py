@@ -22,7 +22,11 @@ Transforms.  Every transform in the package goes through ``_fftn`` /
 capacity solver and the trace constants) here.  Given ``dim`` they
 transform the last ``dim`` axes and treat the leading axes as a batch, so
 a vector or matrix field costs one call; each component's result has the
-same bits as its own transform.
+same bits as its own transform.  ``_PrunedFFT`` runs scipy's rfftn,
+irfftn or ifftn as its 1-D passes, in scipy's order, and skips each pass
+over a line with no nonzero input or no output that is read; the capacity
+solver's Green operator and its band-limited gauge probes use it, and
+every value it computes has the bits of the full transform.
 Fourier symbols are built once per (dim, n, period) and cached.
 
 Derivatives of real fields are returned real: the (purely imaginary)
@@ -34,6 +38,7 @@ in frequency space in one pass, see hodge.py.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -135,6 +140,112 @@ def _rfftn(values: np.ndarray) -> np.ndarray:
 
 def _irfftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return _sfft.irfftn(values, s=shape, workers=fft_workers())
+
+
+def _blocks(lines: np.ndarray, axis: int) -> list[tuple[slice, ...]]:
+    """Basic indices of blocks of whole lines along ``axis`` that cover
+    every marked line (``lines`` masks the other axes): the products of the
+    runs of consecutive indices that each other axis keeps."""
+    runs = []
+    for b in range(lines.ndim):
+        keep = np.flatnonzero(lines.any(axis=tuple(c for c in range(lines.ndim)
+                                                   if c != b)))
+        cuts = np.flatnonzero(np.diff(keep) != 1) + 1
+        runs.append([slice(r[0], r[-1] + 1) for r in np.split(keep, cuts)]
+                    if keep.size else [])
+    runs.insert(axis, [slice(None)])
+    return list(itertools.product(*runs))
+
+
+class _PrunedFFT:
+    """scipy's ``rfftn``, ``irfftn`` or ``ifftn`` over every axis of
+    ``shape``, minus each 1-D pass over a line that holds no nonzero input
+    or no output that is read.
+
+    The passes that remain run in scipy's order: ``rfftn`` transforms the
+    last axis and then axes 0, 1, ...; ``irfftn`` and ``ifftn`` run axes 0,
+    1, ... and the last axis last.  A pass along another axis than the last
+    runs over blocks of whole lines, the products of runs of consecutive
+    indices that cover the lines it needs.  A 1-D transform reads and writes
+    its own line only, so every value that is computed has the bits of the
+    full transform.  Each inverse pass applies the 1/n of its axis; the
+    lengths are powers of two, so the factors are exact and together equal
+    scipy's single 1/N.
+
+    ``nonzero`` masks the input entries that may be nonzero and ``read`` the
+    output entries that are read (None: all).  The grid side travels in row
+    form: ``rows`` lists the lines of the last axis (flat indices over the
+    leading axes) that hold a nonzero input (``rfftn``) or a read output
+    (``irfftn``, ``ifftn``), and the grid values are an array of shape
+    (rows.size, n), one line each.  The spectral side is a whole array; its
+    entries that nothing reads may hold anything.  Passes run in place:
+    ``rfftn`` returns a buffer of its own that its next call overwrites, and
+    the inverse transforms overwrite the spectrum they are given.
+    """
+
+    def __init__(self, kind: str, shape: tuple[int, ...],
+                 nonzero: np.ndarray | None = None,
+                 read: np.ndarray | None = None):
+        d = len(shape)
+        half = shape[:-1] + (shape[-1] // 2 + 1,)
+        if kind == "rfftn":
+            axes, spaces = (d - 1, *range(d - 1)), [shape] + [half] * d
+        elif kind == "irfftn":
+            axes, spaces = tuple(range(d)), [half] * d + [shape]
+        elif kind == "ifftn":
+            axes, spaces = tuple(range(d)), [shape] * (d + 1)
+        else:
+            raise ValueError(f"unknown transform {kind!r}")
+        self.kind = kind
+        self.shape = shape
+        # a pass makes each line it transforms live along its axis, and it
+        # needs each line that holds an output some later pass needs
+        live = np.ones(spaces[0], bool) if nonzero is None else nonzero
+        lines_in = []
+        for axis, space in zip(axes, spaces[1:]):
+            lines_in.append(live.any(axis=axis))
+            live = np.broadcast_to(np.expand_dims(lines_in[-1], axis), space)
+        need = np.ones(spaces[-1], bool) if read is None else read
+        lines_out = []
+        for axis, space in zip(axes[::-1], spaces[-2::-1]):
+            lines_out.insert(0, need.any(axis=axis))
+            need = np.broadcast_to(np.expand_dims(lines_out[0], axis), space)
+        self._passes = []
+        for axis, a, b in zip(axes, lines_in, lines_out):
+            if axis == d - 1:
+                self.rows = np.flatnonzero(a & b)
+            else:
+                self._passes.append((axis, _blocks(a & b, axis)))
+        if kind == "rfftn":
+            self._work = np.zeros(half, dtype=np.complex128)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        workers = fft_workers()
+        if self.kind == "rfftn":
+            work = self._work
+            work.fill(0.0)
+            work.reshape(-1, work.shape[-1])[self.rows] = _sfft.rfft(
+                values, axis=-1, workers=workers)
+            fn = _sfft.fft
+        else:
+            work = values
+            fn = _sfft.ifft
+        for axis, blocks in self._passes:
+            for block in blocks:
+                view = work[block]
+                out = fn(view, axis=axis, overwrite_x=True, workers=workers)
+                # overwrite_x allows an in-place transform but does not
+                # promise one
+                if not np.may_share_memory(out, view):
+                    view[...] = out
+        if self.kind == "rfftn":
+            return work
+        lines = work.reshape(-1, work.shape[-1])
+        if self.rows.size < lines.shape[0]:
+            lines = lines[self.rows]
+        if self.kind == "irfftn":
+            return _sfft.irfft(lines, n=self.shape[-1], axis=-1, workers=workers)
+        return _sfft.ifft(lines, axis=-1, overwrite_x=True, workers=workers)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:

@@ -10,7 +10,8 @@ from formbound.capacity import (
     CompactSet,
     _ChargeSystem,
     _band_limited_probe,
-    _green_apply,
+    _green_half_symbol,
+    _ground_for,
     ball_set,
     capacity,
     cube_set,
@@ -20,6 +21,10 @@ from formbound.torus import (
     Grid,
     ScalarField,
     _dirichlet_sq_from_hat,
+    _ifftn,
+    _irfftn,
+    _PrunedFFT,
+    _rfftn,
     dirichlet_norm,
     kappa_sq,
 )
@@ -152,6 +157,18 @@ def test_gauge_validation(cube_result):
         gauge_check(e2, tau=1.0, result=capacity(e2, "inhomogeneous"))
 
 
+@pytest.mark.parametrize("radius", [-0.1, -np.inf, np.inf, np.nan])
+def test_ball_radius_validated(radius):
+    with pytest.raises(ValueError, match="radius"):
+        ball_set(Grid(3, 16, 1.0), CENTER3, radius)
+
+
+@pytest.mark.parametrize("side", [-0.5, 0.0, np.inf, np.nan])
+def test_cube_side_validated(side):
+    with pytest.raises(ValueError, match="side"):
+        cube_set(Grid(3, 16, 1.0), CENTER3, side)
+
+
 def test_empty_set_rejected():
     g = Grid(3, 16, 1.0)
     with pytest.raises(ValueError):
@@ -175,15 +192,32 @@ def _complex_green_apply(grid, values, inhomogeneous):
     return np.fft.ifftn(np.fft.fftn(values) * symbol).real
 
 
+def _straddling_cells(g):
+    """Active cells: a cube straddling the periodic boundary on every axis
+    plus a ball inside, listed in shuffled order."""
+    corner = (g.period - 2 * g.spacing,) * g.dim
+    mask = cube_set(g, corner, 4 * g.spacing).mask
+    mask |= ball_set(g, (0.5 * g.period,) * g.dim, 1.5 * g.spacing).mask
+    rng = np.random.default_rng(g.dim)
+    return rng.permutation(np.flatnonzero(mask.reshape(-1))), rng
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("inhomogeneous", [False, True])
 def test_real_transform_symbols_match_complex_oracle(dim, inhomogeneous):
     g = Grid(dim, 16, 2.0)
-    values = np.random.default_rng(dim).standard_normal(g.shape)
-    got = _green_apply(g, values, inhomogeneous)
-    want = _complex_green_apply(g, values, inhomogeneous)
-    assert got.shape == g.shape and got.dtype == np.float64
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    idx, rng = _straddling_cells(g)
+    sigma = rng.standard_normal(idx.size)
+    values = np.zeros(g.npoints)
+    values[idx] = sigma
+    want = _complex_green_apply(g, values.reshape(g.shape), inhomogeneous)
+    system = _ChargeSystem(g, idx, inhomogeneous, zero_sum=False)
+    on_cells = system.matvec(sigma)
+    full = system.potential(sigma, np.zeros(idx.size))
+    assert full.dtype == np.float64
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(full - want.reshape(-1))) <= 1e-13 * scale
+    assert np.max(np.abs(on_cells - want.reshape(-1)[idx])) <= 1e-13 * scale
 
 
 def _dense_fd_laplacian(grid):
@@ -205,14 +239,8 @@ def _dense_fd_laplacian(grid):
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("inhomogeneous", [False, True])
 def test_stencil_preconditioner_matches_dense_oracle(dim, n, inhomogeneous):
-    # a cube that straddles the periodic boundary on every axis plus a
-    # ball inside, listed in shuffled order as the active set
     g = Grid(dim, n, 2.0)
-    corner = (g.period - 2 * g.spacing,) * dim
-    mask = cube_set(g, corner, 4 * g.spacing).mask
-    mask |= ball_set(g, (0.5 * g.period,) * dim, 1.5 * g.spacing).mask
-    rng = np.random.default_rng(dim)
-    idx = rng.permutation(np.flatnonzero(mask.reshape(-1)))
+    idx, rng = _straddling_cells(g)
     vec = rng.standard_normal(idx.size)
 
     zero_sum = not inhomogeneous
@@ -226,6 +254,73 @@ def test_stencil_preconditioner_matches_dense_oracle(dim, n, inhomogeneous):
     want = dense @ vec
     got = system.precond(vec)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _pruning_sets(g):
+    """Cell sets that exercise every kind of skipped pass."""
+    n, h = g.points_per_axis, g.spacing
+    ball = ball_set(g, (0.5 * g.period,) * g.dim, g.period / 8.0)
+    single = np.zeros(g.shape, dtype=bool)
+    single[(3,) * g.dim] = True
+    lines = np.zeros(g.shape, dtype=bool)
+    lines[(1,) * (g.dim - 1)] = True      # a whole line of the last axis
+    lines[(slice(None),) + (n // 2,) * (g.dim - 1)] = True    # and of axis 0
+    return {
+        "ball and ground": ball.mask | _ground_for(ball).mask,
+        "straddling cube": cube_set(g, (g.period - 2 * h,) * g.dim, 5 * h).mask,
+        "single cell": single,
+        "whole lines": lines,
+    }
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_pruned_transforms_match_full_transforms_bitwise(monkeypatch, threads,
+                                                         dim, n):
+    monkeypatch.setenv("FORMBOUND_THREADS", threads)
+    g = Grid(dim, n, 2.0)
+    rng = np.random.default_rng(n)
+    for name, cells in _pruning_sets(g).items():
+        values = np.where(cells, rng.standard_normal(g.shape), 0.0)
+        forward = _PrunedFFT("rfftn", g.shape, nonzero=cells)
+        got = forward(values.reshape(-1, n)[forward.rows])
+        assert np.array_equal(got, _rfftn(values)), name
+
+        spectrum = _rfftn(rng.standard_normal(g.shape))
+        inverse = _PrunedFFT("irfftn", g.shape, read=cells)
+        want = _irfftn(spectrum, g.shape).reshape(-1, n)[inverse.rows]
+        assert np.array_equal(inverse(spectrum.copy()), want), name
+
+        idx = rng.permutation(np.flatnonzero(cells.reshape(-1)))
+        for inhomogeneous in (False, True):
+            symbol = _green_half_symbol(dim, n, g.period, inhomogeneous)
+
+            def green(charges):
+                grid_values = np.zeros(g.npoints)
+                grid_values[idx] = charges
+                hat = _rfftn(grid_values.reshape(g.shape))
+                hat *= symbol
+                return _irfftn(hat, g.shape).reshape(-1)
+
+            system = _ChargeSystem(g, idx, inhomogeneous,
+                                   zero_sum=not inhomogeneous)
+            sigma = rng.standard_normal(idx.size)
+            want = system._project(green(system._project(sigma))[idx])
+            assert np.array_equal(system.matvec(sigma), want), name
+            want = green(sigma)
+            if not inhomogeneous:
+                want += float((1.0 - want[idx]).mean())
+            got = system.potential(sigma, np.ones(idx.size))
+            assert np.array_equal(got, want), name
+
+    for _ in range(3):
+        probe, hats = _band_limited_probe(g, rng)
+        assert np.array_equal(probe, _ifftn(hats))
+        band = hats != 0.0
+        cells = _pruning_sets(g)["ball and ground"]
+        inverse = _PrunedFFT("ifftn", g.shape, nonzero=band, read=cells)
+        want = _ifftn(hats).reshape(-1, n)[inverse.rows]
+        assert np.array_equal(inverse(hats.copy()), want)
 
 
 def test_results_identical_across_thread_counts(monkeypatch):

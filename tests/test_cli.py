@@ -59,6 +59,15 @@ def test_bad_thread_budget_exit_1(threads, monkeypatch, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size", [["--radius", "-0.1"],
+                                  ["--set", "cube", "--side", "-0.5"],
+                                  ["--set", "cube", "--side", "0"]])
+def test_bad_set_size_exit_1(size, capsys):
+    code = main(["capacity", "--dim", "3", "--grid", "16", *size])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["1", "0"])
 def test_thread_budget_not_leaked(threads, monkeypatch):
     # --threads holds for one run: the caller's value, or its absence, returns
@@ -90,6 +99,8 @@ def test_reports_independent_of_thread_counts(tmp_path):
     runs = {
         "trace": ["trace", "--dim", "3", "--grid", "32", "--measure", "bump"],
         "formnorm": ["formnorm", "--dim", "3", "--grid", "32"],
+        # large enough that ARPACK's own BLAS calls could thread
+        "formnorm_64": ["formnorm", "--dim", "3", "--grid", "64"],
         "formnorm_complex": ["formnorm", "--dim", "3", "--grid", "32",
                              "--input", str(complex_drift)],
         "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],

@@ -5,7 +5,6 @@ from scipy.linalg import svdvals
 from formbound import formnorm, presets
 from formbound.formnorm import (
     ConvergenceError,
-    commutator_norm,
     form_norm,
     nonlinear_form_constant,
     trace_constant,
@@ -17,7 +16,6 @@ from formbound.torus import (
     ScalarField,
     VectorField,
     dirichlet_norm,
-    div,
     grad,
     kappa_axes,
     kappa_sq,
@@ -218,15 +216,6 @@ def test_drift_sign_invariance():
     plus = form_norm(None, b, None).value
     minus = form_norm(None, -1.0 * b, None).value
     assert plus == minus
-
-
-def test_commutator_equals_form_for_divergence_free():
-    g = Grid(2, 32, 1.0)
-    b = presets.make_field("stream", g)
-    assert float(np.abs(div(b).values).max()) <= 1e-10
-    com = commutator_norm(b).value
-    frm = form_norm(None, b, None).value
-    assert abs(com - frm) <= 1e-10 * frm
 
 
 def test_vortex_value_and_witness():
