@@ -54,6 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite(text: str) -> float:
+    """A threshold: a finite number, so NaN and inf stop at the parser."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def preset(name: str, grid: Grid, seed: int = 0):
     """Named deterministic input: a drift field, scalar field, or measure."""
     if name in presets.FIELD_PRESETS:
@@ -113,7 +124,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--flavor", choices=("BMO", "bmo", "BMO_sharp"),
                    default="BMO")
     p.add_argument("--r", type=int, choices=(1, 2), default=1)
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite)
 
     p = subs.add_parser("carleson", help="dyadic energy test of a measure")
     _common(p)
@@ -121,7 +132,7 @@ def _build_parser() -> _Parser:
                    choices=sorted(presets.MEASURE_PRESETS))
     p.add_argument("--truncated", action="store_true",
                    help="restrict to cubes of side <= L/2")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite)
 
     p = subs.add_parser("capacity", help="condenser capacity of a set")
     _common(p)
@@ -140,7 +151,7 @@ def _build_parser() -> _Parser:
                    choices=sorted(presets.MEASURE_PRESETS))
     p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
                    default="homogeneous")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite)
 
     p = subs.add_parser("formnorm", help="compressed operator norm of a drift")
     _common(p)
@@ -150,7 +161,7 @@ def _build_parser() -> _Parser:
                    default="homogeneous")
     p.add_argument("--nonlinear", action="store_true",
                    help="also estimate the nonlinear commutator constant")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=_finite)
 
     p = subs.add_parser("verdict", help="full assessment pipeline")
     _common(p)
@@ -355,7 +366,8 @@ def _cmd_formnorm(args):
         raise ValueError("nonlinear constant needs a real drift")
     est = form_norm(None, b, q, flavor=args.flavor, seed=args.seed)
     records = [Record("form_norm", est.value, args.threshold)]
-    details = {"iterations": est.iterations, "residual": est.residual}
+    details = {"iterations": est.iterations,
+               "coarse_iterations": est.coarse_iterations, "residual": est.residual}
     if args.nonlinear:
         big, small, ok = nonlinear_form_constant(b, seed=args.seed)
         ratio = small.value if big.value == 0 else small.value / big.value

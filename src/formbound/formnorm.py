@@ -21,6 +21,10 @@ Drift components and a potential that are identically zero are
 skipped, so a planar drift in 3-D costs 6 component transforms per R*R
 application instead of 8.  A problem on at most four unknowns (a small
 mask) is solved densely.
+From 64 points per axis up, a form estimate starts from the top
+eigenvector of the Galerkin projection P R P onto the modes |k_i| < N/8,
+solved by the same call on the N/2 grid and zero-padded; its
+applications are counted in ``coarse_iterations``, not ``iterations``.
 The reported value is the Rayleigh quotient of the returned unit
 vector, so it bounds the norm from below.
 
@@ -78,6 +82,11 @@ _NCV = 4
 _TOL = 1e-8
 _MAX_RESTARTS = 1000
 
+# from this many points per axis up, a form-norm Lanczos starts from the
+# top eigenvector of the coarse Galerkin problem; below it, from the
+# seeded random vector
+_COARSE_FROM = 64
+
 
 class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
@@ -89,6 +98,7 @@ class FormEstimate:
     iterations: int
     residual: float
     witness: object = None
+    coarse_iterations: int = 0
 
 
 def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
@@ -290,25 +300,86 @@ def _conj(values: np.ndarray) -> np.ndarray:
     return np.conj(values) if np.iscomplexobj(values) else values
 
 
-def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
-    grid = op.grid
-    sym = _sqrt_inv_symbol(grid, flavor)
+def _normal_apply(op: _Operator, sym: np.ndarray):
+    """x -> R*R x for R = S L S, on the real and imaginary parts of the
+    Fourier coefficients; the unnormalized transform scales the inner
+    product uniformly, so adjoints and Rayleigh quotients are unaffected."""
+    shape = op.grid.shape
 
-    # iterate on the real and imaginary parts of the Fourier coefficients;
-    # the unnormalized transform scales the inner product uniformly, so
-    # adjoints and Rayleigh quotients are unaffected
     def apply_op(x):
-        hats = x.view(np.complex128).reshape(grid.shape)
+        hats = x.view(np.complex128).reshape(shape)
         rx = op.compressed(hats, sym, False, np.empty_like(hats))
         return op.compressed(rx, sym, True, rx).reshape(-1).view(np.float64)
 
-    value, vec, iters, residual = _top_eigenpair(
-        apply_op, _start_vector(2 * grid.npoints, seed), seed)
+    return apply_op
+
+
+def _box(n: int, cut: int, d: int) -> tuple[np.ndarray, ...]:
+    """Index of the modes |k_i| < cut on every axis of an n-point FFT."""
+    return np.ix_(*[np.r_[0:cut, n - cut + 1:n]] * d)
+
+
+def _restrict(values: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Each field of ``values`` (leading axes index components) cut to its
+    modes |k_i| < n/4 and sampled on the n/2 grid of the same period."""
+    m = n // 2
+    fine, coarse = _box(n, n // 4, d), _box(m, n // 4, d)
+    out = np.zeros(values.shape[:-d] + (m,) * d, dtype=np.complex128)
+    for idx in np.ndindex(values.shape[:-d]):
+        if values[idx].any():
+            hat = np.zeros((m,) * d, dtype=np.complex128)
+            hat[coarse] = _fftn(values[idx])[fine] * (m / n) ** d
+            out[idx] = _ifftn(hat, overwrite=True)
+    return out if np.iscomplexobj(values) else out.real
+
+
+def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, int]:
+    """The start vector of the form-norm Lanczos, and the coarse matvecs
+    it took.
+
+    From ``_COARSE_FROM`` points per axis up it is the top eigenvector of
+    (P R P)*(P R P), P the projection onto the modes |k_i| < N/8, solved
+    on the N/2 grid and zero-padded.  The coarse coefficients keep the modes
+    |k_i| < N/4: a coefficient mode there times a field mode in the band
+    cannot alias back into the band, so the coarse operator restricted to
+    the band is P R P exactly, independent of where the cells sit.  A
+    zero coarse value (no coefficient mode reaches the band) leaves the
+    seeded random vector; a coarse run that does not converge raises
+    ConvergenceError as the fine one would.
+    """
+    grid = op.grid
+    n, d = grid.points_per_axis, grid.dim
+    if n < _COARSE_FROM:
+        return _start_vector(2 * grid.npoints, seed), 0
+    coarse = Grid(d, n // 2, grid.period)
+    fields = [None if v is None else cls.from_array(coarse, _restrict(v, n, d))
+              for cls, v in ((MatrixField, op.A), (VectorField, op.b), (ScalarField, op.q))]
+    band = _box(n // 2, n // 8, d)
+    sym = np.zeros(coarse.shape)
+    sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
+    start = np.zeros(coarse.shape, dtype=np.complex128)
+    start[band] = _start_vector(2 * coarse.npoints, seed).view(np.complex128) \
+        .reshape(coarse.shape)[band]
+    value, vec, iters, _ = _top_eigenpair(
+        _normal_apply(_Operator(coarse, *fields), sym), start.reshape(-1).view(np.float64), seed)
+    if value == 0.0:
+        return _start_vector(2 * grid.npoints, seed), iters
+    lifted = np.zeros(grid.shape, dtype=np.complex128)
+    lifted[_box(n, n // 8, d)] = vec.view(np.complex128).reshape(coarse.shape)[band]
+    return lifted.reshape(-1).view(np.float64), iters
+
+
+def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
+    grid = op.grid
+    sym = _sqrt_inv_symbol(grid, flavor)
+    start, coarse_iters = _lanczos_start(op, flavor, seed)
+    value, vec, iters, residual = _top_eigenpair(_normal_apply(op, sym), start, seed)
     hats = vec.view(np.complex128).reshape(grid.shape)
     u = ScalarField(grid, _ifftn(hats * sym))
     rx = op.compressed(hats, sym, False, np.empty_like(hats))
     v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx.view(np.float64)), 1e-300)))
-    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v))
+    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v),
+                        coarse_iters)
 
 
 def form_norm(

@@ -8,7 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from formbound import cli, fbf, presets
+from formbound import cli, fbf, formnorm, presets
 from formbound.cli import main
 from formbound.torus import Grid
 
@@ -258,6 +258,29 @@ def test_trace_and_formnorm_smoke(capsys):
                  "--preset", "vortex"]) == 0
     out = capsys.readouterr().out
     assert "form_norm" in out
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["bmo", "--dim", "2"], ["carleson", "--dim", "3"],
+                                     ["trace", "--dim", "3"], ["formnorm", "--dim", "3"]])
+def test_nonfinite_threshold_exit_1(command, value, capsys, monkeypatch):
+    # rejected by the parser, before any estimate runs
+    monkeypatch.setattr(cli, "form_norm", None)
+    monkeypatch.setattr(cli, "trace_constant", None)
+    code = main([*command, "--grid", "16", f"--threshold={value}"])
+    assert code == 1
+    assert "not a finite number" in capsys.readouterr().err
+
+
+def test_formnorm_details_count_coarse_matvecs(tmp_path, monkeypatch):
+    out = tmp_path / "rep.json"
+    assert main(["formnorm", "--dim", "3", "--grid", "16", "--out", str(out)]) == 0
+    details = json.loads(out.read_text())["details"]
+    assert details["coarse_iterations"] == 0 and details["iterations"] > 0
+    monkeypatch.setattr(formnorm, "_COARSE_FROM", 16)
+    assert main(["formnorm", "--dim", "3", "--grid", "16", "--out", str(out)]) == 0
+    details = json.loads(out.read_text())["details"]
+    assert details["coarse_iterations"] > 0 and details["iterations"] > 0
 
 
 def test_magnetic_smoke(tmp_path):

@@ -355,3 +355,112 @@ def test_flavor_and_empty_validation():
         form_norm(None, b, None, flavor="riesz")
     with pytest.raises(ValueError):
         form_norm(None, None, None)
+
+
+def _white(g, seed, complex_=False):
+    """White-noise (A, b, q): every coefficient mode is present."""
+    rng = np.random.default_rng(seed)
+
+    def draw(lead):
+        vals = rng.standard_normal(lead + g.shape)
+        return vals + 1j * rng.standard_normal(lead + g.shape) if complex_ else vals
+
+    d = g.dim
+    A = MatrixField.from_array(g, np.eye(d)[(...,) + (None,) * d] + 0.2 * draw((d, d)))
+    return A, VectorField.from_array(g, draw((d,))), ScalarField(g, draw(()))
+
+
+def _band(g):
+    """The fine modes |k_i| < N/8 on every axis."""
+    n = g.points_per_axis
+    inside = np.abs(np.fft.fftfreq(n, 1.0 / n)) < n // 8
+    band = np.ones(g.shape, bool)
+    for axis in range(g.dim):
+        band &= inside.reshape([n if a == axis else 1 for a in range(g.dim)])
+    return band
+
+
+def _forced_coarse_runs(monkeypatch, A, b, q, flavor):
+    """form_norm with the coarse start forced at the coefficients' grid,
+    and the (value, start) of each Lanczos run it made, the coarse one
+    first."""
+    runs = []
+    top = formnorm._top_eigenpair
+
+    def spy(apply_op, start, seed):
+        out = top(apply_op, start, seed)
+        runs.append((out[0], start.copy()))
+        return out
+
+    monkeypatch.setattr(formnorm, "_COARSE_FROM", b.grid.points_per_axis)
+    monkeypatch.setattr(formnorm, "_top_eigenpair", spy)
+    est = form_norm(A, b, q, flavor=flavor)
+    monkeypatch.undo()
+    return est, runs
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("dim, n", [(3, 16), (2, 32)])
+def test_coarse_start_is_galerkin_projection(dim, n, flavor, monkeypatch):
+    # the coarse problem is P R P for P the projection onto |k_i| < N/8:
+    # its value does not see a one-cell shift of the coefficients (which
+    # flips the coarse grid's parity), and the lifted start attains it as
+    # the quotient <x, R* P R x> of the fine operator
+    g = Grid(dim, n, 1.0)
+    A, b, q = _white(g, 7)
+    est, runs = _forced_coarse_runs(monkeypatch, A, b, q, flavor)
+    (coarse, _), (_, start) = runs
+    assert est.coarse_iterations > 0 and coarse > 0.0
+    for axis in range(dim):
+        rolled = [type(f).from_array(g, np.roll(f.values, 1, axis=f.values.ndim - dim + axis))
+                  for f in (A, b, q)]
+        _, (shifted, _) = _forced_coarse_runs(monkeypatch, *rolled, flavor)
+        assert abs(shifted[0] - coarse) <= 1e-12 * coarse
+    hats = start.view(np.complex128).reshape(g.shape)
+    assert not hats[~_band(g)].any()
+    op = formnorm._Operator(g, A, b, q)
+    rx = op.compressed(hats, formnorm._sqrt_inv_symbol(g, flavor), False, np.empty_like(hats))
+    quotient = np.sum(np.abs(rx[_band(g)]) ** 2) / np.sum(np.abs(hats) ** 2)
+    assert abs(quotient - coarse) <= 1e-10 * coarse
+    assert est.value**2 >= coarse * (1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_coarse_start_matches_dense_svd(flavor, monkeypatch):
+    g = Grid(2, 32, 1.0)
+    for complex_ in (False, True):
+        A, b, q = _white(g, 5, complex_)
+        want = _dense_top_singular(g, A, b, q, flavor)
+        est, _ = _forced_coarse_runs(monkeypatch, A, b, q, flavor)
+        assert est.coarse_iterations > 0
+        assert abs(est.value - want) <= 1e-8 * want
+    # drifts without modes |k_i| < N/4 leave the coarse operator zero: up
+    # to round-off for a high-pass field, exactly for one that alternates
+    # in sign along x, whose R*R keeps every field mode's k_x, so a start
+    # inside the band could not reach a top pair outside it
+    hat = np.fft.fftn(_white(g, 9)[1].values, axes=(1, 2))
+    k = np.abs(np.fft.fftfreq(32, 1.0 / 32))
+    hat[(slice(None),) + np.ix_(k < 8, k < 8)] = 0.0
+    high = VectorField.from_array(g, np.fft.ifftn(hat, axes=(1, 2)).real)
+    sign = (-1.0) ** np.arange(32)[:, None] * np.random.default_rng(3).standard_normal(32)
+    alternating = VectorField((ScalarField(g, sign), ScalarField(g, np.zeros(g.shape))))
+    for b, coarse in ((high, 1e-20), (alternating, 0.0)):
+        want = _dense_top_singular(g, None, b, None, flavor)
+        est, runs = _forced_coarse_runs(monkeypatch, None, b, None, flavor)
+        assert runs[0][0] <= coarse * want**2
+        assert abs(est.value - want) <= 1e-8 * want
+    # a zero coarse value leaves the seeded random start
+    assert np.array_equal(runs[1][1], formnorm._start_vector(2 * g.npoints, 0))
+
+
+@pytest.mark.parametrize("flavor, value", [("homogeneous", 0.6543775925992683),
+                                           ("inhomogeneous", 0.6488869532702985)])
+def test_vortex_64_coarse_start(flavor, value):
+    # the top value the random start reaches; the lower member of the
+    # near-degenerate pair, 0.6543770, is 9e-7 below it
+    g = Grid(3, 64, 1.0)
+    est = form_norm(None, presets.make_field("vortex", g), None, flavor=flavor)
+    assert est.coarse_iterations > 0
+    assert abs(est.value - value) <= 1e-7 * value
+    small = form_norm(None, presets.make_field("vortex", Grid(3, 32, 1.0)), None)
+    assert small.coarse_iterations == 0
