@@ -182,7 +182,8 @@ def _build_parser() -> _Parser:
     _field_source(p, "stream")
     _q_source(p)
     p.add_argument("--deltas", default="",
-                   help="comma-separated cube sides (default L/8,L/16,L/32)")
+                   help="comma-separated cube sides, at least two, each >= 2h "
+                        "(default: those of L/8,L/16,L/32 that are >= 2h)")
     p.add_argument("--csv", help="write delta-profile columns here")
 
     return parser
@@ -412,7 +413,13 @@ def _cmd_infinitesimal(args):
     if args.deltas:
         deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
     else:
-        deltas = [grid.period / 8.0, grid.period / 16.0, grid.period / 32.0]
+        # keep those at or above the resolution floor 2h of
+        # assess_infinitesimal (exact: n is a power of two)
+        deltas = [d for d in (grid.period / 8.0, grid.period / 16.0, grid.period / 32.0)
+                  if d >= 2.0 * grid.spacing]
+        if len(deltas) < 2:
+            raise ValueError(f"grid {grid.points_per_axis} resolves fewer than two of "
+                             "the default deltas L/8, L/16, L/32; pass --deltas")
     verdict = assess_infinitesimal(b, q, deltas, seed=args.seed)
     if args.csv:
         report.write_profile_csv(args.csv, verdict.profiles)

@@ -10,12 +10,15 @@ exact mode by mode with the curl convention of torus.py.  All multiplier
 compositions are fused in frequency space: one batched forward transform
 of the input field and one batched inverse transform of every output
 component, both through torus, so the reconstruction residual is pure
-rounding.  The symbols come from the torus table (``_deriv_kappas``).
-One caveat inherited from real spectral calculus: energy at the unpaired
-Nyquist frequency of a real field has no real derivative representation,
-so its solenoidal part shows up in the residual instead of in F.
-Band-limited inputs (anything sampled from a smooth function) are
-reconstructed to machine precision.
+rounding.  A real field takes the real path (half spectra, ``rfftn`` /
+``irfftn``) and a complex one the full spectra; both read the symbols of
+the torus table (``_deriv_kappas``, whose own-axis Nyquist entries are
+zero), the real path through ``[..., :n//2 + 1]`` views.  One caveat
+inherited from real spectral calculus: energy at the unpaired Nyquist
+frequency of a real field has no real derivative representation, so its
+solenoidal part shows up in the residual instead of in F.  Band-limited
+inputs (anything sampled from a smooth function) are reconstructed to
+machine precision.
 """
 
 from __future__ import annotations
@@ -30,14 +33,11 @@ from .torus import (
     RankError,
     ScalarField,
     VectorField,
+    _Spectral,
     _deriv_kappas,
-    _fftn,
-    _ifftn,
     _key,
-    _maybe_real,
     _pairs,
     _skew_field,
-    _stacked,
     mat_div,
     max_abs,
     div as _div,
@@ -71,13 +71,20 @@ class DecompositionResult:
     residual_q: float | None = None
 
 
+def _split_symbols(sp):
+    """(kaps, grounded |kaps|^2, Bessel factor) as ``sp`` reads them."""
+    kaps, ks, bessel = _deriv_kappas(*_key(sp.grid))
+    return tuple(sp.view(k) for k in kaps), sp.view(ks), sp.view(bessel)
+
+
 def _fused_split(b: VectorField, homogeneous: bool):
     """(mean, c, F) of the homogeneous or the Bessel split of b, from one
     batched forward and one batched inverse transform."""
     g = b.grid
     d = g.dim
-    kaps, ks, bessel = _deriv_kappas(*_key(g))
-    hats = _fftn(b.values, d)
+    sp = _Spectral(b)
+    kaps, ks, bessel = _split_symbols(sp)
+    hats = sp.forward(b.values)
     mean_part = np.array([h.flat[0] / g.npoints for h in hats])
     if b.is_real:
         mean_part = mean_part.real
@@ -93,9 +100,9 @@ def _fused_split(b: VectorField, homogeneous: bool):
         c_hat = (bessel * (kaps[i] * s + hats[i]) for i in range(d))
         f_hat = (-1j * bessel * (kaps[j] * hats[i] - kaps[i] * hats[j])
                  for i, j in _pairs(d))
-    spec = _stacked(itertools.chain(c_hat, f_hat), (d + d * (d - 1) // 2,) + g.shape)
+    spec = sp.stacked(itertools.chain(c_hat, f_hat), d + d * (d - 1) // 2)
     del hats, s, c_hat, f_hat
-    back = _maybe_real(_ifftn(spec, d, overwrite=True), b.values)
+    back = sp.inverse(spec)
     return mean_part, VectorField.from_array(g, back[:d]), _skew_field(g, back[d:])
 
 
@@ -125,8 +132,9 @@ def project(which: str, b: VectorField) -> VectorField:
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")
     g = b.grid
     d = g.dim
-    kaps, ks, _ = _deriv_kappas(*_key(g))
-    hats = _fftn(b.values, d)
+    sp = _Spectral(b)
+    kaps, ks, _ = _split_symbols(sp)
+    hats = sp.forward(b.values)
     for h in hats:
         h.flat[0] = 0.0
     s = sum(kaps[j] * hats[j] for j in range(d))
@@ -136,8 +144,7 @@ def project(which: str, b: VectorField) -> VectorField:
             hats[i] = p_hat
         else:
             hats[i] -= p_hat
-    back = _ifftn(hats, d, overwrite=True)
-    return VectorField.from_array(g, _maybe_real(back, b.values))
+    return VectorField.from_array(g, sp.inverse(hats))
 
 
 def _pointwise_opnorm(sym: np.ndarray, d: int) -> np.ndarray:
@@ -177,12 +184,13 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
     d = g.dim
     _, c, F = _fused_split(b, homogeneous=False)
     residual = max_abs(b - (c + mat_div(F)))
-    kaps, _, bessel = _deriv_kappas(*_key(g))
-    qhat = _fftn(q.values)
-    spec = _stacked(itertools.chain((-1j * kaps[i] * bessel * qhat for i in range(d)),
-                                    [bessel * qhat]), (d + 1,) + g.shape)
+    sp = _Spectral(q)
+    kaps, _, bessel = _split_symbols(sp)
+    qhat = sp.forward(q.values)
+    spec = sp.stacked(itertools.chain((-1j * kaps[i] * bessel * qhat for i in range(d)),
+                                      [bessel * qhat]), d + 1)
     del qhat
-    back = _maybe_real(_ifftn(spec, d, overwrite=True), q.values)
+    back = sp.inverse(spec)
     h = VectorField.from_array(g, back[:d])
     gamma = ScalarField(g, back[d])
     recon_q = _div(h) + gamma

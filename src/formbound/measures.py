@@ -41,9 +41,10 @@ from .torus import (
     Grid,
     ScalarField,
     _bessel_half_symbol,
-    _fftn,
-    _ifftn,
+    _half,
+    _irfftn,
     _key,
+    _rfftn,
     riesz_half,
 )
 
@@ -203,10 +204,9 @@ def _torus_dist_sq(grid: Grid) -> np.ndarray:
 
 def _ball_counts(mass_hat: np.ndarray, dist_sq: np.ndarray, radius: float) -> np.ndarray:
     # mu(B_r(x)) for every center x at once: circular convolution of the
-    # mass (given by its spectrum) with the (symmetric) ball indicator.
+    # mass (given by its half spectrum) with the (symmetric) ball indicator.
     kernel = (dist_sq <= radius * radius).astype(np.float64)
-    out = _ifftn(mass_hat * _fftn(kernel))
-    return out.real
+    return _irfftn(mass_hat * _rfftn(kernel), dist_sq.shape)
 
 
 def _check_radii(grid: Grid, radii: Sequence[float]) -> list[float]:
@@ -235,7 +235,7 @@ def ball_growth_test(
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = _torus_dist_sq(grid)
     sub = (slice(None, None, stride),) * grid.dim
-    mass_hat = _fftn(measure.cell_mass)
+    mass_hat = _rfftn(measure.cell_mass)
 
     best = 0.0
     witness = None
@@ -269,8 +269,9 @@ def _riesz_potential(density: ScalarField) -> np.ndarray:
 
 
 def _bessel_potential(density: ScalarField) -> np.ndarray:
-    symbol = _bessel_half_symbol(*_key(density.grid))
-    return _ifftn(_fftn(density.values.real) * symbol).real
+    grid = density.grid
+    symbol = _half(_bessel_half_symbol(*_key(grid)))
+    return _irfftn(_rfftn(density.values.real) * symbol, grid.shape)
 
 
 def default_ball_sample(
@@ -385,7 +386,7 @@ def fefferman_phong_test(
 
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = _torus_dist_sq(grid)
-    integrand_hat = _fftn(values ** (1.0 + eps) * grid.cell_volume)
+    integrand_hat = _rfftn(values ** (1.0 + eps) * grid.cell_volume)
 
     best = 0.0
     witness = None

@@ -18,22 +18,33 @@ write through a view reaches the field.  Every field is built through one
 constructor, which rejects NaN and infinite samples.
 
 Transforms.  Every transform in the package goes through ``_fftn`` /
-``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real, used by the
-capacity solver and the trace constants) here.  Given ``dim`` they
-transform the last ``dim`` axes and treat the leading axes as a batch, so
-a vector or matrix field costs one call; each component's result has the
-same bits as its own transform.  ``_PrunedFFT`` runs scipy's rfftn,
-irfftn or ifftn as its 1-D passes, in scipy's order, and skips each pass
-over a line with no nonzero input or no output that is read; the capacity
-solver's Green operator and its band-limited gauge probes use it, and
-every value it computes has the bits of the full transform.
-Fourier symbols are built once per (dim, n, period) and cached.
+``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real) here.  Given the
+grid's ``dim`` they transform the last ``dim`` axes and treat the leading
+axes as a batch, so a vector or matrix field costs one call; each
+component's result has the same bits as its own transform.  The calculus
+below (``grad``, ``div``, ``curl``, ``mat_div`` and the multipliers) and
+the Hodge splits pick their path through ``_Spectral``: a real field takes
+the half spectrum (the last axis keeps modes 0..n//2) and reads every
+symbol through ``_half``, a ``[..., :n//2 + 1]`` view of the cached table;
+a complex field takes the full spectrum and the whole tables.  The measure
+potentials, whose input is always real, call the real pair directly.  The
+form operator, the nonlinear ascent and the preset draw still transform
+real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
+as its 1-D passes, in scipy's order, and skips each pass over a line with
+no nonzero input or no output that is read; the capacity solver's Green
+operator and its band-limited gauge probes use it, and every value it
+computes has the bits of the full transform.  Fourier symbols are built
+once per (dim, n, period) and cached.
 
-Derivatives of real fields are returned real: the (purely imaginary)
-asymmetric Nyquist contribution of odd multipliers is discarded, which is
-the usual spectral-derivative convention.  Composite identities that must
-hold to machine precision (Hodge reconstruction and friends) are assembled
-in frequency space in one pass, see hodge.py.
+Derivatives of real fields are real.  A real field's unpaired Nyquist mode
+carries no direction of travel, so the real path differentiates with
+``_deriv_kappas``, whose own-axis Nyquist entries are zero.  This gives
+the values the real part of the full complex derivative gives (the odd
+multiplier's Nyquist contribution is purely imaginary), which is the usual
+spectral-derivative convention.  Complex fields keep the Nyquist entries
+(``kappa_axes``).  Composite identities that must hold to machine precision
+(Hodge reconstruction and friends) are assembled in frequency space in one
+pass, see hodge.py.
 """
 
 from __future__ import annotations
@@ -124,22 +135,22 @@ def _ifftn(values: np.ndarray, dim: int | None = None,
                        workers=fft_workers())
 
 
-def _stacked(parts, shape: tuple[int, ...]) -> np.ndarray:
-    """A complex batch of the arrays ``parts`` yields, filled one at a time
-    so that only one part is alive besides the batch."""
-    out = np.empty(shape, dtype=np.complex128)
-    for k, part in enumerate(parts):
-        out[k] = part
-    return out
-
-
-def _rfftn(values: np.ndarray) -> np.ndarray:
-    """Half spectrum of a real array: last axis keeps modes 0..n//2."""
-    return _sfft.rfftn(values, workers=fft_workers())
+def _rfftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Half spectrum of a real array over the last ``dim`` axes (every axis
+    when None): the last of them keeps modes 0..n//2."""
+    return _sfft.rfftn(values, axes=_axes(dim), workers=fft_workers())
 
 
 def _irfftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Real samples of shape ``shape`` from half spectra over the last
+    ``len(shape)`` axes; leading axes are a batch."""
     return _sfft.irfftn(values, s=shape, workers=fft_workers())
+
+
+def _half(table: np.ndarray) -> np.ndarray:
+    """The real path's view of a symbol table: modes 0..n//2 of the last
+    axis (a table of length 1 there, which broadcasts, stays whole)."""
+    return table[..., : table.shape[-1] // 2 + 1]
 
 
 def _blocks(lines: np.ndarray, axis: int) -> list[tuple[slice, ...]]:
@@ -370,16 +381,18 @@ def _bessel_inv_symbol(dim: int, n: int, period: float) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _deriv_kappas(dim: int, n: int, period: float):
     """Wavenumbers with the own-axis Nyquist entry zeroed, for the fused
-    Hodge splits: (kaps, grounded |kaps|^2, 1 / (1 + |kaps|^2)).
+    Hodge splits and the real path's derivatives: (kaps, grounded
+    |kaps|^2, 1 / (1 + |kaps|^2)).
 
     A real field's unpaired Nyquist mode carries no direction of travel,
-    and the real-cast spectral derivative treats it as zero.  Building
-    the projections from the same convention keeps each mode's multiplier
-    partner-symmetric, so P and Q stay exactly idempotent on real input
-    after the cast back to real values.  The grounded square has its
-    zeros (the mean and the Nyquist-only modes) replaced by 1; the Bessel
-    factor is taken from the Nyquist-zeroed square, so it differs from
-    ``_bessel_inv_symbol`` on the Nyquist planes.
+    and the real part of the full spectral derivative treats it as zero.
+    Building the projections from the same convention keeps each mode's
+    multiplier partner-symmetric, so the spectra of a real field's parts
+    stay Hermitian and P and Q stay exactly idempotent on real input.
+    The grounded square has its zeros (the mean and the Nyquist-only
+    modes) replaced by 1; the Bessel factor is taken from the
+    Nyquist-zeroed square, so it differs from ``_bessel_inv_symbol`` on
+    the Nyquist planes.
     """
     kaps = []
     for kap in _kappa_axes(dim, n, period):
@@ -562,9 +575,46 @@ def _skew_field(grid: Grid, upper: np.ndarray) -> MatrixField:
     return MatrixField.from_array(grid, out)
 
 
-def _maybe_real(out: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """``out``, cast to real when the input ``like`` was real."""
-    return out if np.iscomplexobj(like) else out.real
+class _Spectral:
+    """The transform pair and the symbol views for one field's samples.
+
+    Real samples take the real path: one batched ``rfftn`` over the grid
+    axes, symbols read through ``_half`` and derivatives through the
+    Nyquist-zeroed wavenumbers of ``_deriv_kappas``, then ``irfftn``.
+    Complex samples take ``fftn`` / ``ifftn``, whole tables and
+    ``kappa_axes``.
+    """
+
+    def __init__(self, field: _Field):
+        g = field.grid
+        self.grid = g
+        self.real = field.is_real
+        self.shape = g.shape[:-1] + (g.points_per_axis // 2 + 1,) if self.real else g.shape
+
+    def view(self, table: np.ndarray) -> np.ndarray:
+        return _half(table) if self.real else table
+
+    def kappas(self) -> tuple[np.ndarray, ...]:
+        if self.real:
+            return tuple(_half(k) for k in _deriv_kappas(*_key(self.grid))[0])
+        return kappa_axes(self.grid)
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        return (_rfftn if self.real else _fftn)(values, self.grid.dim)
+
+    def stacked(self, parts, count: int) -> np.ndarray:
+        """A batch of the ``count`` spectra ``parts`` yields, filled one at a
+        time so that only one part is alive besides the batch."""
+        out = np.empty((count,) + self.shape, dtype=np.complex128)
+        for k, part in enumerate(parts):
+            out[k] = part
+        return out
+
+    def inverse(self, spec: np.ndarray) -> np.ndarray:
+        """Samples of ``spec``, a buffer the caller gives up."""
+        if self.real:
+            return _irfftn(spec, self.grid.shape)
+        return _ifftn(spec, self.grid.dim, overwrite=True)
 
 
 def _check_field(field) -> None:
@@ -582,10 +632,10 @@ def grad(f: ScalarField) -> VectorField:
     if not isinstance(f, ScalarField):
         raise RankError("grad expects a scalar field")
     g = f.grid
-    fhat = _fftn(f.values)
-    spec = _stacked((1j * kap * fhat for kap in kappa_axes(g)), (g.dim,) + g.shape)
-    out = _ifftn(spec, g.dim, overwrite=True)
-    return VectorField.from_array(g, _maybe_real(out, f.values))
+    sp = _Spectral(f)
+    fhat = sp.forward(f.values)
+    spec = sp.stacked((1j * kap * fhat for kap in sp.kappas()), g.dim)
+    return VectorField.from_array(g, sp.inverse(spec))
 
 
 def div(v: VectorField) -> ScalarField:
@@ -593,10 +643,11 @@ def div(v: VectorField) -> ScalarField:
     if not isinstance(v, VectorField):
         raise RankError("div expects a vector field")
     g = v.grid
-    acc = np.zeros(g.shape, dtype=np.complex128)
-    for kap, hat in zip(kappa_axes(g), _fftn(v.values, g.dim)):
+    sp = _Spectral(v)
+    acc = np.zeros(sp.shape, dtype=np.complex128)
+    for kap, hat in zip(sp.kappas(), sp.forward(v.values)):
         acc += 1j * kap * hat
-    return ScalarField(g, _maybe_real(_ifftn(acc), v.values))
+    return ScalarField(g, sp.inverse(acc))
 
 
 def curl(v: VectorField) -> MatrixField:
@@ -608,14 +659,14 @@ def curl(v: VectorField) -> MatrixField:
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")
     g = v.grid
-    kaps = kappa_axes(g)
-    hats = _fftn(v.values, g.dim)
+    sp = _Spectral(v)
+    kaps = sp.kappas()
+    hats = sp.forward(v.values)
     pairs = _pairs(g.dim)
-    spec = _stacked((1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) for i, j in pairs),
-                    (len(pairs),) + g.shape)
+    spec = sp.stacked((1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) for i, j in pairs),
+                      len(pairs))
     del hats
-    upper = _ifftn(spec, g.dim, overwrite=True)
-    return _skew_field(g, _maybe_real(upper, v.values))
+    return _skew_field(g, sp.inverse(spec))
 
 
 def mat_div(m: MatrixField) -> VectorField:
@@ -623,15 +674,15 @@ def mat_div(m: MatrixField) -> VectorField:
     if not isinstance(m, MatrixField):
         raise RankError("mat_div expects a matrix field")
     g = m.grid
-    kaps = kappa_axes(g)
-    hats = _fftn(m.values, g.dim)
-    out = np.zeros((g.dim,) + g.shape, dtype=np.complex128)
+    sp = _Spectral(m)
+    kaps = sp.kappas()
+    hats = sp.forward(m.values)
+    out = np.zeros((g.dim,) + sp.shape, dtype=np.complex128)
     for acc, row in zip(out, hats):
         for kap, hat in zip(kaps, row):
             acc += 1j * kap * hat
     del hats
-    out = _ifftn(out, g.dim, overwrite=True)
-    return VectorField.from_array(g, _maybe_real(out, m.values))
+    return VectorField.from_array(g, sp.inverse(out))
 
 
 # ---------------------------------------------------------------------------
@@ -653,10 +704,10 @@ def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
                     "homogeneous multiplier on a field with nonzero mean "
                     f"(|mean| = {abs(m):.3e}); pass annihilate_mean=True to project it out"
                 )
-    hat = _fftn(field.values, g.dim)
-    hat *= symbol_of(*_key(g))
-    out = _ifftn(hat, g.dim, overwrite=True)
-    return field.from_array(g, _maybe_real(out, field.values))
+    sp = _Spectral(field)
+    hat = sp.forward(field.values)
+    hat *= sp.view(symbol_of(*_key(g)))
+    return field.from_array(g, sp.inverse(hat))
 
 
 def inv_laplacian(field: Field, annihilate_mean: bool = False) -> Field:

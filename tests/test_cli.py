@@ -110,6 +110,10 @@ def test_reports_independent_of_thread_counts(tmp_path):
                                   "--preset", "random", "--flavor", "inhomogeneous"],
         "verdict_vortex_inhomogeneous": ["verdict", "--dim", "3", "--grid", "32",
                                          "--flavor", "inhomogeneous"],
+        # the real Hodge split and the real q split
+        "decompose_inhomogeneous": ["decompose", "--dim", "3", "--grid", "32",
+                                    "--preset", "random", "--flavor", "inhomogeneous",
+                                    "--q-preset", "trig"],
     }
     for name, argv in runs.items():
         reports = []
@@ -233,6 +237,21 @@ def test_infinitesimal_csv(tmp_path):
     assert lines[0] == "delta,vmo,local_trace"
     assert len(lines) == 4
     assert float(lines[1].split(",")[0]) == 0.125
+
+
+def test_infinitesimal_default_deltas_above_resolution(tmp_path):
+    # at 32 points L/32 = h is below the floor 2h, so L/8 and L/16 remain
+    out = tmp_path / "rep.json"
+    assert main(["infinitesimal", "--grid", "32", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["config"]["deltas"] == [0.125, 0.0625]
+    assert rep["profiles"]["delta"] == [0.125, 0.0625]
+
+
+def test_infinitesimal_default_deltas_unresolved_exit_1(capsys):
+    # at 16 points only L/8 = 2h remains, and a profile needs two
+    assert main(["infinitesimal", "--grid", "16"]) == 1
+    assert "--deltas" in capsys.readouterr().err
 
 
 def test_capacity_gauge_records(tmp_path):

@@ -1,7 +1,7 @@
 """Property tests of the spectral core (Parseval, the Hodge projections,
-batched transforms against one transform per component), of the
-measure tests (dyadic mass conservation, invariance under torus shifts)
-and of the compressed norms (linear scaling in the drift)."""
+batched complex and real transforms against one transform per component),
+of the measure tests (dyadic mass conservation, invariance under torus
+shifts) and of the compressed norms (linear scaling in the drift)."""
 
 import os
 
@@ -26,6 +26,8 @@ from formbound.torus import (  # noqa: E402
     VectorField,
     _fftn,
     _ifftn,
+    _irfftn,
+    _rfftn,
     lp_norm,
     mean,
 )
@@ -103,6 +105,11 @@ def test_batched_transform_equals_per_component(grid, seed, batch, complex_, wor
         back = _ifftn(hat, grid.dim)
         assert np.array_equal(back, np.stack([_ifftn(h) for h in hat]))
         assert np.array_equal(_ifftn(hat.copy(), grid.dim, overwrite=True), back)
+        if not complex_:
+            half = _rfftn(vals, grid.dim)
+            assert np.array_equal(half, np.stack([_rfftn(v) for v in vals]))
+            assert np.array_equal(_irfftn(half, grid.shape),
+                                  np.stack([_irfftn(h, grid.shape) for h in half]))
     finally:
         if saved is None:
             del os.environ["FORMBOUND_THREADS"]
