@@ -20,7 +20,7 @@ energy, the charge mass on the set, and the reported value coincide up
 to solver tolerance.
 
 Charges and potentials are real, so the Green operator is one real
-transform pair (rfftn/irfftn) against a cached half-spectrum symbol.  The
+transform pair (rfftn/irfftn) against a half view of a cached symbol.  The
 charges sit on the active cells and only those cells are read back, so
 the pair skips every 1-D pass over a line with no charge or no active
 cell (torus._PrunedFFT); the values it computes have the bits of the
@@ -56,6 +56,7 @@ from .torus import (
     _bessel_inv_symbol,
     _dirichlet_sq_from_hat,
     _dot,
+    _half,
     _inv_lap_symbol,
     _irfftn,
     _norm,
@@ -74,6 +75,9 @@ __all__ = [
 ]
 
 FLAVORS = ("homogeneous", "inhomogeneous")
+
+_MAX_ROUNDS = 30  # active-set rounds
+_GAUGE_FLOOR = 1e-8  # under the potential in the gauge's logarithm
 
 
 class SolverError(RuntimeError):
@@ -156,16 +160,6 @@ class CapacityResult:
     active_cells: int = 0
 
 
-@lru_cache(maxsize=16)
-def _green_half_symbol(dim: int, n: int, period: float,
-                       inhomogeneous: bool) -> np.ndarray:
-    """Green symbol on the rfftn half spectrum."""
-    half = (Ellipsis, slice(0, n // 2 + 1))
-    if inhomogeneous:
-        return np.ascontiguousarray(_bessel_inv_symbol(dim, n, period)[half])
-    return -_inv_lap_symbol(dim, n, period)[half]
-
-
 def _neighbours(grid: Grid, flat_idx: np.ndarray) -> np.ndarray:
     """Positions in flat_idx of each cell's 2d periodic axis neighbours.
 
@@ -208,8 +202,9 @@ class _ChargeSystem:
         # both list the rows that hold an active cell
         row, self._col = np.divmod(flat_idx, grid.points_per_axis)
         self._row = np.searchsorted(self._forward.rows, row)
-        self._symbol = _green_half_symbol(grid.dim, grid.points_per_axis,
-                                          grid.period, inhomogeneous)
+        # (1 - Lap)^-1, or the grounded Lap^-1 with the charges negated
+        table = _bessel_inv_symbol if inhomogeneous else _inv_lap_symbol
+        self._symbol = _half(table(grid.dim, grid.points_per_axis, grid.period))
         self._nb = _neighbours(grid, flat_idx)
         # charges plus one trailing zero that unlisted neighbours read
         self._padded = np.zeros(flat_idx.size + 1)
@@ -220,7 +215,8 @@ class _ChargeSystem:
     def _green_hat(self, vec: np.ndarray) -> np.ndarray:
         """Half spectrum of the potential of charges vec."""
         lines = np.zeros((self._forward.rows.size, self.grid.points_per_axis))
-        lines[self._row, self._col] = vec
+        # negating the charges negates the transform exactly
+        lines[self._row, self._col] = vec if self.inhomogeneous else -vec
         hat = self._forward(lines)
         hat *= self._symbol
         return hat
@@ -293,7 +289,6 @@ def capacity(
     e: CompactSet,
     flavor: str = "homogeneous",
     tol: float = 1e-8,
-    max_outer: int = 30,
 ) -> CapacityResult:
     """Capacity of e, with potential and equilibrium measure.
 
@@ -329,7 +324,7 @@ def capacity(
     # previous round's charges on the full grid; zero off its active cells
     charges = np.zeros(grid.npoints)
     iterations = 0
-    for rounds in range(1, max_outer + 1):
+    for rounds in range(1, _MAX_ROUNDS + 1):
         e_idx = e_idx_all[active]
         idx = np.concatenate([e_idx, ground_idx])
         target = np.zeros(idx.size)
@@ -354,7 +349,7 @@ def capacity(
         active_new |= grow
         active = active_new
     else:
-        raise SolverError(f"active set did not settle in {max_outer} rounds")
+        raise SolverError(f"active set did not settle in {_MAX_ROUNDS} rounds")
 
     e_idx = e_idx_all[active]
     charge = np.zeros(grid.npoints)
@@ -418,7 +413,6 @@ def gauge_check(
     tau: float,
     nprobe: int = 20,
     seed: int = 0,
-    floor: float = 1e-8,
     result: CapacityResult | None = None,
 ) -> GaugeReport:
     """Energy identity and norm distortion of the gauge exp(i tau log u).
@@ -428,7 +422,7 @@ def gauge_check(
     the continuum (the ground plate sits at u = 0 and contributes
     nothing); the reported pair tracks the discretization gap.  The
     gauge ratio is the worst Dirichlet-norm distortion of exp(i lam)
-    over random band-limited probes, with lam = tau log(max(u, floor)).
+    over random band-limited probes, with lam = tau log(max(u, 1e-8)).
 
     A precomputed homogeneous CapacityResult for e may be passed to
     amortize the solve across several tau values.
@@ -444,7 +438,7 @@ def gauge_check(
     grid = e.grid
 
     u = result.potential.values.real
-    lam_values = tau * np.log(np.maximum(u, floor))
+    lam_values = tau * np.log(np.maximum(u, _GAUGE_FLOOR))
     lam = ScalarField(grid, lam_values)
 
     v = ScalarField(grid, np.clip(u, 0.0, None) ** tau)

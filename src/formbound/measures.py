@@ -223,7 +223,6 @@ def _check_radii(grid: Grid, radii: Sequence[float]) -> list[float]:
 def ball_growth_test(
     measure: DiscreteMeasure,
     radii: Sequence[float] | None = None,
-    stride: int = 1,
     threshold: float | None = None,
 ) -> Record:
     """Least c2 with mu(B_r(x)) <= c2 r^(n-2) over centers and radii.
@@ -234,27 +233,20 @@ def ball_growth_test(
     grid = measure.grid
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = _torus_dist_sq(grid)
-    sub = (slice(None, None, stride),) * grid.dim
     mass_hat = _rfftn(measure.cell_mass)
 
     best = 0.0
     witness = None
     for r in radii:
-        counts = _ball_counts(mass_hat, dist_sq, r)[sub]
+        counts = _ball_counts(mass_hat, dist_sq, r)
         flat = int(counts.argmax())
         mass = float(counts.flat[flat])
         value = mass if grid.dim == 2 else mass / r ** (grid.dim - 2)
         if value > best:
             best = value
-            center = tuple(
-                int(i) * stride for i in np.unravel_index(flat, counts.shape)
-            )
-            witness = (center, r)
+            witness = (tuple(int(i) for i in np.unravel_index(flat, counts.shape)), r)
 
-    note = "" if stride == 1 else f"centers strided by {stride}"
-    if grid.dim == 2:
-        extra = "n=2: reporting max ball mass; admissibility forces mu = 0"
-        note = f"{note}; {extra}" if note else extra
+    note = "n=2: reporting max ball mass; admissibility forces mu = 0" if grid.dim == 2 else ""
     return Record("ball_growth", best, threshold, witness=witness, note=note)
 
 

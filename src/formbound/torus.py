@@ -27,8 +27,8 @@ the Hodge splits pick their path through ``_Spectral``: a real field takes
 the half spectrum (the last axis keeps modes 0..n//2) and reads every
 symbol through ``_half``, a ``[..., :n//2 + 1]`` view of the cached table;
 a complex field takes the full spectrum and the whole tables.  The measure
-potentials, whose input is always real, call the real pair directly.  The
-form operator, the nonlinear ascent and the preset draw still transform
+potentials and the nonlinear ascent, whose input is always real, call the
+real pair directly.  The form operator and the preset draw still transform
 real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
 as its 1-D passes, in scipy's order, and skips each pass over a line with
 no nonzero input or no output that is read; the capacity solver's Green
@@ -776,18 +776,22 @@ def max_abs(field: Field) -> float:
 
 
 def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
-    """Squared Dirichlet norm of a field from its full spectrum."""
-    # Parseval with the unnormalised transform.
+    """Squared Dirichlet norm by Parseval from full spectra, or from the half
+    spectra of real fields, whose interior columns of the last axis stand
+    for their conjugate partners too; leading axes index components."""
     scale = g.period**g.dim / g.npoints**2
-    return float(np.sum(kappa_sq(g) * np.abs(fhat) ** 2) * scale)
+    if fhat.shape[-1] == g.points_per_axis:
+        return float(np.sum(kappa_sq(g) * np.abs(fhat) ** 2) * scale)
+    dens = _half(kappa_sq(g)) * np.abs(fhat) ** 2
+    edges = np.sum(dens[..., 0]) + np.sum(dens[..., -1])
+    return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * scale)
 
 
 def dirichlet_norm(field: Field) -> float:
     """L2 norm of the full gradient, evaluated in frequency space."""
     _check_field(field)
-    g = field.grid
-    hats = _fftn(field.values, g.dim).reshape((-1,) + g.shape)
-    return float(np.sqrt(sum(_dirichlet_sq_from_hat(g, h) for h in hats)))
+    sp = _Spectral(field)
+    return float(np.sqrt(_dirichlet_sq_from_hat(field.grid, sp.forward(field.values))))
 
 
 def zero_mean(field: Field) -> Field:

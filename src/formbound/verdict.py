@@ -27,7 +27,7 @@ regardless of the budget.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -178,15 +178,22 @@ def _strengthened_measure(b: VectorField) -> DiscreteMeasure:
 
 
 def _admissibility_records(
-    grid: Grid, rho: np.ndarray, eps: float, thr: Thresholds
+    grid: Grid, rho: np.ndarray, drift: VectorField, eps: float, thr: Thresholds
 ) -> list[Record]:
-    """Carleson + ball growth + Fefferman-Phong battery for a density rho."""
+    """Carleson + ball growth + Fefferman-Phong battery for a density rho.
+    A round-off density (the gradient part of a divergence-free drift) has
+    no witness: its argmax is noise."""
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
-    return [
+    records = [
         carleson_test(mu, threshold=thr.carleson),
         ball_growth_test(mu, threshold=thr.ball_growth),
         fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
     ]
+    if rho.max() > (1e-12 * max(float(np.abs(c).max()) for c in drift.values)) ** 2:
+        return records
+    note = "density at round-off level (<= (1e-12 max|b_i|)^2): no witness"
+    return [replace(r, witness=None, note=f"{r.note}; {note}" if r.note else note)
+            for r in records]
 
 
 def _fold(records, necessary, sufficiency=()) -> str:
@@ -255,7 +262,7 @@ def assess_homogeneous(
     bmo_rep = bmo_norm(dec.F)
     del dec  # free the split's fields before the estimates that peak in memory
     records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
-    records.extend(_admissibility_records(grid, rho, eps, thr))
+    records.extend(_admissibility_records(grid, rho, b1, eps, thr))
     records.append(_form_record(
         "form_norm", lambda: form_norm(A, b, q, seed=seed)))
 
@@ -375,7 +382,7 @@ def assess_magnetic(
 
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + _gradient_energy_density(q_eff)
-    records.extend(_admissibility_records(grid, rho, eps, thr))
+    records.extend(_admissibility_records(grid, rho, a, eps, thr))
 
     a_arg = None if float(np.abs(asq).max()) == 0.0 else a
     records.append(_form_record(

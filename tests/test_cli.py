@@ -103,6 +103,8 @@ def test_reports_independent_of_thread_counts(tmp_path):
         "formnorm_64": ["formnorm", "--dim", "3", "--grid", "64"],
         "formnorm_complex": ["formnorm", "--dim", "3", "--grid", "32",
                              "--input", str(complex_drift)],
+        # the nonlinear ascent's batched real transforms
+        "formnorm_nonlinear": ["formnorm", "--dim", "3", "--grid", "16", "--nonlinear"],
         "capacity": ["capacity", "--dim", "3", "--grid", "32", "--tau", "1"],
         # at 2 threads every transform runs two workers
         "verdict": ["verdict", "--dim", "3", "--grid", "32"],

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.linalg import svdvals
 
 from formbound import formnorm, presets
@@ -265,6 +268,43 @@ def test_nonlinear_scaling_exact():
     assert big1.value > 0.0
     assert abs(big2.value - 2.0 * big1.value) <= 1e-8 * big2.value
     assert abs(small2.value - 2.0 * small1.value) <= 1e-8 * small2.value
+
+
+def test_ascent_step_makes_four_real_transforms(monkeypatch):
+    # one step is the difference between two steps and one: the flux
+    # spectra, one inverse pair, the preconditioned gradient and the trial
+    names = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scipy.fft, name, counted)
+    b = presets.make_field("vortex", Grid(3, 8, 1.0))
+    runs = []
+    for steps in (1, 2):
+        calls.clear()
+        big, _, _ = nonlinear_form_constant(b, restarts=1, steps=steps)
+        assert big.iterations == steps
+        runs.append(dict(calls))
+    per_step = {name: runs[1].get(name, 0) - runs[0].get(name, 0) for name in names}
+    assert per_step == dict.fromkeys(names, 0) | {"rfftn": 2, "irfftn": 2}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("vortex", 0.42472637599258334),
+    ("gradient", 0.6451357914555242),
+    ("random", 0.04874572703194601),
+])
+def test_nonlinear_constant_pinned(name, value, monkeypatch):
+    # values of the complex full-spectrum ascent, which the real
+    # half-spectrum one reproduces up to rounding; one worker, since a
+    # second slows 16^3 transforms and the thread check covers the bits
+    monkeypatch.setenv("FORMBOUND_THREADS", "1")
+    b = presets.make_field(name, Grid(3, 16, 1.0), seed=0)
+    big, _, ok = nonlinear_form_constant(b, seed=0)
+    assert ok
+    assert abs(big.value - value) <= 1e-9 * value
 
 
 def test_nonlinear_zero_drift():

@@ -1,5 +1,6 @@
-"""Property tests of the spectral core (Parseval, the Hodge projections,
-batched complex and real transforms against one transform per component),
+"""Property tests of the spectral core (Parseval, the Dirichlet norm from
+half and full spectra, the Hodge projections, batched complex and real
+transforms against one transform per component),
 of the measure tests (dyadic mass conservation, invariance under torus
 shifts) and of the compressed norms (linear scaling in the drift)."""
 
@@ -24,6 +25,7 @@ from formbound.torus import (  # noqa: E402
     Grid,
     ScalarField,
     VectorField,
+    _dirichlet_sq_from_hat,
     _fftn,
     _ifftn,
     _irfftn,
@@ -69,6 +71,16 @@ def test_parseval(grid, seed, rank, complex_):
         * float(np.sum(np.abs(_fftn(field.values, grid.dim)) ** 2))
     direct = lp_norm(field) ** 2
     assert abs(spectral - direct) <= 1e-12 * direct
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid=grids, seed=seeds, rank=st.sampled_from([0, 1]))
+def test_dirichlet_norm_from_half_spectrum(grid, seed, rank):
+    # white noise: the columns 0 and n/2 of the half spectrum carry energy
+    vals = np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape)
+    full = _dirichlet_sq_from_hat(grid, _fftn(vals, grid.dim))
+    half = _dirichlet_sq_from_hat(grid, _rfftn(vals, grid.dim))
+    assert abs(half - full) <= 1e-12 * full
 
 
 @settings(max_examples=30, deadline=None)

@@ -55,6 +55,19 @@ def test_vortex_battery():
     assert vd.provenance["flavor"] == "homogeneous"
 
 
+@pytest.mark.parametrize("name, roundoff", [("stream", True), ("vortex", False)])
+def test_roundoff_density_carries_no_witness(name, roundoff):
+    # a divergence-free drift leaves a gradient-part density of pure
+    # rounding, whose argmax points nowhere; the vortex's density is real
+    vd = assess_homogeneous(None, presets.make_field(name, Grid(3, 16, 1.0)), None)
+    assert vd.overall == "certified_bounded"
+    for rec in vd.records:
+        if rec.name in ("carleson", "ball_growth", "fefferman_phong"):
+            assert (rec.witness is None) == roundoff, rec.name
+            assert ("round-off" in rec.note) == roundoff, rec.name
+            assert rec.constant < 1e-24 if roundoff else rec.constant > 1e-4
+
+
 def test_two_dimensional_stream_certifies():
     g = Grid(2, 32, 1.0)
     vd = assess_homogeneous(None, presets.make_field("stream", g), None)
