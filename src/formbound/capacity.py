@@ -100,8 +100,9 @@ class CompactSet:
         object.__setattr__(self, "mask", mask.astype(bool))
 
     @classmethod
-    def from_field(cls, field: ScalarField, level: float = 0.5) -> "CompactSet":
-        return cls(field.grid, field.values.real > level)
+    def from_field(cls, field: ScalarField) -> "CompactSet":
+        """The cells where the field's real part exceeds 1/2."""
+        return cls(field.grid, field.values.real > 0.5)
 
     @property
     def count(self) -> int:

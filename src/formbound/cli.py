@@ -40,10 +40,6 @@ from formbound.verdict import (
     assess_magnetic,
 )
 
-SUBCOMMANDS = ("decompose", "bmo", "carleson", "capacity", "trace",
-               "formnorm", "verdict", "magnetic", "infinitesimal")
-
-
 class _UsageError(Exception):
     pass
 
@@ -63,19 +59,6 @@ def _finite(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
-
-
-def preset(name: str, grid: Grid, seed: int = 0):
-    """Named deterministic input: a drift field, scalar field, or measure."""
-    if name in presets.FIELD_PRESETS:
-        return presets.make_field(name, grid, seed=seed)
-    if name in presets.SCALAR_PRESETS:
-        return presets.make_scalar(name, grid)
-    if name in presets.MEASURE_PRESETS:
-        return presets.make_measure(name, grid, seed=seed)
-    known = sorted(presets.FIELD_PRESETS | presets.SCALAR_PRESETS
-                   | presets.MEASURE_PRESETS)
-    raise ValueError(f"unknown preset {name!r}; choices: {known}")
 
 
 def _common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
@@ -203,11 +186,7 @@ def _drift(args, grid: Grid) -> VectorField:
         if not isinstance(field, VectorField):
             raise ValueError(f"{args.input} does not hold a vector field")
         return field
-    name = args.preset
-    if name not in presets.FIELD_PRESETS:
-        raise ValueError(
-            f"unknown field preset {name!r}; choices: {sorted(presets.FIELD_PRESETS)}")
-    return presets.make_field(name, grid, seed=args.seed)
+    return presets.make_field(args.preset, grid, seed=args.seed)
 
 
 def _maybe_q(args, grid: Grid) -> ScalarField | None:

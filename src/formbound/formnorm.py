@@ -466,25 +466,30 @@ def nonlinear_form_constant(
         value, state = evaluate(_rfftn(_ifftn(hats0).real))
 
         step = 0.5
+        direction = None
         for _ in range(steps):
-            # d(num / den) at den = 1 as a density: d num = -div(b phi |u|)
-            # + |b.grad u| u / |u| with phi = b.grad u / |b.grad u|, d den = -2 Lap u
             hat, u, bg, mag_bg, mag_u = state
-            phi = bg / mag_bg
-            fluxes = _rfftn(np.stack([bv[i] * phi * mag_u for i in range(dim)]), dim)
-            flux_hat = sum(1j * kaps[i] * fluxes[i] for i in range(dim))
-            div_flux, lap_u = _irfftn(np.stack([flux_hat, ks * hat]), grid.shape)
-            grad_vals = -div_flux + mag_bg * (u / mag_u) - 2.0 * lap_u * value
-            g_hat = _rfftn(grad_vals) * inv_ks   # H^1 preconditioning
-            gnorm = np.sqrt(_dirichlet_sq_from_hat(grid, g_hat))
-            if gnorm == 0.0:
-                break
-            # unit ascent direction keeps the trajectory invariant under
-            # b -> alpha b, so the estimate scales exactly linearly
-            new_value, new_state = evaluate(hat + step * (g_hat / gnorm))
+            # a rejected trial leaves the state, hence its direction, as it was
+            if direction is None:
+                # d(num / den) at den = 1 as a density: d num = -div(b phi |u|)
+                # + |b.grad u| u / |u| with phi = b.grad u / |b.grad u|, d den = -2 Lap u
+                phi = bg / mag_bg
+                fluxes = _rfftn(np.stack([bv[i] * phi * mag_u for i in range(dim)]), dim)
+                flux_hat = sum(1j * kaps[i] * fluxes[i] for i in range(dim))
+                div_flux, lap_u = _irfftn(np.stack([flux_hat, ks * hat]), grid.shape)
+                grad_vals = -div_flux + mag_bg * (u / mag_u) - 2.0 * lap_u * value
+                g_hat = _rfftn(grad_vals) * inv_ks   # H^1 preconditioning
+                gnorm = np.sqrt(_dirichlet_sq_from_hat(grid, g_hat))
+                if gnorm == 0.0:
+                    break
+                # unit ascent direction keeps the trajectory invariant under
+                # b -> alpha b, so the estimate scales exactly linearly
+                direction = g_hat / gnorm
+            new_value, new_state = evaluate(hat + step * direction)
             if new_value > value:
                 last_rel = (new_value - value) / max(new_value, 1e-300)
                 value, state = new_value, new_state
+                direction = None
                 step = min(step * 1.5, 10.0)
             else:
                 step *= 0.5

@@ -333,26 +333,23 @@ def ball_energy_test(
     return _ball_energy(measure, ball_sample, _riesz_potential, "ball_energy", threshold)
 
 
-def pointwise_test(
-    measure: DiscreteMeasure,
-    tolerance: float = 1e-8,
-    threshold: float | None = None,
-) -> Record:
-    """Least c4 with I1[(I1 mu)^2] <= c4 I1 mu at cells where I1 mu > tol."""
+def pointwise_test(measure: DiscreteMeasure, threshold: float | None = None) -> Record:
+    """Least c4 with I1[(I1 mu)^2] <= c4 I1 mu at cells where I1 mu exceeds
+    1e-8 of its maximum."""
     grid = measure.grid
     if grid.dim != 3:
         raise ValueError("pointwise test needs dim 3")
-    return _pointwise(measure, _riesz_potential, tolerance, "pointwise", threshold)
+    return _pointwise(measure, _riesz_potential, "pointwise", threshold)
 
 
-def _pointwise(measure, potential, tolerance, test_name, threshold) -> Record:
+def _pointwise(measure, potential, test_name, threshold) -> Record:
     grid = measure.grid
     pot = potential(measure.density())
     top = float(pot.max())
     if top <= 0.0:
         return Record(test_name, 0.0, threshold)
     squared = potential(ScalarField(grid, pot * pot))
-    keep = pot > tolerance * top
+    keep = pot > 1e-8 * top
     ratio = np.where(keep, squared, 0.0) / np.where(keep, pot, 1.0)
     flat = int(ratio.argmax())
     witness = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
@@ -393,10 +390,7 @@ def fefferman_phong_test(
 
 
 def inhomogeneous_variants(
-    measure: DiscreteMeasure,
-    ball_sample: Sequence[tuple[tuple[int, ...], float]] | None = None,
-    tolerance: float = 1e-8,
-    thresholds: dict[str, float] | None = None,
+    measure: DiscreteMeasure, thresholds: dict[str, float] | None = None
 ) -> dict[str, Record]:
     """W^{1,2} variants: Bessel potential, Carleson tree cut at side L/2.
 
@@ -412,11 +406,9 @@ def inhomogeneous_variants(
                            witness=witness, note="cubes of side <= L/2")
     }
     out["ball_energy"] = _ball_energy(
-        measure, ball_sample, _bessel_potential, "ball_energy_w12",
+        measure, None, _bessel_potential, "ball_energy_w12",
         thresholds.get("ball_energy"),
     )
     out["pointwise"] = _pointwise(
-        measure, _bessel_potential, tolerance, "pointwise_w12",
-        thresholds.get("pointwise"),
-    )
+        measure, _bessel_potential, "pointwise_w12", thresholds.get("pointwise"))
     return out

@@ -94,30 +94,20 @@ def vortex(grid: Grid) -> VectorField:
     return VectorField(tuple(ScalarField(grid, c) for c in comps))
 
 
-def _default_potential(grid: Grid) -> ScalarField:
+def gradient(grid: Grid) -> VectorField:
+    """b = grad g with g = sin(2 pi x1 / L), so b = (2 pi/L cos(...), 0, ...)."""
     x = grid.coordinates()
     w = 2.0 * np.pi / grid.period
-    vals = np.sin(w * x[0]) + np.zeros(grid.shape)
-    return ScalarField(grid, vals)
+    return grad(ScalarField(grid, np.sin(w * x[0]) + np.zeros(grid.shape)))
 
 
-def gradient(grid: Grid, potential: ScalarField | None = None) -> VectorField:
-    """b = grad g; default g = sin(2 pi x1 / L), so b = (2 pi/L cos(...), 0, ...)."""
-    g = potential if potential is not None else _default_potential(grid)
-    return grad(g)
-
-
-def _stream_potential(grid: Grid) -> ScalarField:
+def stream(grid: Grid) -> VectorField:
+    """Divergence-free drift b = (d g/dx2, -d g/dx1, 0, ...) from the stream
+    function g = sin(2 pi x1 / L) sin(2 pi x2 / L) + cos(2 pi x2 / L) / 2."""
     x = grid.coordinates()
     w = 2.0 * np.pi / grid.period
     vals = np.sin(w * x[0]) * np.sin(w * x[1]) + 0.5 * np.cos(w * x[1])
-    return ScalarField(grid, vals + np.zeros(grid.shape))
-
-
-def stream(grid: Grid, potential: ScalarField | None = None) -> VectorField:
-    """Divergence-free drift b = (d g/dx2, -d g/dx1, 0, ...) from a stream function."""
-    g = potential if potential is not None else _stream_potential(grid)
-    gg = grad(g)
+    gg = grad(ScalarField(grid, vals + np.zeros(grid.shape)))
     comps = [gg[1], -1.0 * gg[0]]
     while len(comps) < grid.dim:
         comps.append(ScalarField(grid, np.zeros(grid.shape)))
@@ -141,8 +131,10 @@ def _skew_12(grid: Grid, f: np.ndarray) -> MatrixField:
     return MatrixField.from_array(grid, F0)
 
 
-def _band_limited(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray:
-    """Real field whose spectrum is confined to |k_i| <= band per axis."""
+def _band_limited(grid: Grid, rng: np.random.Generator) -> np.ndarray:
+    """Real field whose spectrum is confined to |k_i| <= max(2, n/8) per axis,
+    scaled to unit sup norm."""
+    band = max(2, grid.points_per_axis // 8)
     hats = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
     keep = np.ones(grid.shape, dtype=bool)
@@ -157,21 +149,17 @@ def _band_limited(grid: Grid, rng: np.random.Generator, band: int) -> np.ndarray
     return vals / peak if peak > 0 else vals
 
 
-def random_field(grid: Grid, seed: int = 0, band: int | None = None) -> VectorField:
+def random_field(grid: Grid, seed: int = 0) -> VectorField:
     """Seeded band-limited real drift, unit sup norm per component."""
-    if band is None:
-        band = max(2, grid.points_per_axis // 8)
     rng = np.random.default_rng(seed)
-    comps = tuple(
-        ScalarField(grid, _band_limited(grid, rng, band)) for _ in range(grid.dim)
-    )
+    comps = tuple(ScalarField(grid, _band_limited(grid, rng)) for _ in range(grid.dim))
     return VectorField(comps)
 
 
-def singular_gradient(grid: Grid, strength: float = 10.0) -> VectorField:
+def singular_gradient(grid: Grid) -> VectorField:
     """Gradient of a capped 1/r spike: a strong, concentrated curl-free drift.
 
-    The potential is strength * min(1/|d|, 1/(2h)) mean-subtracted; its
+    The potential is 10 min(1/|d|, 1/(2h)) mean-subtracted; its
     spectral gradient has L^2 mass that diverges under refinement, which is
     the bad case for the inhomogeneous trace test.
     """
@@ -181,7 +169,7 @@ def singular_gradient(grid: Grid, strength: float = 10.0) -> VectorField:
         rsq = rsq + a**2
     r = np.sqrt(rsq)
     h = grid.spacing
-    phi = strength * np.minimum(1.0 / np.maximum(r, h * 1e-12), 1.0 / (2.0 * h))
+    phi = 10.0 * np.minimum(1.0 / np.maximum(r, h * 1e-12), 1.0 / (2.0 * h))
     phi = phi - phi.mean()
     return grad(ScalarField(grid, phi))
 
@@ -252,18 +240,18 @@ def two_bumps(grid: Grid) -> DiscreteMeasure:
     return DiscreteMeasure.from_density(ScalarField(grid, density))
 
 
-def point_mass(grid: Grid, mass: float = 1.0) -> DiscreteMeasure:
-    """All mass in the single center cell."""
+def point_mass(grid: Grid) -> DiscreteMeasure:
+    """Unit mass in the single center cell."""
     cell = (grid.points_per_axis // 2,) * grid.dim
     masses = np.zeros(grid.shape)
-    masses[cell] = mass
+    masses[cell] = 1.0
     return DiscreteMeasure(grid, masses)
 
 
 def random_density(grid: Grid, seed: int = 0) -> DiscreteMeasure:
     """Squared band-limited random field: nonnegative, diffuse, seeded."""
     rng = np.random.default_rng(seed)
-    vals = _band_limited(grid, rng, max(2, grid.points_per_axis // 8))
+    vals = _band_limited(grid, rng)
     return DiscreteMeasure.from_density(ScalarField(grid, vals**2 + 0.05))
 
 

@@ -2,16 +2,16 @@
 
 Each pipeline decomposes the coefficients, runs the admissibility battery on
 the decomposed pieces, probes sufficiency, cross-checks the direct compressed
-norm, and reports one of three outcomes:
+norm, and returns its records.  One rule turns the records alone into the
+outcome:
 
-* ``certified_bounded``    every necessary condition passed and a sufficiency
-                           route confirmed it;
-* ``certified_unbounded_n2``  the two-dimensional obstruction fired (nonzero
+* ``certified_unbounded_n2``  an n=2 obstruction record failed (nonzero
                            divergence of the drift, or a potential with
                            nonvanishing mass);
-* ``inconclusive``         necessary tests passed but sufficiency did not, or
-                           a sub-estimate failed to converge, or an envelope
-                           was exceeded without an exact obstruction.
+* ``certified_bounded``    otherwise, every record passed;
+* ``inconclusive``         otherwise: a necessary condition or the
+                           sufficiency probe exceeded its envelope, a decay
+                           factor fell short, or an estimate did not converge.
 
 Pass thresholds are numeric envelopes, not theorems: finiteness of a BMO or
 Carleson constant is the mathematical condition, and a certifier needs a
@@ -99,22 +99,20 @@ class Verdict:
         raise KeyError(name)
 
 
-def _zero_vector(grid: Grid) -> VectorField:
-    return VectorField.from_array(grid, np.zeros((grid.dim,) + grid.shape))
-
-
-def _zero_scalar(grid: Grid) -> ScalarField:
-    return ScalarField(grid, np.zeros(grid.shape))
-
-
-def _common_grid(*fields) -> Grid:
-    grids = [f.grid for f in fields if f is not None]
+def _coefficients(A, b, q):
+    """The common grid of the coefficients given, with an absent drift or
+    potential read as zero."""
+    grids = [f.grid for f in (A, b, q) if f is not None]
     if not grids:
         raise ValueError("all coefficients empty")
-    for g in grids[1:]:
-        if g != grids[0]:
-            raise ValueError("coefficient grids differ")
-    return grids[0]
+    grid = grids[0]
+    if any(g != grid for g in grids[1:]):
+        raise ValueError("coefficient grids differ")
+    if b is None:
+        b = VectorField.from_array(grid, np.zeros((grid.dim,) + grid.shape))
+    if q is None:
+        q = ScalarField(grid, np.zeros(grid.shape))
+    return grid, b, q
 
 
 def _provenance(grid: Grid, thr: Thresholds, **extra) -> dict:
@@ -177,37 +175,69 @@ def _strengthened_measure(b: VectorField) -> DiscreteMeasure:
     return DiscreteMeasure.from_density(ScalarField(b.grid, vals))
 
 
-def _admissibility_records(
-    grid: Grid, rho: np.ndarray, drift: VectorField, eps: float, thr: Thresholds
+def _obstructed(records) -> bool:
+    """Whether an n=2 obstruction record failed."""
+    return any(r.name.startswith("n2_") and not r.passed for r in records)
+
+
+def _outcome(records) -> str:
+    # envelope records already fail on nan/inf constants (the comparison
+    # against the threshold is False); decay records pass with an infinite
+    # factor by design, so only the pass flags are consulted here
+    if _obstructed(records):
+        return "certified_unbounded_n2"
+    if all(r.passed for r in records):
+        return "certified_bounded"
+    return "inconclusive"
+
+
+# the n=2 mass records: the divergence note, and the potential's name and note
+_N2_MASS = {
+    "homogeneous": ("L1 of div b", "n2_potential_mass", "L1 of q"),
+    "magnetic": ("L1 of div a", "n2_effective_potential_mass", "L1 of q + |a|^2"),
+}
+
+
+def _homogeneous_battery(
+    pipeline: str, b: VectorField, q: ScalarField, eps: float, thr: Thresholds
 ) -> list[Record]:
-    """Carleson + ball growth + Fefferman-Phong battery for a density rho.
-    A round-off density (the gradient part of a divergence-free drift) has
-    no witness: its argmax is noise."""
+    """The Dirichlet-norm criterion on a drift b and potential q: in three
+    dimensions the stream part of b in BMO and |c|^2 + |grad inv_laplacian q~|^2
+    as an admissible measure, c the gradient part of b; in two dimensions the
+    masses of div b and q, then the rotation potential of b in BMO.  The
+    battery stops at a failed mass record."""
+    grid = b.grid
+    if grid.dim == 2:
+        div_note, q_name, q_note = _N2_MASS[pipeline]
+        records = [
+            Record("n2_divergence_mass", lp_norm(div(b), 1.0), thr.null_tolerance,
+                   note=div_note),
+            Record(q_name, lp_norm(q, 1.0), thr.null_tolerance, note=q_note),
+        ]
+        if _obstructed(records):
+            return records
+        pot = inv_laplacian(curl(b)[0, 1], annihilate_mean=True)
+        return records + [_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo)]
+
+    dec = hodge_decompose(b)
+    rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
+    rho = rho + _gradient_energy_density(q)
+    bmo_rep = bmo_norm(dec.F)
+    del dec  # free the split's fields before the estimates that peak in memory
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
-    records = [
+    measure_records = [
         carleson_test(mu, threshold=thr.carleson),
         ball_growth_test(mu, threshold=thr.ball_growth),
         fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
     ]
-    if rho.max() > (1e-12 * max(float(np.abs(c).max()) for c in drift.values)) ** 2:
-        return records
-    note = "density at round-off level (<= (1e-12 max|b_i|)^2): no witness"
-    return [replace(r, witness=None, note=f"{r.note}; {note}" if r.note else note)
-            for r in records]
-
-
-def _fold(records, necessary, sufficiency=()) -> str:
-    # envelope records already fail on nan/inf constants (the comparison
-    # against the threshold is False); decay records pass with an infinite
-    # factor by design, so only the pass flags are consulted here
-    by_name = {r.name: r for r in records}
-    for name in necessary:
-        if not by_name[name].passed:
-            return "inconclusive"
-    for name in sufficiency:
-        if not by_name[name].passed:
-            return "inconclusive"
-    return "certified_bounded"
+    # a round-off density (the gradient part of a divergence-free drift)
+    # has no witness: its argmax is noise
+    if rho.max() <= (1e-12 * max(float(np.abs(c).max()) for c in b.values)) ** 2:
+        note = "density at round-off level (<= (1e-12 max|b_i|)^2): no witness"
+        measure_records = [
+            replace(r, witness=None, note=f"{r.note}; {note}" if r.note else note)
+            for r in measure_records]
+    return [_bmo_record("stream_bmo", bmo_rep, thr.bmo), *measure_records]
 
 
 def assess_homogeneous(
@@ -227,51 +257,18 @@ def assess_homogeneous(
     exact obstruction and certifies unboundedness.
     """
     thr = thresholds or Thresholds()
-    grid = _common_grid(A, b, q)
-    b0 = b if b is not None else _zero_vector(grid)
-    q0 = q if q is not None else _zero_scalar(grid)
-
+    grid, b0, q0 = _coefficients(A, b, q)
     b1, records = _fold_principal(A, b0)
-
-    prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="homogeneous")
-
-    if grid.dim == 2:
-        div_mass = lp_norm(div(b1), 1.0)
-        q_mass = lp_norm(q0, 1.0)
-        div_rec = Record("n2_divergence_mass", div_mass, thr.null_tolerance,
-                         note="L1 of div b")
-        q_rec = Record("n2_potential_mass", q_mass, thr.null_tolerance,
-                       note="L1 of q")
-        records.extend([div_rec, q_rec])
-        if not (div_rec.passed and q_rec.passed):
-            return Verdict("homogeneous", tuple(records), "certified_unbounded_n2", prov)
-        # the skew part of A was folded into b1, so the rotation potential
-        # of b1 already carries the - (A - A^T)/2 correction
-        rot = curl(b1)[0, 1]
-        pot = inv_laplacian(rot, annihilate_mean=True)
-        records.append(_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo))
+    # in two dimensions the skew part of A was folded into b1, so the
+    # rotation potential of b1 already carries the - (A - A^T)/2 correction
+    records += _homogeneous_battery("homogeneous", b1, q0, eps, thr)
+    if grid.dim == 3:
+        records.append(_form_record("form_norm", lambda: form_norm(A, b, q, seed=seed)))
+    elif not _obstructed(records):
         records.append(_form_record(
             "form_norm", lambda: form_norm(None, b1, None, seed=seed)))
-        overall = _fold(records, ("symmetric_sup", "rotation_bmo", "form_norm"))
-        return Verdict("homogeneous", tuple(records), overall, prov)
-
-    dec = hodge_decompose(b1)
-    rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
-    rho = rho + _gradient_energy_density(q0)
-
-    bmo_rep = bmo_norm(dec.F)
-    del dec  # free the split's fields before the estimates that peak in memory
-    records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
-    records.extend(_admissibility_records(grid, rho, b1, eps, thr))
-    records.append(_form_record(
-        "form_norm", lambda: form_norm(A, b, q, seed=seed)))
-
-    overall = _fold(
-        records,
-        ("symmetric_sup", "stream_bmo", "carleson", "ball_growth", "form_norm"),
-        ("fefferman_phong",),
-    )
-    return Verdict("homogeneous", tuple(records), overall, prov)
+    prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="homogeneous")
+    return Verdict("homogeneous", tuple(records), _outcome(records), prov)
 
 
 def assess_inhomogeneous(
@@ -285,10 +282,7 @@ def assess_inhomogeneous(
     the three W^{1,2} admissibility variants, the trace constant, and a
     strengthened drift condition."""
     thr = thresholds or Thresholds()
-    grid = _common_grid(A, b, q)
-    b0 = b if b is not None else _zero_vector(grid)
-    q0 = q if q is not None else _zero_scalar(grid)
-
+    grid, b0, q0 = _coefficients(A, b, q)
     b1, records = _fold_principal(A, b0)
 
     dec = inhomogeneous_decompose(b1, q0)
@@ -306,30 +300,23 @@ def assess_inhomogeneous(
         "ball_energy": thr.ball_growth,
         "pointwise": thr.trace,
     })
-    records.extend([variants["carleson"], variants["ball_energy"],
-                    variants["pointwise"]])
+    records.extend(variants.values())  # carleson, ball_energy, pointwise
 
     strong_mu = _strengthened_measure(b1)
-
-    trace_rec = _form_record(
-        "trace",
-        lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed),
-        thr.trace)
-    strong_rec = _form_record(
-        "strengthened_drift",
-        lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed),
-        thr.trace)
-    form_rec = _form_record(
-        "form_norm",
-        lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed),
-        thr.trace)
-    records.extend([trace_rec, strong_rec, form_rec])
+    records.extend([
+        _form_record("trace",
+                     lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed),
+                     thr.trace),
+        _form_record("strengthened_drift",
+                     lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed),
+                     thr.trace),
+        _form_record("form_norm",
+                     lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed),
+                     thr.trace),
+    ])
 
     prov = _provenance(grid, thr, seed=seed, flavor="inhomogeneous")
-    overall = _fold(records, (
-        "symmetric_sup", "stream_bmo_sharp", "carleson_w12", "ball_energy_w12",
-        "pointwise_w12", "trace", "strengthened_drift", "form_norm"))
-    return Verdict("inhomogeneous", tuple(records), overall, prov)
+    return Verdict("inhomogeneous", tuple(records), _outcome(records), prov)
 
 
 def assess_magnetic(
@@ -339,7 +326,8 @@ def assess_magnetic(
     eps: float = 0.5,
     seed: int = 0,
 ) -> Verdict:
-    """Magnetic pipeline on the effective potential q + |a|^2.
+    """Magnetic pipeline: the homogeneous battery on the gauge field a and
+    the effective potential q + |a|^2.
 
     The gauge field enters through its rotation (stream BMO) and its
     divergence; with a = 0 the records reduce exactly to the q-only
@@ -348,53 +336,19 @@ def assess_magnetic(
     thr = thresholds or Thresholds()
     if any(not c.is_real for c in a.components):
         raise ValueError("magnetic gauge field must be real")
-    grid = a.grid
-    q0 = q if q is not None else _zero_scalar(grid)
-    if q0.grid != grid:
-        raise ValueError("coefficient grids differ")
+    grid, a, q0 = _coefficients(None, a, q)
     if np.iscomplexobj(q0.values):
         raise ValueError("magnetic potential must be real")
 
     asq = sum(c.values**2 for c in a.components)
     q_eff = ScalarField(grid, q0.values + asq)
+    records = _homogeneous_battery("magnetic", a, q_eff, eps, thr)
+    if grid.dim == 3:
+        a_arg = None if float(np.abs(asq).max()) == 0.0 else a
+        records.append(_form_record(
+            "form_norm", lambda: form_norm(None, a_arg, q_eff, seed=seed)))
     prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="magnetic")
-
-    records: list[Record] = []
-    if grid.dim == 2:
-        div_mass = lp_norm(div(a), 1.0)
-        q_mass = lp_norm(q_eff, 1.0)
-        div_rec = Record("n2_divergence_mass", div_mass, thr.null_tolerance,
-                         note="L1 of div a")
-        q_rec = Record("n2_effective_potential_mass", q_mass, thr.null_tolerance,
-                       note="L1 of q + |a|^2")
-        records.extend([div_rec, q_rec])
-        if not (div_rec.passed and q_rec.passed):
-            return Verdict("magnetic", tuple(records), "certified_unbounded_n2", prov)
-        rot = curl(a)[0, 1]
-        pot = inv_laplacian(rot, annihilate_mean=True)
-        records.append(_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo))
-        overall = _fold(records, ("rotation_bmo",))
-        return Verdict("magnetic", tuple(records), overall, prov)
-
-    dec = hodge_decompose(a)
-    bmo_rep = bmo_norm(dec.F)
-    records.append(_bmo_record("stream_bmo", bmo_rep, thr.bmo))
-
-    rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
-    rho = rho + _gradient_energy_density(q_eff)
-    records.extend(_admissibility_records(grid, rho, a, eps, thr))
-
-    a_arg = None if float(np.abs(asq).max()) == 0.0 else a
-    records.append(_form_record(
-        "form_norm",
-        lambda: form_norm(None, a_arg, q_eff, seed=seed)))
-
-    overall = _fold(
-        records,
-        ("stream_bmo", "carleson", "ball_growth", "form_norm"),
-        ("fefferman_phong",),
-    )
-    return Verdict("magnetic", tuple(records), overall, prov)
+    return Verdict("magnetic", tuple(records), _outcome(records), prov)
 
 
 def _decay_factors(profile: list[tuple[float, float]]) -> list[float]:
@@ -427,9 +381,7 @@ def assess_infinitesimal(
     delta-graded cube family, with per-halving decay flags.
     """
     thr = thresholds or Thresholds()
-    grid = _common_grid(b, q)
-    b0 = b if b is not None else _zero_vector(grid)
-    q0 = q if q is not None else _zero_scalar(grid)
+    grid, b0, q0 = _coefficients(None, b, q)
 
     deltas = sorted({float(d) for d in deltas}, reverse=True)
     if len(deltas) < 2:
@@ -481,5 +433,4 @@ def assess_infinitesimal(
     }
     prov = _provenance(grid, thr, seed=seed, flavor="infinitesimal",
                        deltas=list(deltas))
-    overall = _fold(records, ("vmo_decay", "local_trace_decay"))
-    return Verdict("infinitesimal", records, overall, prov, profiles)
+    return Verdict("infinitesimal", records, _outcome(records), prov, profiles)

@@ -270,25 +270,47 @@ def test_nonlinear_scaling_exact():
     assert abs(small2.value - 2.0 * small1.value) <= 1e-8 * small2.value
 
 
-def test_ascent_step_makes_four_real_transforms(monkeypatch):
-    # one step is the difference between two steps and one: the flux
-    # spectra, one inverse pair, the preconditioned gradient and the trial
-    names = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+_FFT_NAMES = ("fftn", "ifftn", "rfftn", "irfftn", "fft", "ifft", "rfft", "irfft")
+
+
+def _ascent_runs(monkeypatch, step_counts):
+    """(value, transform calls) of a one-restart 8^3 vortex ascent per step count."""
     calls = Counter()
-    for name in names:
+    for name in _FFT_NAMES:
         def counted(*args, _fn=getattr(scipy.fft, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(scipy.fft, name, counted)
     b = presets.make_field("vortex", Grid(3, 8, 1.0))
     runs = []
-    for steps in (1, 2):
+    for steps in step_counts:
         calls.clear()
         big, _, _ = nonlinear_form_constant(b, restarts=1, steps=steps)
         assert big.iterations == steps
-        runs.append(dict(calls))
-    per_step = {name: runs[1].get(name, 0) - runs[0].get(name, 0) for name in names}
-    assert per_step == dict.fromkeys(names, 0) | {"rfftn": 2, "irfftn": 2}
+        runs.append((big.value, dict(calls)))
+    return runs
+
+
+def _step_calls(before, after):
+    return {name: after.get(name, 0) - before.get(name, 0) for name in _FFT_NAMES}
+
+
+def test_ascent_step_makes_four_real_transforms(monkeypatch):
+    # a step after an accepted trial is the difference between two steps
+    # and one: the flux spectra, one inverse pair, the preconditioned
+    # gradient and the trial
+    (v0, _), (v1, calls1), (v2, calls2) = _ascent_runs(monkeypatch, (0, 1, 2))
+    assert v1 > v0  # the first trial is accepted
+    assert _step_calls(calls1, calls2) == (
+        dict.fromkeys(_FFT_NAMES, 0) | {"rfftn": 2, "irfftn": 2})
+
+
+def test_ascent_step_after_rejected_trial_makes_one_transform(monkeypatch):
+    # a rejected trial keeps the state, so the next step reuses its
+    # direction and transforms only its own trial
+    (v3, _), (v4, calls4), (_, calls5) = _ascent_runs(monkeypatch, (3, 4, 5))
+    assert v4 == v3  # the fourth trial is rejected
+    assert _step_calls(calls4, calls5) == dict.fromkeys(_FFT_NAMES, 0) | {"irfftn": 1}
 
 
 @pytest.mark.parametrize("name, value", [

@@ -197,3 +197,65 @@ def test_verdict_dict_shape():
 def test_verdict_outcome_validation():
     with pytest.raises(ValueError):
         Verdict("homogeneous", (), "maybe", {})
+
+
+def _gauge_case(name, dim, n, cancel):
+    # the magnetic pipeline on a gauge preset, with q = -|a|^2 if cancel
+    a = presets.make_field(name, Grid(dim, n, 1.0))
+    q = ScalarField(a.grid, -sum(c.values**2 for c in a.components)) if cancel else None
+    return assess_magnetic(a, q)
+
+
+_HOM3 = ("symmetric_sup", "stream_bmo", "carleson", "ball_growth", "fefferman_phong",
+         "form_norm")
+_MAG3 = _HOM3[1:]
+_N2 = ("symmetric_sup", "n2_divergence_mass", "n2_potential_mass")
+_MAG2 = ("n2_divergence_mass", "n2_effective_potential_mass")
+
+
+@pytest.mark.parametrize("run, names, overall", [
+    pytest.param(lambda: assess_homogeneous(
+        None, presets.make_field("stream", Grid(2, 32, 1.0)),
+        ScalarField(Grid(2, 32, 1.0), np.full((32, 32), 0.5))),
+        _N2, "certified_unbounded_n2", id="homogeneous-n2-obstructed"),
+    pytest.param(lambda: assess_homogeneous(
+        None, presets.make_field("stream", Grid(2, 32, 1.0)), None),
+        _N2 + ("rotation_bmo", "form_norm"), "certified_bounded",
+        id="homogeneous-n2"),
+    pytest.param(lambda: assess_homogeneous(
+        None, presets.make_field("gradient", Grid(3, 16, 1.0)), None),
+        _HOM3, "inconclusive", id="homogeneous-n3"),
+    pytest.param(lambda: _gauge_case("coulomb_gauge", 2, 32, False),
+                 _MAG2, "certified_unbounded_n2", id="magnetic-n2-obstructed"),
+    pytest.param(lambda: _gauge_case("stream", 2, 32, True),
+                 _MAG2 + ("rotation_bmo",), "certified_bounded", id="magnetic-n2"),
+    pytest.param(lambda: _gauge_case("log_stream", 3, 16, False),
+                 _MAG3, "inconclusive", id="magnetic-n3"),
+    pytest.param(lambda: assess_inhomogeneous(
+        None, presets.make_field("singular_gradient", Grid(3, 16, 1.0)), None),
+        ("symmetric_sup", "stream_bmo_sharp", "carleson_w12", "ball_energy_w12",
+         "pointwise_w12", "trace", "strengthened_drift", "form_norm"),
+        "inconclusive", id="inhomogeneous"),
+    pytest.param(lambda: assess_infinitesimal(
+        presets.make_field("stream", Grid(2, 32, 1.0)), None, [1 / 8, 1 / 16]),
+        ("vmo_decay", "local_trace_decay"), "certified_bounded", id="infinitesimal"),
+])
+def test_outcome_rule_per_branch(run, names, overall):
+    # one rule decides every branch from its records: an n=2 mass record
+    # failed, else every record passed, else inconclusive
+    vd = run()
+    assert tuple(r.name for r in vd.records) == names
+    assert vd.overall == overall
+    failed = {r.name for r in vd.records if not r.passed}
+    if overall == "certified_unbounded_n2":
+        assert failed and all(name.startswith("n2_") for name in failed)
+    else:
+        assert bool(failed) == (overall == "inconclusive")
+
+
+def test_failed_sufficiency_probe_alone_is_inconclusive():
+    g = Grid(3, 16, 1.0)
+    vd = assess_homogeneous(None, presets.make_field("vortex", g), None,
+                            thresholds=Thresholds(fefferman_phong=1e-12))
+    assert [r.name for r in vd.records if not r.passed] == ["fefferman_phong"]
+    assert vd.overall == "inconclusive"
