@@ -39,6 +39,14 @@ numpy reductions, so no BLAS thread count moves the result.
 Each active-set round warm-starts CG from the previous round's charges on
 the cells it keeps (newly grown cells start at zero); the stopping bound
 rtol * ||rhs|| is the same absolute bound a cold start would use.
+
+The first active set is the set's boundary shell, its cells with a face
+neighbour outside it, because the equilibrium charge of a set sits on its
+boundary.  The start only saves rounds; it decides nothing.  The drop rule
+(negative charge) and the grow rule (u < 1 on an inactive cell) run as
+before, interior cells that need charge are grown back, and the result
+stands only once the KKT check passes on every cell of the set.  The ground
+ball is an equality constraint and stays active throughout.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .torus import (
     _bessel_inv_symbol,
     _dirichlet_sq_from_hat,
     _dot,
+    _fftn,
     _half,
     _inv_lap_symbol,
     _irfftn,
@@ -286,6 +295,18 @@ def _ground_for(e: CompactSet) -> CompactSet:
     return ground
 
 
+def _start_cells(mask: np.ndarray) -> np.ndarray:
+    """First active set: the cells of mask with a periodic face neighbour
+    outside it (the mask minus its erosion), or every cell when the mask
+    fills the torus and has no such cell."""
+    interior = mask.copy()
+    for axis in range(mask.ndim):
+        for step in (-1, 1):
+            interior &= np.roll(mask, step, axis)
+    shell = mask & ~interior
+    return shell if shell.any() else mask
+
+
 def capacity(
     e: CompactSet,
     flavor: str = "homogeneous",
@@ -318,7 +339,9 @@ def capacity(
         ground_idx = np.flatnonzero(ground.mask.reshape(-1))
 
     e_idx_all = np.flatnonzero(e.mask.reshape(-1))
-    active = np.ones(e_idx_all.size, dtype=bool)
+    # the equilibrium charge sits on the boundary; the grow rule adds any
+    # interior cell the KKT check still needs
+    active = _start_cells(e.mask).reshape(-1)[e_idx_all]
     max_cg = 10 * grid.points_per_axis
 
     sigma = u = None
@@ -453,7 +476,9 @@ def gauge_check(
     for _ in range(nprobe):
         probe, hats = _band_limited_probe(grid, rng)
         base = float(np.sqrt(_dirichlet_sq_from_hat(grid, hats)))
-        twisted = dirichlet_norm(ScalarField(grid, phase * probe))
+        # the twisted probe is a private temporary: transform it in place
+        twisted = np.sqrt(_dirichlet_sq_from_hat(
+            grid, _fftn(phase * probe, grid.dim, overwrite=True)))
         ratio = twisted / base
         hi = max(hi, ratio)
         lo = min(lo, ratio)

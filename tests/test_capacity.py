@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from formbound import capacity as capacity_module
 from formbound.capacity import (
     CompactSet,
     _ChargeSystem,
     _band_limited_probe,
     _ground_for,
+    _start_cells,
     ball_set,
     capacity,
     cube_set,
@@ -21,6 +23,7 @@ from formbound.torus import (
     ScalarField,
     _bessel_inv_symbol,
     _dirichlet_sq_from_hat,
+    _fftn,
     _half,
     _ifftn,
     _inv_lap_symbol,
@@ -51,6 +54,63 @@ def test_cube_capacity_values():
         assert abs(res.value - val) <= 1e-4 * val
         ratios.append(res.value / side)
     assert max(ratios) / min(ratios) <= 2.0
+
+
+def test_cube_settles_from_its_boundary_shell():
+    # the equilibrium charge of a cube sits on its faces: one round
+    g = Grid(3, 32, 1.0)
+    for side in (0.0625, 0.125, 0.25):
+        e = cube_set(g, CENTER3, side)
+        for flavor in ("homogeneous", "inhomogeneous"):
+            res = capacity(e, flavor)
+            assert res.rounds == 1, (side, flavor)
+            assert res.active_cells == _start_cells(e.mask).sum()
+
+
+def _start_sets():
+    g3 = Grid(3, 32, 1.0)
+    g2 = Grid(2, 64, 1.0)
+    outer = ball_set(g3, CENTER3, 0.25).mask
+    inner = ball_set(g3, CENTER3, 0.125).mask
+    return {
+        "ball": ball_set(g3, CENTER3, 0.125),
+        "cube": cube_set(g3, CENTER3, 0.125),
+        "hollow": CompactSet(g3, outer & ~inner),
+        "ball 2-D": ball_set(g2, (0.5, 0.5), 0.125),
+    }
+
+
+@pytest.mark.parametrize("name,flavor", [
+    (name, flavor)
+    for name in ("ball", "cube", "hollow")
+    for flavor in ("homogeneous", "inhomogeneous")
+] + [("ball 2-D", "inhomogeneous")])  # the 2-D homogeneous value is 0 unsolved
+def test_shell_start_matches_full_start(monkeypatch, name, flavor):
+    e = _start_sets()[name]
+    shell = int(_start_cells(e.mask).sum())
+    assert 0 < shell < e.count
+    res = capacity(e, flavor)
+    monkeypatch.setattr(capacity_module, "_start_cells", lambda mask: mask)
+    full = capacity(e, flavor)
+    assert res.active_cells == full.active_cells
+    assert abs(res.value - full.value) <= 1e-10 * full.value
+    assert res.kkt_residual <= 1e-8 and full.kkt_residual <= 1e-8
+    if name == "ball 2-D":
+        # the mass term needs charge inside: the grow rule adds it
+        assert res.active_cells > shell
+    if name == "hollow" and flavor == "homogeneous":
+        # the inner face of the hollow carries none: the drop rule removes it
+        assert res.active_cells < shell
+
+
+def test_start_cells_of_a_full_torus_are_every_cell():
+    g = Grid(2, 8, 1.0)
+    mask = np.ones(g.shape, dtype=bool)
+    assert _start_cells(mask).all()
+    res = capacity(CompactSet(g, mask), "inhomogeneous")
+    assert res.rounds == 1
+    assert res.active_cells == g.npoints
+    assert abs(res.value - 1.0) <= 1e-12
 
 
 def test_capacity_internal_consistency(cube_result):
@@ -145,6 +205,29 @@ def test_gauge_result_reuse_deterministic(cube_result):
     reused = gauge_check(e, tau=0.75, nprobe=3, seed=5, result=res)
     assert fresh.gauge_ratio == reused.gauge_ratio
     assert fresh.energy_lhs == reused.energy_lhs
+
+
+def test_gauge_twisted_norm_in_place_matches_field_path(cube_result):
+    # the probe loop of gauge_check with the twisted norm taken through a
+    # ScalarField, as an oracle for the in-place transform
+    e, res = cube_result
+    g = e.grid
+    tau, nprobe, seed = 0.75, 5, 3
+    lam = tau * np.log(np.maximum(res.potential.values.real, 1e-8))
+    phase = np.exp(1j * lam)
+    rng = np.random.default_rng(seed)
+    ratios = []
+    for _ in range(nprobe):
+        probe, hats = _band_limited_probe(g, rng)
+        base = float(np.sqrt(_dirichlet_sq_from_hat(g, hats)))
+        twisted = dirichlet_norm(ScalarField(g, phase * probe))
+        in_place = np.sqrt(_dirichlet_sq_from_hat(
+            g, _fftn(phase * probe, g.dim, overwrite=True)))
+        assert in_place == twisted
+        ratios.append(twisted / base)
+    rep = gauge_check(e, tau=tau, nprobe=nprobe, seed=seed, result=res)
+    assert rep.gauge_ratio == max(ratios)
+    assert rep.gauge_ratio_min == min(ratios)
 
 
 def test_gauge_validation(cube_result):

@@ -15,11 +15,9 @@ from formbound.torus import (
     ScalarField,
     VectorField,
     div,
-    grad,
     lp_norm,
     mat_div,
     max_abs,
-    zero_mean,
 )
 
 
