@@ -56,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _torus_dist_sq
+from .measures import DiscreteMeasure
 from .torus import (
     Grid,
     ScalarField,
@@ -86,6 +86,7 @@ __all__ = [
 FLAVORS = ("homogeneous", "inhomogeneous")
 
 _MAX_ROUNDS = 30  # active-set rounds
+_TOL = 1e-8  # on the KKT residual: the potential on the set, the charge signs
 _GAUGE_FLOOR = 1e-8  # under the potential in the gauge's logarithm
 
 
@@ -135,26 +136,17 @@ def ball_set(grid: Grid, center: tuple[float, ...], radius: float) -> CompactSet
     """Cells whose centers lie within torus distance radius of center."""
     if not (radius >= 0.0 and np.isfinite(radius)):
         raise ValueError(f"ball radius must be nonnegative and finite, got {radius}")
-    shift = tuple(int(round(c / grid.spacing)) % grid.points_per_axis for c in center)
-    dist_sq = np.roll(_torus_dist_sq(grid), shift, axis=range(grid.dim))
-    return CompactSet(grid, dist_sq <= radius * radius)
+    cell = tuple(int(round(c / grid.spacing)) % grid.points_per_axis for c in center)
+    return CompactSet(grid, grid.dist_sq(cell) <= radius * radius)
 
 
 def cube_set(grid: Grid, corner: tuple[float, ...], side: float) -> CompactSet:
     """Cells whose centers lie in the axis cube [corner, corner + side)."""
     if not (side > 0.0 and np.isfinite(side)):
         raise ValueError(f"cube side must be positive and finite, got {side}")
-    n, h = grid.points_per_axis, grid.spacing
-    mask = np.ones(grid.shape, dtype=bool)
-    cells = max(int(round(side / h)), 1)
-    for axis in range(grid.dim):
-        start = int(round(corner[axis] / h)) % n
-        line = np.zeros(n, dtype=bool)
-        line[(start + np.arange(cells)) % n] = True
-        shape = [1] * grid.dim
-        shape[axis] = n
-        mask &= line.reshape(shape)
-    return CompactSet(grid, mask)
+    h = grid.spacing
+    first = tuple(int(round(c / h)) for c in corner)
+    return CompactSet(grid, grid.cube(first, max(int(round(side / h)), 1)))
 
 
 @dataclass(frozen=True)
@@ -307,11 +299,7 @@ def _start_cells(mask: np.ndarray) -> np.ndarray:
     return shell if shell.any() else mask
 
 
-def capacity(
-    e: CompactSet,
-    flavor: str = "homogeneous",
-    tol: float = 1e-8,
-) -> CapacityResult:
+def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
     """Capacity of e, with potential and equilibrium measure.
 
     Homogeneous flavor minimizes the Dirichlet energy with the set held
@@ -363,8 +351,8 @@ def capacity(
         charges[:] = 0.0
         charges[idx] = sigma
 
-        drop = sigma[: e_idx.size] < -tol
-        grow = u[e_idx_all] < 1.0 - tol
+        drop = sigma[: e_idx.size] < -_TOL
+        grow = u[e_idx_all] < 1.0 - _TOL
         grow &= ~active
         if not drop.any() and not grow.any():
             break
@@ -388,8 +376,8 @@ def capacity(
         float(np.clip(-sigma[: e_idx.size], 0.0, None).max(initial=0.0)),
         float(np.abs(u[ground_idx]).max(initial=0.0)),
     )
-    if kkt > tol:
-        raise SolverError(f"KKT residual {kkt:.3e} above tolerance {tol:g}")
+    if kkt > _TOL:
+        raise SolverError(f"KKT residual {kkt:.3e} above tolerance {_TOL:g}")
 
     potential = ScalarField(grid, u.reshape(grid.shape))
     mu = DiscreteMeasure(grid, charge.reshape(grid.shape))
@@ -399,31 +387,27 @@ def capacity(
 
 @dataclass(frozen=True)
 class GaugeReport:
-    lam: ScalarField
     energy_lhs: float
     energy_rhs: float
     gauge_ratio: float
     gauge_ratio_min: float
     within_bounds: bool
-    tau: float
     cap_value: float
 
 
 @lru_cache(maxsize=16)
-def _band(dim: int, n: int):
-    """Index of the probe modes |k_i| <= kmax, and the inverse transform
-    that runs only the passes over lines holding one of them."""
-    kmax = max(n // 16, 2)
-    modes = [m % n for m in range(-kmax, kmax + 1)]
-    sub = np.ix_(*([modes] * dim))
-    support = np.zeros((n,) * dim, dtype=bool)
+def _probe_band(grid: Grid):
+    """Index of the probe modes |k_i| <= max(n/16, 2), and the inverse
+    transform that runs only the passes over lines holding one of them."""
+    sub = grid.band(max(grid.points_per_axis // 16, 2))
+    support = np.zeros(grid.shape, dtype=bool)
     support[sub] = True
-    return sub, _PrunedFFT("ifftn", support.shape, nonzero=support)
+    return sub, _PrunedFFT("ifftn", grid.shape, nonzero=support)
 
 
 def _band_limited_probe(grid: Grid, rng: np.random.Generator):
     """Random complex probe with modes |k_i| <= kmax, and its spectrum."""
-    sub, inverse = _band(grid.dim, grid.points_per_axis)
+    sub, inverse = _probe_band(grid)
     hats = np.zeros(grid.shape, dtype=np.complex128)
     size = tuple(modes.size for modes in sub)
     block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -462,14 +446,11 @@ def gauge_check(
     grid = e.grid
 
     u = result.potential.values.real
-    lam_values = tau * np.log(np.maximum(u, _GAUGE_FLOOR))
-    lam = ScalarField(grid, lam_values)
-
     v = ScalarField(grid, np.clip(u, 0.0, None) ** tau)
     energy_lhs = dirichlet_norm(v) ** 2
     energy_rhs = tau * tau / (2.0 * tau - 1.0) * result.value
 
-    phase = np.exp(1j * lam_values)
+    phase = np.exp(1j * (tau * np.log(np.maximum(u, _GAUGE_FLOOR))))
     rng = np.random.default_rng(seed)
     hi = 0.0
     lo = np.inf
@@ -485,5 +466,5 @@ def gauge_check(
 
     bound = 1.0 + 2.0 * tau
     ok = hi <= bound * 1.1 and lo >= 0.9 / bound
-    return GaugeReport(lam, float(energy_lhs), float(energy_rhs), float(hi),
-                       float(lo), bool(ok), tau, result.value)
+    return GaugeReport(float(energy_lhs), float(energy_rhs), float(hi), float(lo),
+                       bool(ok), result.value)

@@ -317,21 +317,16 @@ def _normal_apply(op: _Operator, sym: np.ndarray):
     return apply_op
 
 
-def _box(n: int, cut: int, d: int) -> tuple[np.ndarray, ...]:
-    """Index of the modes |k_i| < cut on every axis of an n-point FFT."""
-    return np.ix_(*[np.r_[0:cut, n - cut + 1:n]] * d)
-
-
-def _restrict(values: np.ndarray, n: int, d: int) -> np.ndarray:
+def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     """Each field of ``values`` (leading axes index components) cut to its
-    modes |k_i| < n/4 and sampled on the n/2 grid of the same period."""
-    m = n // 2
-    fine, coarse = _box(n, n // 4, d), _box(m, n // 4, d)
-    out = np.zeros(values.shape[:-d] + (m,) * d, dtype=np.complex128)
+    modes |k_i| < n/4 and sampled on the coarse n/2 grid of the same period."""
+    d, kmax = grid.dim, grid.points_per_axis // 4 - 1
+    fine_band, coarse_band = grid.band(kmax), coarse.band(kmax)
+    out = np.zeros(values.shape[:-d] + coarse.shape, dtype=np.complex128)
     for idx in np.ndindex(values.shape[:-d]):
         if values[idx].any():
-            hat = np.zeros((m,) * d, dtype=np.complex128)
-            hat[coarse] = _fftn(values[idx])[fine] * (m / n) ** d
+            hat = np.zeros(coarse.shape, dtype=np.complex128)
+            hat[coarse_band] = _fftn(values[idx])[fine_band] * (coarse.npoints / grid.npoints)
             out[idx] = _ifftn(hat, overwrite=True)
     return out if np.iscomplexobj(values) else out.real
 
@@ -355,9 +350,9 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     if n < _COARSE_FROM:
         return _start_vector(2 * grid.npoints, seed), 0
     coarse = Grid(d, n // 2, grid.period)
-    fields = [None if v is None else cls.from_array(coarse, _restrict(v, n, d))
+    fields = [None if v is None else cls.from_array(coarse, _restrict(v, grid, coarse))
               for cls, v in ((MatrixField, op.A), (VectorField, op.b), (ScalarField, op.q))]
-    band = _box(n // 2, n // 8, d)
+    band = coarse.band(n // 8 - 1)
     sym = np.zeros(coarse.shape)
     sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
     start = np.zeros(coarse.shape, dtype=np.complex128)
@@ -368,7 +363,7 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     if value == 0.0:
         return _start_vector(2 * grid.npoints, seed), iters
     lifted = np.zeros(grid.shape, dtype=np.complex128)
-    lifted[_box(n, n // 8, d)] = vec.view(np.complex128).reshape(coarse.shape)[band]
+    lifted[grid.band(n // 8 - 1)] = vec.view(np.complex128).reshape(coarse.shape)[band]
     return lifted.reshape(-1).view(np.float64), iters
 
 
@@ -454,14 +449,11 @@ def nonlinear_form_constant(
     best_witness = None
     total_steps = 0
     last_rel = 0.0
-    kmax = max(grid.points_per_axis // 8, 2)
+    band = grid.band(max(grid.points_per_axis // 8, 2))
+    size = tuple(modes.size for modes in band)
     for _ in range(restarts):
         hats0 = np.zeros(grid.shape, np.complex128)
-        n = grid.points_per_axis
-        modes = [m % n for m in range(-kmax, kmax + 1)]
-        sub = np.ix_(*([modes] * dim))
-        hats0[sub] = rng.standard_normal((len(modes),) * dim) \
-            + 1j * rng.standard_normal((len(modes),) * dim)
+        hats0[band] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         hats0.flat[0] = 0.0
         value, state = evaluate(_rfftn(_ifftn(hats0).real))
 

@@ -188,20 +188,6 @@ def geometric_radii(grid: Grid) -> list[float]:
     return radii
 
 
-def _torus_dist_sq(grid: Grid) -> np.ndarray:
-    axes = []
-    n, L = grid.points_per_axis, grid.period
-    d = np.minimum(np.arange(n), n - np.arange(n)) * grid.spacing
-    for axis in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[axis] = n
-        axes.append((d**2).reshape(shape))
-    out = axes[0]
-    for a in axes[1:]:
-        out = out + a
-    return out
-
-
 def _ball_counts(mass_hat: np.ndarray, dist_sq: np.ndarray, radius: float) -> np.ndarray:
     # mu(B_r(x)) for every center x at once: circular convolution of the
     # mass (given by its half spectrum) with the (symmetric) ball indicator.
@@ -232,7 +218,7 @@ def ball_growth_test(
     """
     grid = measure.grid
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
-    dist_sq = _torus_dist_sq(grid)
+    dist_sq = grid.dist_sq()
     mass_hat = _rfftn(measure.cell_mass)
 
     best = 0.0
@@ -302,7 +288,7 @@ def _ball_energy(
     grid = measure.grid
     if ball_sample is None:
         ball_sample = default_ball_sample(grid, measure)
-    dist_sq = _torus_dist_sq(grid)
+    dist_sq = grid.dist_sq()
     vol = grid.cell_volume
 
     best = 0.0
@@ -374,7 +360,7 @@ def fefferman_phong_test(
     values = np.clip(values, 0.0, None)
 
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
-    dist_sq = _torus_dist_sq(grid)
+    dist_sq = grid.dist_sq()
     integrand_hat = _rfftn(values ** (1.0 + eps) * grid.cell_volume)
 
     best = 0.0

@@ -39,6 +39,9 @@ __all__ = [
 
 FLAVORS = ("BMO", "bmo", "BMO_sharp")
 
+# the oscillation exponent r of the small-scale profile
+_VMO_R = 1
+
 
 @dataclass(frozen=True)
 class Cube:
@@ -211,9 +214,9 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1, family: CubeFamily | None =
     return BmoReport(norm=float(norm), flavor=flavor, r_exponent=r, worst_cube=worst)
 
 
-def vmo_profile(field, deltas, r: int = 1) -> list[tuple[float, float]]:
+def vmo_profile(field, deltas) -> list[tuple[float, float]]:
     """Small-scale oscillation profile: for each delta, the sup of the
-    r-oscillation over cubes of side <= delta.
+    r-oscillation (r = 1) over cubes of side <= delta.
 
     deltas below the grid resolution are rejected; the profile is
     nondecreasing in delta because the cube families are nested.  Each
@@ -222,7 +225,7 @@ def vmo_profile(field, deltas, r: int = 1) -> list[tuple[float, float]]:
     """
     if isinstance(field, MatrixField):
         per_entry = [
-            vmo_profile(field[i, j], deltas, r=r) for i, j in _reduced_entries(field)
+            vmo_profile(field[i, j], deltas) for i, j in _reduced_entries(field)
         ]
         return [
             (per_entry[0][i][0], max(p[i][1] for p in per_entry))
@@ -240,7 +243,7 @@ def vmo_profile(field, deltas, r: int = 1) -> list[tuple[float, float]]:
         max_side = max(1, int(np.floor(delta / h * (1.0 + 1e-12))))
         tops.append(min(max_side, grid.points_per_axis))
     fam = dyadic_family(grid, min_side=1, max_side=max(tops, default=1))
-    side_sup = {side: max(float(_block_reduce(field.values, side, shift, r)[0].max())
+    side_sup = {side: max(float(_block_reduce(field.values, side, shift, _VMO_R)[0].max())
                           for shift in fam.shifts_for(side))
                 for side in fam.sides}
     return [(delta, max([0.0] + [v for s, v in side_sup.items() if s <= top]))

@@ -22,6 +22,7 @@ from formbound.torus import (
     ScalarField,
     VectorField,
     _ifftn,
+    _on_axes,
     grad,
     mat_div,
 )
@@ -51,22 +52,6 @@ __all__ = [
 ]
 
 
-def _centered_axes(grid: Grid) -> list[np.ndarray]:
-    """Signed displacement from the center cell, broadcastable per axis.
-
-    The center sits at coordinate L/2 (cell index n//2), so displacements
-    range over [-L/2, L/2) and are already torus-minimal.
-    """
-    n = grid.points_per_axis
-    d = (np.arange(n) - n // 2) * grid.spacing
-    out = []
-    for axis in range(grid.dim):
-        form = [1] * grid.dim
-        form[axis] = n
-        out.append(d.reshape(form))
-    return out
-
-
 def _full(grid: Grid, arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.broadcast_to(arr, grid.shape).astype(np.float64))
 
@@ -79,8 +64,9 @@ def vortex(grid: Grid) -> VectorField:
     component is mean-subtracted.
     """
     h = grid.spacing
-    axes = _centered_axes(grid)
-    d1, d2 = axes[0], axes[1]
+    # signed displacements from the center cell, in [-L/2, L/2)
+    d = (np.arange(grid.points_per_axis) - grid.points_per_axis // 2) * h
+    d1, d2 = _on_axes(*[d] * grid.dim)[:2]
     rsq = d1**2 + d2**2
     r = np.sqrt(rsq)
     # min(1/r^2, 1/(2 h r)) without dividing by zero on the axis
@@ -134,15 +120,10 @@ def _skew_12(grid: Grid, f: np.ndarray) -> MatrixField:
 def _band_limited(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Real field whose spectrum is confined to |k_i| <= max(2, n/8) per axis,
     scaled to unit sup norm."""
-    band = max(2, grid.points_per_axis // 8)
-    hats = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    k = np.fft.fftfreq(grid.points_per_axis, d=1.0 / grid.points_per_axis)
-    keep = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.dim):
-        form = [1] * grid.dim
-        form[axis] = grid.points_per_axis
-        keep &= np.abs(k).reshape(form) <= band
-    hats[~keep] = 0.0
+    band = grid.band(max(2, grid.points_per_axis // 8))
+    draw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    hats = np.zeros(grid.shape, dtype=np.complex128)
+    hats[band] = draw[band]
     hats.flat[0] = 0.0
     vals = _ifftn(hats).real
     peak = np.abs(vals).max()
@@ -163,11 +144,7 @@ def singular_gradient(grid: Grid) -> VectorField:
     spectral gradient has L^2 mass that diverges under refinement, which is
     the bad case for the inhomogeneous trace test.
     """
-    axes = _centered_axes(grid)
-    rsq = axes[0] ** 2
-    for a in axes[1:]:
-        rsq = rsq + a**2
-    r = np.sqrt(rsq)
+    r = np.sqrt(grid.dist_sq((grid.points_per_axis // 2,) * grid.dim))
     h = grid.spacing
     phi = 10.0 * np.minimum(1.0 / np.maximum(r, h * 1e-12), 1.0 / (2.0 * h))
     phi = phi - phi.mean()
@@ -211,29 +188,19 @@ def lebesgue(grid: Grid) -> DiscreteMeasure:
 
 def bump(grid: Grid) -> DiscreteMeasure:
     """Gaussian bump of width L/8 at the grid center."""
-    axes = _centered_axes(grid)
-    rsq = axes[0] ** 2
-    for a in axes[1:]:
-        rsq = rsq + a**2
     sigma = grid.period / 8.0
-    density = np.exp(-rsq / (2.0 * sigma**2)) + np.zeros(grid.shape)
+    rsq = grid.dist_sq((grid.points_per_axis // 2,) * grid.dim)
+    density = np.exp(-rsq / (2.0 * sigma**2))
     return DiscreteMeasure.from_density(ScalarField(grid, density))
 
 
 def two_bumps(grid: Grid) -> DiscreteMeasure:
     """Two Gaussian bumps of width L/10, the second offset and lighter."""
     n = grid.points_per_axis
-    h = grid.spacing
     sigma = grid.period / 10.0
-    idx = np.arange(n)
 
     def _bump_at(center_cell: int, weight: float) -> np.ndarray:
-        d = np.minimum((idx - center_cell) % n, (center_cell - idx) % n) * h
-        rsq = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            form = [1] * grid.dim
-            form[axis] = n
-            rsq = rsq + (d.reshape(form)) ** 2
+        rsq = grid.dist_sq((center_cell,) * grid.dim)
         return weight * np.exp(-rsq / (2.0 * sigma**2))
 
     density = _bump_at(n // 4, 1.0) + _bump_at(3 * n // 4, 0.6)

@@ -144,7 +144,7 @@ def record_entry(
 
 def build(subcommand: str, config: dict, records: list[dict],
           overall: str | None = None, profiles: dict | None = None,
-          details: dict | None = None, timing: dict | None = None) -> dict:
+          details: dict | None = None) -> dict:
     out = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": str(subcommand),
@@ -157,8 +157,6 @@ def build(subcommand: str, config: dict, records: list[dict],
         out["profiles"] = profiles
     if details is not None:
         out["details"] = details
-    if timing is not None:
-        out["timing"] = timing
     return out
 
 

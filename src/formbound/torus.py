@@ -11,6 +11,16 @@ here.  Conventions:
 * differentiation multiplies mode k by i*kappa with kappa = 2*pi*k/L and k
   the signed integer frequency from fftfreq.
 
+Geometry.  ``Grid`` owns the geometry of the grid, and the other modules
+read it from there rather than rebuild it: the sample coordinates
+(``coordinates``), the squared minimum-image distance from a cell
+(``dist_sq``: the balls of the measure tests and of the capacity sets, and
+the radial presets), the index of the modes |k_i| <= kmax in signed
+ascending order (``band``: the seeded spectral draws, the gauge probes and
+the coarse Galerkin start), and the mask of a periodic cube from its corner
+cell (``cube``).  Every per-axis array, the wavenumbers included, is laid
+along its axis by ``_on_axes``.
+
 Fields.  A scalar field holds one array of the grid's shape; a vector field
 one array of shape (dim, *grid) and a matrix field one of shape
 (dim, dim, *grid).  Components and entries are views of that array, so a
@@ -309,14 +319,40 @@ class Grid:
 
     def coordinates(self) -> list[np.ndarray]:
         """Sample coordinates along each axis, broadcastable to shape."""
+        return _on_axes(*[np.arange(self.points_per_axis) * self.spacing] * self.dim)
+
+    def dist_sq(self, cell: tuple[int, ...] | None = None) -> np.ndarray:
+        """Squared torus distance from the sample point of ``cell`` (the
+        origin when None) to every sample point: per axis the minimum-image
+        offset, a whole number of cells times h, squared and summed."""
+        cell = (0,) * self.dim if cell is None else cell
+        if len(cell) != self.dim:
+            raise ValueError(f"cell needs {self.dim} indices, got {len(cell)}")
         n = self.points_per_axis
-        x = np.arange(n) * self.spacing
-        out = []
-        for axis in range(self.dim):
-            form = [1] * self.dim
-            form[axis] = n
-            out.append(x.reshape(form))
-        return out
+        idx = np.arange(n)
+        parts = _on_axes(*[(np.minimum((idx - c) % n, (c - idx) % n) * self.spacing) ** 2
+                           for c in cell])
+        return sum(parts[1:], parts[0])
+
+    def band(self, kmax: int) -> tuple[np.ndarray, ...]:
+        """Index of the modes |k_i| <= kmax on every axis of the grid's
+        spectrum, each axis in signed ascending order -kmax, ..., kmax: a
+        block drawn in this order lands on the same modes at every n."""
+        return np.ix_(*[np.arange(-kmax, kmax + 1) % self.points_per_axis] * self.dim)
+
+    def cube(self, corner: tuple[int, ...], side: int) -> np.ndarray:
+        """Mask of the periodic cube of ``side`` cells per axis whose first
+        cell is ``corner``; it wraps around the torus."""
+        if len(corner) != self.dim:
+            raise ValueError(f"cube corner needs {self.dim} indices, got {len(corner)}")
+        mask = np.zeros(self.shape, dtype=bool)
+        mask[np.ix_(*[(np.arange(side) + c) % self.points_per_axis for c in corner])] = True
+        return mask
+
+
+def _on_axes(*lines: np.ndarray) -> list[np.ndarray]:
+    """Line k laid along axis k, shaped to broadcast against the grid."""
+    return list(np.meshgrid(*lines, indexing="ij", sparse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +366,7 @@ def _key(grid: Grid) -> tuple[int, int, float]:
 
 @lru_cache(maxsize=64)
 def _kappa_axes(dim: int, n: int, period: float) -> tuple[np.ndarray, ...]:
-    kap = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
-    out = []
-    for axis in range(dim):
-        form = [1] * dim
-        form[axis] = n
-        out.append(kap.reshape(form))
-    return tuple(out)
+    return tuple(_on_axes(*[2.0 * np.pi * np.fft.fftfreq(n, d=period / n)] * dim))
 
 
 @lru_cache(maxsize=64)

@@ -58,6 +58,9 @@ from formbound.torus import (
 
 OUTCOMES = ("certified_bounded", "certified_unbounded_n2", "inconclusive")
 
+# the exponent 1 + eps of the Fefferman-Phong sufficiency probe
+_FP_EPS = 0.5
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -199,7 +202,7 @@ _N2_MASS = {
 
 
 def _homogeneous_battery(
-    pipeline: str, b: VectorField, q: ScalarField, eps: float, thr: Thresholds
+    pipeline: str, b: VectorField, q: ScalarField, thr: Thresholds
 ) -> list[Record]:
     """The Dirichlet-norm criterion on a drift b and potential q: in three
     dimensions the stream part of b in BMO and |c|^2 + |grad inv_laplacian q~|^2
@@ -228,7 +231,7 @@ def _homogeneous_battery(
     measure_records = [
         carleson_test(mu, threshold=thr.carleson),
         ball_growth_test(mu, threshold=thr.ball_growth),
-        fefferman_phong_test(mu.density(), eps, threshold=thr.fefferman_phong),
+        fefferman_phong_test(mu.density(), _FP_EPS, threshold=thr.fefferman_phong),
     ]
     # a round-off density (the gradient part of a divergence-free drift)
     # has no witness: its argmax is noise
@@ -245,7 +248,6 @@ def assess_homogeneous(
     b: VectorField | None,
     q: ScalarField | None,
     thresholds: Thresholds | None = None,
-    eps: float = 0.5,
     seed: int = 0,
 ) -> Verdict:
     """Homogeneous (Dirichlet-norm) pipeline.
@@ -261,13 +263,13 @@ def assess_homogeneous(
     b1, records = _fold_principal(A, b0)
     # in two dimensions the skew part of A was folded into b1, so the
     # rotation potential of b1 already carries the - (A - A^T)/2 correction
-    records += _homogeneous_battery("homogeneous", b1, q0, eps, thr)
+    records += _homogeneous_battery("homogeneous", b1, q0, thr)
     if grid.dim == 3:
         records.append(_form_record("form_norm", lambda: form_norm(A, b, q, seed=seed)))
     elif not _obstructed(records):
         records.append(_form_record(
             "form_norm", lambda: form_norm(None, b1, None, seed=seed)))
-    prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="homogeneous")
+    prov = _provenance(grid, thr, eps=_FP_EPS, seed=seed, flavor="homogeneous")
     return Verdict("homogeneous", tuple(records), _outcome(records), prov)
 
 
@@ -323,7 +325,6 @@ def assess_magnetic(
     a: VectorField,
     q: ScalarField | None,
     thresholds: Thresholds | None = None,
-    eps: float = 0.5,
     seed: int = 0,
 ) -> Verdict:
     """Magnetic pipeline: the homogeneous battery on the gauge field a and
@@ -342,12 +343,12 @@ def assess_magnetic(
 
     asq = sum(c.values**2 for c in a.components)
     q_eff = ScalarField(grid, q0.values + asq)
-    records = _homogeneous_battery("magnetic", a, q_eff, eps, thr)
+    records = _homogeneous_battery("magnetic", a, q_eff, thr)
     if grid.dim == 3:
         a_arg = None if float(np.abs(asq).max()) == 0.0 else a
         records.append(_form_record(
             "form_norm", lambda: form_norm(None, a_arg, q_eff, seed=seed)))
-    prov = _provenance(grid, thr, eps=eps, seed=seed, flavor="magnetic")
+    prov = _provenance(grid, thr, eps=_FP_EPS, seed=seed, flavor="magnetic")
     return Verdict("magnetic", tuple(records), _outcome(records), prov)
 
 
@@ -405,11 +406,7 @@ def assess_infinitesimal(
         side = max(1, int(round(delta / h)))
         best = 0.0
         for corner in anchors:
-            mask = np.zeros(grid.shape, dtype=bool)
-            sel = tuple(
-                (np.arange(side) + c) % n for c in corner
-            )
-            mask[np.ix_(*sel)] = True
+            mask = grid.cube(corner, side)
             best = max(best, trace_constant(mu, mask=mask, seed=seed).value)
         return best
 

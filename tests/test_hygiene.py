@@ -1,0 +1,83 @@
+"""Static hygiene of the sources, read with ``ast``: no import that its
+module never uses (in ``src/`` and ``tests/``), and no module-level private
+name in ``src/`` that nothing in ``src/`` uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src").rglob("*.py"))
+TESTS = sorted((ROOT / "tests").rglob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = _tree(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    read |= _exported(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    out.append(f"{path.relative_to(ROOT)}:{node.lineno} {bound}")
+    return out
+
+
+@pytest.mark.parametrize("path", SRC + TESTS, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_import(path):
+    assert _unused_imports(path) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level private (not dunder) names a module defines."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in out
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module reads, as bare names, attributes or imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_every_private_name_in_src_is_used_in_src():
+    trees = {path: _tree(path) for path in SRC}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, tree in trees.items()
+              for name, line in _private_definitions(tree) if name not in used]
+    assert unused == []

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from formbound import presets
 from formbound.hodge import hodge_decompose
@@ -56,6 +57,27 @@ def test_random_field_deterministic_and_band_limited():
     assert float(np.abs(hat[outside]).max()) <= 1e-9 * float(np.abs(hat).max())
     for comp in a.components:
         assert abs(comp.values.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,n,seed", [(2, 8, 0), (2, 64, 7), (3, 16, 3), (3, 32, 0)])
+def test_random_draw_matches_the_fftfreq_mask(dim, n, seed):
+    # the band-limited draw written out with an fftfreq mask over the grid
+    g = Grid(dim, n, 1.0)
+    k = np.abs(np.fft.fftfreq(n, 1.0 / n))
+    keep = np.ones(g.shape, dtype=bool)
+    for axis in range(dim):
+        keep &= (k <= max(2, n // 8)).reshape([n if a == axis else 1 for a in range(dim)])
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(dim):
+        hats = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        hats[~keep] = 0.0
+        hats.flat[0] = 0.0
+        vals = sfft.ifftn(hats).real
+        want.append(vals / np.abs(vals).max())
+    assert np.array_equal(presets.make_field("random", g, seed=seed).values, np.stack(want))
+    mu = presets.make_measure("random_density", g, seed=seed)
+    assert np.array_equal(mu.cell_mass, (want[0] ** 2 + 0.05) * g.cell_volume)
 
 
 def test_singular_gradient_is_curl_free():

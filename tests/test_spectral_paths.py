@@ -130,7 +130,7 @@ def test_real_hodge_splits_match_complex_oracle(grid):
 def test_real_measure_potentials_match_complex_oracle(grid):
     rng = np.random.default_rng(6)
     mu = measures.DiscreteMeasure(grid, rng.exponential(size=grid.shape))
-    dist_sq = measures._torus_dist_sq(grid)
+    dist_sq = grid.dist_sq()
     mass_hat = np.fft.fftn(mu.cell_mass)
 
     def counts(hat, r):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,48 @@ def test_grid_geometry(dim, n, period):
 def test_grid_validation(bad):
     with pytest.raises(ValueError):
         Grid(**bad)
+
+
+@pytest.mark.parametrize("dim,n,kmax", [(2, 8, 2), (2, 64, 8), (3, 16, 2), (3, 32, 7)])
+def test_band_is_the_fftfreq_box_in_signed_order(dim, n, kmax):
+    g = Grid(dim, n, 1.0)
+    k = np.fft.fftfreq(n, 1.0 / n)
+    inside = np.ones(g.shape, dtype=bool)
+    for axis in range(dim):
+        inside &= (np.abs(k) <= kmax).reshape([n if a == axis else 1 for a in range(dim)])
+    band = g.band(kmax)
+    got = np.zeros(g.shape, dtype=bool)
+    got[band] = True
+    assert np.array_equal(got, inside)
+    for index in band:
+        assert np.array_equal(k[index.ravel()], np.arange(-kmax, kmax + 1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("period", [1.0, 2.5])
+def test_dist_sq_is_the_minimum_image_distance(dim, period):
+    g = Grid(dim, 8, period)
+    h = g.spacing
+    for cell in (None, (3, 5, 7)[:dim], (7,) * dim, (4, 0, 1)[:dim]):
+        c = (0,) * dim if cell is None else cell
+        want = np.empty(g.shape)
+        for x in np.ndindex(g.shape):
+            want[x] = min(sum(((xi - ci + 8 * m) * h) ** 2 for xi, ci, m in zip(x, c, image))
+                          for image in itertools.product((-1, 0, 1), repeat=dim))
+        # per axis the nearest image is a whole number of cells away, and a
+        # sum of per-axis minima is the minimum sum: equal bit for bit
+        assert np.array_equal(g.dist_sq(cell), want)
+
+
+@pytest.mark.parametrize("cell", [(1, 2), (1, 2, 3, 4)])
+def test_geometry_needs_one_index_per_axis(cell):
+    # a short index would select whole lines: a slab for a cube, and a
+    # distance table that masks whole lines of a 3-D array
+    g = Grid(3, 8, 1.0)
+    with pytest.raises(ValueError, match="indices"):
+        g.dist_sq(cell)
+    with pytest.raises(ValueError, match="indices"):
+        g.cube(cell, 2)
 
 
 def test_parseval(grid2, noise):
