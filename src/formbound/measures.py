@@ -294,6 +294,8 @@ def _ball_energy(
     best = 0.0
     witness = None
     for center, radius in ball_sample:
+        if not (radius >= 0.0 and np.isfinite(radius)):
+            raise ValueError(f"ball radius must be nonnegative and finite, got {radius}")
         mask = np.roll(dist_sq <= radius * radius, center, axis=range(grid.dim))
         mass = float(measure.cell_mass[mask].sum())
         if mass <= 0.0:

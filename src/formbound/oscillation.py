@@ -1,8 +1,8 @@
-"""Mean-oscillation norms over dyadic cube families.
+"""Mean-oscillation norms over the dyadic cubes of the grid.
 
 Cubes are axis-aligned blocks of s x s (x s) cells with s a power of two;
-on top of the aligned dyadic tiling the family carries half-cell-count
-shifts of each scale (offsets in {0, s/2} per axis, wrapped periodically),
+on top of the aligned dyadic tiling each side s other than 1 and n carries
+the half-side shifts (offsets in {0, s/2} per axis, wrapped periodically),
 which is what stands in for the full translation family on the torus.
 
 The r-oscillation of f over a cube Q is ((1/|Q|) int_Q |f - m_Q f|^r)^(1/r)
@@ -14,25 +14,27 @@ in f and monotone in r.  Flavors:
 * bmo        small-cube oscillation sup plus the sup over large cubes
              (side >= L/2) of the plain r-mean of |f|.
 
-Each (side, shift) layer is copied once into a contiguous array with one
-row of side**d samples per cube, so that every mean is a reduction along
-the last axis; the r-mean of |f| is computed only on the layers the bmo
-flavor reads.
+One walk over the (side, shift) layers serves every flavor and the small-
+scale profile: it gives, per side, the sup of the oscillation and the first
+cube attaining it (and, for the bmo flavor, the same for the r-mean of |f|
+from side n/2 up), and each flavor and each profile entry is a max over
+that table.  Ties keep the first cube in (side ascending, shift) order.
+Each layer is copied once into a contiguous array with one row of side**d
+samples per cube, so that every mean is a reduction along the last axis.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import Grid, MatrixField, RankError, ScalarField
+from .torus import MatrixField, RankError, ScalarField
 
 __all__ = [
     "Cube",
-    "CubeFamily",
     "BmoReport",
-    "dyadic_family",
     "bmo_norm",
     "vmo_profile",
 ]
@@ -49,62 +51,6 @@ class Cube:
 
     corner: tuple[int, ...]
     side: int
-
-
-@dataclass(frozen=True)
-class CubeFamily:
-    """Dyadic scales with optional half-side shifts on a fixed grid."""
-
-    grid: Grid
-    sides: tuple[int, ...]
-    half_shifts: bool = True
-
-    def __post_init__(self) -> None:
-        n = self.grid.points_per_axis
-        for s in self.sides:
-            if s < 1 or s > n or (s & (s - 1)) != 0:
-                raise ValueError(f"cube side {s} is not a dyadic divisor of {n}")
-
-    def shifts_for(self, side: int) -> list[tuple[int, ...]]:
-        d = self.grid.dim
-        if not self.half_shifts or side < 2 or side == self.grid.points_per_axis:
-            return [(0,) * d]
-        offs = (0, side // 2)
-        out: list[tuple[int, ...]] = [()]
-        for _ in range(d):
-            out = [prev + (o,) for prev in out for o in offs]
-        return out
-
-    def cubes(self) -> list[Cube]:
-        """Materialized cube list (corners on the unshifted lattice)."""
-        n = self.grid.points_per_axis
-        d = self.grid.dim
-        out = []
-        for s in self.sides:
-            for shift in self.shifts_for(s):
-                ranges = [range(0, n, s)] * d
-                grids = np.meshgrid(*[np.array(r) for r in ranges], indexing="ij")
-                corners = np.stack([gg.ravel() for gg in grids], axis=1)
-                for corner in corners:
-                    out.append(Cube(tuple(int((c + o) % n) for c, o in zip(corner, shift)), s))
-        return out
-
-
-def dyadic_family(grid: Grid, min_side: int = 1, max_side: int | None = None,
-                  half_shifts: bool = True) -> CubeFamily:
-    """All dyadic scales between min_side and max_side cells."""
-    n = grid.points_per_axis
-    if max_side is None:
-        max_side = n
-    sides = []
-    s = 1
-    while s <= n:
-        if min_side <= s <= max_side:
-            sides.append(s)
-        s *= 2
-    if not sides:
-        raise ValueError("empty cube family")
-    return CubeFamily(grid=grid, sides=tuple(sides), half_shifts=half_shifts)
 
 
 @dataclass
@@ -145,39 +91,45 @@ def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
     return osc.reshape((nb,) * d), massr
 
 
-def _argmax_cube(arr: np.ndarray, side: int, shift: tuple[int, ...], n: int) -> Cube:
-    idx = np.unravel_index(int(np.argmax(arr)), arr.shape)
-    corner = tuple(int((i * side + o) % n) for i, o in zip(idx, shift))
-    return Cube(corner, side)
+def _sup(best, per_cube: np.ndarray, side: int, shift: tuple[int, ...]):
+    """The larger of ``best`` and this layer's max with its first cube; a
+    tie keeps ``best``, the cube met first."""
+    flat = int(np.argmax(per_cube))
+    top = float(per_cube.flat[flat])
+    if top <= best[0]:
+        return best
+    n = per_cube.shape[0] * side
+    idx = np.unravel_index(flat, per_cube.shape)
+    return top, Cube(tuple(int((i * side + o) % n) for i, o in zip(idx, shift)), side)
 
 
-def _scalar_bmo(f: ScalarField, flavor: str, r: int, family: CubeFamily):
-    n = f.grid.points_per_axis
-    small_cut = n // 2
-    best_osc = (-1.0, None)
-    best_mass = (-1.0, None)
-    for side in family.sides:
-        for shift in family.shifts_for(side):
-            osc, massr = _block_reduce(f.values, side, shift, r,
-                                       mass=flavor == "bmo" and side >= small_cut)
-            if flavor == "BMO" or side <= small_cut:
-                top = float(osc.max())
-                if top > best_osc[0]:
-                    best_osc = (top, _argmax_cube(osc, side, shift, n))
+def _layer_sups(vals: np.ndarray, r: int, max_side: int, mass: bool = False):
+    """One walk over the dyadic layers of side <= ``max_side``.
+
+    Returns {side: (osc, mass)}, each a (sup, cube) pair: the sup of the
+    r-oscillation over the side's cubes and the first cube attaining it,
+    and with ``mass``, from side n/2 up, the same for the r-mean of |f|
+    (``(-1.0, None)`` where it is not computed).
+    """
+    n, d = vals.shape[0], vals.ndim
+    table = {}
+    side = 1
+    while side <= max_side:
+        offsets = (0, side // 2) if 1 < side < n else (0,)
+        osc_best = mass_best = (-1.0, None)
+        for shift in itertools.product(offsets, repeat=d):
+            osc, massr = _block_reduce(vals, side, shift, r, mass=mass and side >= n // 2)
+            osc_best = _sup(osc_best, osc, side, shift)
             if massr is not None:
-                top = float(massr.max())
-                if top > best_mass[0]:
-                    best_mass = (top, _argmax_cube(massr, side, shift, n))
-    if flavor == "bmo":
-        if best_mass[0] < 0:
-            raise ValueError("bmo flavor needs cubes of side >= half the period in the family")
-        worst = best_osc[1] if best_osc[0] >= best_mass[0] else best_mass[1]
-        if best_osc[0] < 0:
-            best_osc, worst = (0.0, best_mass[1]), best_mass[1]
-        return best_osc[0] + best_mass[0], worst
-    if best_osc[1] is None:
-        raise ValueError(f"family has no cubes eligible for flavor {flavor!r}")
-    return best_osc
+                mass_best = _sup(mass_best, massr, side, shift)
+        table[side] = (osc_best, mass_best)
+        side *= 2
+    return table
+
+
+def _first_max(pairs):
+    """The (sup, cube) pair of largest sup, the first one on a tie."""
+    return max(pairs, key=lambda pair: pair[0])
 
 
 def _reduced_entries(field: MatrixField) -> list[tuple[int, int]]:
@@ -193,7 +145,7 @@ def _reduced_entries(field: MatrixField) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(d)]
 
 
-def bmo_norm(field, flavor: str = "BMO", r: int = 1, family: CubeFamily | None = None) -> BmoReport:
+def bmo_norm(field, flavor: str = "BMO", r: int = 1) -> BmoReport:
     """Oscillation norm of a scalar field, or entrywise max for a matrix."""
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
@@ -202,16 +154,23 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1, family: CubeFamily | None =
     if isinstance(field, MatrixField):
         best = None
         for i, j in _reduced_entries(field):
-            rep = bmo_norm(field[i, j], flavor=flavor, r=r, family=family)
+            rep = bmo_norm(field[i, j], flavor=flavor, r=r)
             if best is None or rep.norm > best.norm:
                 rep.entry = (i, j)
                 best = rep
         return best
     if not isinstance(field, ScalarField):
         raise RankError("bmo_norm expects a scalar or matrix field")
-    fam = family if family is not None else dyadic_family(field.grid)
-    norm, worst = _scalar_bmo(field, flavor, r, fam)
-    return BmoReport(norm=float(norm), flavor=flavor, r_exponent=r, worst_cube=worst)
+    n = field.grid.points_per_axis
+    table = _layer_sups(field.values, r, n // 2 if flavor == "BMO_sharp" else n,
+                        mass=flavor == "bmo")
+    norm, worst = _first_max(osc for side, (osc, _) in table.items()
+                             if flavor == "BMO" or side <= n // 2)
+    if flavor == "bmo":
+        mass, mass_cube = _first_max(mass for _, mass in table.values())
+        worst = worst if norm >= mass else mass_cube
+        norm += mass
+    return BmoReport(norm=norm, flavor=flavor, r_exponent=r, worst_cube=worst)
 
 
 def vmo_profile(field, deltas) -> list[tuple[float, float]]:
@@ -219,9 +178,8 @@ def vmo_profile(field, deltas) -> list[tuple[float, float]]:
     r-oscillation (r = 1) over cubes of side <= delta.
 
     deltas below the grid resolution are rejected; the profile is
-    nondecreasing in delta because the cube families are nested.  Each
-    (side, shift) layer is reduced once and its sup shared by every delta
-    whose family contains the side.
+    nondecreasing in delta because the sides are nested.  One walk up to
+    the largest side serves every delta.
     """
     if isinstance(field, MatrixField):
         per_entry = [
@@ -242,9 +200,6 @@ def vmo_profile(field, deltas) -> list[tuple[float, float]]:
             raise ValueError(f"delta {delta} is below the grid resolution {h}")
         max_side = max(1, int(np.floor(delta / h * (1.0 + 1e-12))))
         tops.append(min(max_side, grid.points_per_axis))
-    fam = dyadic_family(grid, min_side=1, max_side=max(tops, default=1))
-    side_sup = {side: max(float(_block_reduce(field.values, side, shift, _VMO_R)[0].max())
-                          for shift in fam.shifts_for(side))
-                for side in fam.sides}
-    return [(delta, max([0.0] + [v for s, v in side_sup.items() if s <= top]))
+    table = _layer_sups(field.values, _VMO_R, max(tops, default=1))
+    return [(delta, max(osc[0] for side, (osc, _) in table.items() if side <= top))
             for delta, top in zip(deltas, tops)]

@@ -51,10 +51,14 @@ carries no direction of travel, so the real path differentiates with
 ``_deriv_kappas``, whose own-axis Nyquist entries are zero.  This gives
 the values the real part of the full complex derivative gives (the odd
 multiplier's Nyquist contribution is purely imaginary), which is the usual
-spectral-derivative convention.  Complex fields keep the Nyquist entries
-(``kappa_axes``).  Composite identities that must hold to machine precision
-(Hodge reconstruction and friends) are assembled in frequency space in one
-pass, see hodge.py.
+spectral-derivative convention.  Complex fields read the same table, so a
+field's derivatives, and every certificate built on them, do not depend on
+whether its samples are stored as real or complex; a complex field with no
+energy on the Nyquist planes differentiates as it would with the Nyquist
+entries kept.  Only the form operator still reads ``kappa_axes``, the
+table with the Nyquist entries.  Composite identities that must hold to
+machine precision (Hodge reconstruction and friends) are assembled in
+frequency space in one pass, see hodge.py.
 """
 
 from __future__ import annotations
@@ -609,10 +613,9 @@ class _Spectral:
     """The transform pair and the symbol views for one field's samples.
 
     Real samples take the real path: one batched ``rfftn`` over the grid
-    axes, symbols read through ``_half`` and derivatives through the
-    Nyquist-zeroed wavenumbers of ``_deriv_kappas``, then ``irfftn``.
-    Complex samples take ``fftn`` / ``ifftn``, whole tables and
-    ``kappa_axes``.
+    axes, symbols read through ``_half``, then ``irfftn``.  Complex samples
+    take ``fftn`` / ``ifftn`` and the whole tables.  Both differentiate
+    with the Nyquist-zeroed wavenumbers of ``_deriv_kappas``.
     """
 
     def __init__(self, field: _Field):
@@ -625,9 +628,7 @@ class _Spectral:
         return _half(table) if self.real else table
 
     def kappas(self) -> tuple[np.ndarray, ...]:
-        if self.real:
-            return tuple(_half(k) for k in _deriv_kappas(*_key(self.grid))[0])
-        return kappa_axes(self.grid)
+        return tuple(self.view(k) for k in _deriv_kappas(*_key(self.grid))[0])
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return (_rfftn if self.real else _fftn)(values, self.grid.dim)

@@ -1,6 +1,7 @@
 """Static hygiene of the sources, read with ``ast``: no import that its
-module never uses (in ``src/`` and ``tests/``), and no module-level private
-name in ``src/`` that nothing in ``src/`` uses."""
+module never uses (in ``src/`` and ``tests/``), no module-level private
+name in ``src/`` that nothing in ``src/`` uses, and no ``__all__`` entry in
+``src/`` that names nothing the module binds."""
 
 import ast
 from pathlib import Path
@@ -48,8 +49,8 @@ def test_no_unused_import(path):
     assert _unused_imports(path) == []
 
 
-def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """Module-level private (not dunder) names a module defines."""
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Names a module defines or assigns at module level."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -57,7 +58,12 @@ def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
-    return [(name, line) for name, line in out
+    return out
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level private (not dunder) names a module defines."""
+    return [(name, line) for name, line in _definitions(tree)
             if name.startswith("_") and not name.startswith("__")]
 
 
@@ -81,3 +87,18 @@ def test_every_private_name_in_src_is_used_in_src():
               for path, tree in trees.items()
               for name, line in _private_definitions(tree) if name not in used]
     assert unused == []
+
+
+def test_every_exported_name_is_bound():
+    # an ``__all__`` entry must name something the module defines, assigns
+    # or imports at module level, so a deletion cannot leave one behind
+    missing = []
+    for path in SRC:
+        tree = _tree(path)
+        bound = {name for name, _ in _definitions(tree)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        missing += [f"{path.relative_to(ROOT)} {name}"
+                    for name in sorted(_exported(tree) - bound)]
+    assert missing == []

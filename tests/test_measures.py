@@ -161,6 +161,15 @@ def test_ball_energy_truncated_kernel_oracle():
     assert abs(rep.constant - oracle) <= 0.1 * oracle
 
 
+@pytest.mark.parametrize("radius", [-0.2, -np.inf, np.inf, np.nan])
+def test_ball_energy_radius_validated(radius):
+    # the mask reads radius**2, so a negative radius would measure the
+    # ball of |radius| and report the negative one as its witness
+    bump = presets.make_measure("bump", Grid(3, 16, 1.0))
+    with pytest.raises(ValueError, match="radius"):
+        ball_energy_test(bump, ball_sample=[((1, 2, 3), 0.25), ((1, 2, 3), radius)])
+
+
 def test_ball_energy_needs_dim3():
     g = Grid(2, 16, 1.0)
     with pytest.raises(ValueError):

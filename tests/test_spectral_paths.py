@@ -4,13 +4,14 @@
 Real white noise carries energy at the Nyquist frequencies, where the two
 derivative conventions part: the real path must give what the real part of
 the full complex computation gives.  Complex input must keep the bits of
-the full computation with the cached tables."""
+the full computation with the cached tables, and differentiate with the
+real path's wavenumbers, so that a field's dtype changes no certificate."""
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from formbound import hodge, measures, torus
+from formbound import hodge, measures, torus, verdict
 from formbound.torus import Grid, MatrixField, ScalarField, VectorField
 
 GRIDS = [Grid(2, 16, 1.0), Grid(3, 8, 2.5)]
@@ -172,7 +173,7 @@ def _back(values, d):
 @pytest.mark.parametrize("grid", GRIDS, ids=str)
 def test_complex_input_keeps_full_transform_bits(grid):
     d = grid.dim
-    kaps = torus.kappa_axes(grid)
+    kaps = torus._deriv_kappas(*torus._key(grid))[0]
     f = ScalarField(grid, _noise(grid, (), 7, complex_=True))
     v = VectorField.from_array(grid, _noise(grid, (d,), 8, complex_=True))
     m = MatrixField.from_array(grid, _noise(grid, (d, d), 9, complex_=True))
@@ -204,3 +205,43 @@ def test_complex_input_keeps_full_transform_bits(grid):
     s = sum(dk[j] * hats[j] for j in range(d))
     want = np.stack([dk[i] * s / ks for i in range(d)])
     assert np.array_equal(hodge.project("P", v).values, _back(want, d))
+
+
+def _as(grid, vals):
+    if vals.ndim == grid.dim:
+        return ScalarField(grid, vals)
+    cls = VectorField if vals.ndim == grid.dim + 1 else MatrixField
+    return cls.from_array(grid, vals)
+
+
+def _near(got, want, tol=1e-13):
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=str)
+def test_complex_cast_matches_real_path(grid):
+    # real white noise cast to complex128 keeps its Nyquist energy; the
+    # derivatives and the Hodge split must not see the cast
+    d = grid.dim
+    f, v, m = _noise(grid, (), 10), _noise(grid, (d,), 11), _noise(grid, (d, d), 12)
+    for op, vals in [(torus.grad, f), (torus.div, v), (torus.curl, v), (torus.mat_div, m)]:
+        _near(op(_as(grid, vals.astype(complex))).values, op(_as(grid, vals)).values)
+    real = hodge.hodge_decompose(_as(grid, v))
+    cast = hodge.hodge_decompose(_as(grid, v.astype(complex)))
+    _near(cast.c.values, real.c.values)
+    _near(cast.F.values, real.F.values)
+    assert abs(cast.residual - real.residual) <= 1e-13 * real.residual
+
+
+def test_complex_cast_drift_certifies_the_same():
+    # the divergence of a skew field is divergence-free, whatever its dtype:
+    # the 2-D obstruction (an L1 mass of div b) must not appear on the cast
+    grid = Grid(2, 32, 1.0)
+    upper = np.random.default_rng(3).standard_normal(grid.shape)
+    b = torus.mat_div(_as(grid, np.stack([np.stack([0 * upper, upper]),
+                                          np.stack([-upper, 0 * upper])]))).values
+    outcomes = [verdict.assess_homogeneous(None, _as(grid, vals), None)
+                for vals in (b, b.astype(complex))]
+    assert [o.overall for o in outcomes] == ["certified_bounded"] * 2
+    mass = [o.record("n2_divergence_mass").constant for o in outcomes]
+    assert max(mass) <= 1e-11
