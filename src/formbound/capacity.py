@@ -157,7 +157,6 @@ class CapacityResult:
     kkt_residual: float
     flavor: str
     iterations: int  # conjugate-gradient iterations summed over all rounds
-    ground: CompactSet | None = None
     rounds: int = 0
     active_cells: int = 0
 
@@ -381,8 +380,8 @@ def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
 
     potential = ScalarField(grid, u.reshape(grid.shape))
     mu = DiscreteMeasure(grid, charge.reshape(grid.shape))
-    return CapacityResult(value, potential, mu, kkt, flavor, iterations, ground,
-                          rounds, int(active.sum()))
+    return CapacityResult(value, potential, mu, kkt, flavor, iterations, rounds,
+                          int(active.sum()))
 
 
 @dataclass(frozen=True)

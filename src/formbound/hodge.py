@@ -18,7 +18,8 @@ inherited from real spectral calculus: energy at the unpaired Nyquist
 frequency of a real field has no real derivative representation, so its
 solenoidal part shows up in the residual instead of in F.  Band-limited
 inputs (anything sampled from a smooth function) are reconstructed to
-machine precision.
+machine precision.  The splits return their parts only: the residual is
+the diagnostic of the ``decompose`` command, which rebuilds b from them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .torus import (
     _pairs,
     _skew_field,
     mat_div,
-    max_abs,
-    div as _div,
 )
 
 __all__ = [
@@ -57,18 +56,16 @@ class DecompositionResult:
     """Outcome of a field decomposition.
 
     mean_part is the removed zero mode (zeros for the inhomogeneous split,
-    which keeps every mode).  h and gamma are the potential-part and
-    remainder for a scalar source q and are None when no q was supplied.
-    residual / residual_q are max-abs reconstruction defects.
+    which keeps every mode).  h and gamma are the potential part and
+    remainder of the inhomogeneous split's scalar source q, and None for
+    the homogeneous split, which takes no q.
     """
 
     mean_part: np.ndarray
     c: VectorField
     F: MatrixField
-    residual: float
     h: VectorField | None = None
     gamma: ScalarField | None = None
-    residual_q: float | None = None
 
 
 def _split_symbols(sp):
@@ -111,18 +108,11 @@ def hodge_decompose(b: VectorField) -> DecompositionResult:
     if not isinstance(b, VectorField):
         raise RankError("hodge_decompose expects a vector field")
     mean_part, c, F = _fused_split(b, homogeneous=True)
-    recon = c + mat_div(F)
-    defect = 0.0
-    for i in range(b.grid.dim):
-        defect = max(
-            defect,
-            float(np.max(np.abs(b.values[i] - mean_part[i] - recon.values[i]))),
-        )
-    return DecompositionResult(mean_part=mean_part, c=c, F=F, residual=defect)
+    return DecompositionResult(mean_part=mean_part, c=c, F=F)
 
 
 def project(which: str, b: VectorField) -> VectorField:
-    """Idempotent Hodge projections.
+    """Idempotent Hodge projections, read off the homogeneous split.
 
     "P" keeps the gradient part grad(inv_laplacian(div .)), "Q" the
     divergence part mat_div(inv_laplacian(curl .)); both drop the mean and
@@ -130,21 +120,11 @@ def project(which: str, b: VectorField) -> VectorField:
     """
     if which not in ("P", "Q"):
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")
-    g = b.grid
-    d = g.dim
-    sp = _Spectral(b)
-    kaps, ks, _ = _split_symbols(sp)
-    hats = sp.forward(b.values)
-    for h in hats:
-        h.flat[0] = 0.0
-    s = sum(kaps[j] * hats[j] for j in range(d))
-    for i in range(d):
-        p_hat = kaps[i] * s / ks
-        if which == "P":
-            hats[i] = p_hat
-        else:
-            hats[i] -= p_hat
-    return VectorField.from_array(g, sp.inverse(hats))
+    mean_part, c, _ = _fused_split(b, homogeneous=True)
+    if which == "P":
+        return c
+    mean = mean_part.reshape((-1,) + (1,) * b.grid.dim)
+    return VectorField.from_array(b.grid, b.values - mean - c.values)
 
 
 def _pointwise_opnorm(sym: np.ndarray, d: int) -> np.ndarray:
@@ -183,7 +163,6 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
     g = b.grid
     d = g.dim
     _, c, F = _fused_split(b, homogeneous=False)
-    residual = max_abs(b - (c + mat_div(F)))
     sp = _Spectral(q)
     kaps, _, bessel = _split_symbols(sp)
     qhat = sp.forward(q.values)
@@ -191,16 +170,6 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
                                       [bessel * qhat]), d + 1)
     del qhat
     back = sp.inverse(spec)
-    h = VectorField.from_array(g, back[:d])
-    gamma = ScalarField(g, back[d])
-    recon_q = _div(h) + gamma
-    residual_q = float(np.max(np.abs(q.values - recon_q.values)))
-    return DecompositionResult(
-        mean_part=np.zeros(d),
-        c=c,
-        F=F,
-        residual=residual,
-        h=h,
-        gamma=gamma,
-        residual_q=residual_q,
-    )
+    return DecompositionResult(mean_part=np.zeros(d), c=c, F=F,
+                               h=VectorField.from_array(g, back[:d]),
+                               gamma=ScalarField(g, back[d]))

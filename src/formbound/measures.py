@@ -5,6 +5,7 @@ quantify how far the measure is from satisfying a trace inequality
 relative to the Dirichlet form:
 
 * ``carleson_test``     dyadic Carleson condition, constant c5
+* ``truncated_carleson_test``  the same with the tree cut at side L/2
 * ``ball_growth_test``  mass growth mu(B_r) <= c2 r^(n-2)
 * ``ball_energy_test``  energy of the Riesz potential of mu restricted
                         to a ball, constant c3
@@ -59,6 +60,7 @@ __all__ = [
     "geometric_radii",
     "inhomogeneous_variants",
     "pointwise_test",
+    "truncated_carleson_test",
 ]
 
 _MASS_TOL = -1e-12
@@ -177,6 +179,15 @@ def carleson_test(
     return Record("carleson", constant, threshold, witness=witness)
 
 
+def truncated_carleson_test(
+    measure: DiscreteMeasure, threshold: float | None = None
+) -> Record:
+    """The Carleson constant over cubes of side <= L/2, the W^{1,2} variant."""
+    constant, witness = _carleson_scan(DyadicTree(measure), 1)
+    return Record("carleson_w12", constant, threshold, witness=witness,
+                  note="cubes of side <= L/2")
+
+
 def geometric_radii(grid: Grid) -> list[float]:
     """Radii 2h * sqrt(2)^j capped at a quarter period."""
     radii = []
@@ -201,7 +212,8 @@ def _check_radii(grid: Grid, radii: Sequence[float]) -> list[float]:
         raise ValueError("empty radius list")
     lo, hi = 2.0 * grid.spacing, grid.period / 4.0
     for r in radii:
-        if r < lo * (1.0 - 1e-12) or r > hi * (1.0 + 1e-12):
+        # written so that a NaN radius fails the test too
+        if not lo * (1.0 - 1e-12) <= r <= hi * (1.0 + 1e-12):
             raise ValueError(f"radius {r:g} outside [{lo:g}, {hi:g}]")
     return radii
 
@@ -387,12 +399,7 @@ def inhomogeneous_variants(
     two and three dimensions.
     """
     thresholds = thresholds or {}
-    tree = DyadicTree(measure)
-    constant, witness = _carleson_scan(tree, 1)
-    out = {
-        "carleson": Record("carleson_w12", constant, thresholds.get("carleson"),
-                           witness=witness, note="cubes of side <= L/2")
-    }
+    out = {"carleson": truncated_carleson_test(measure, thresholds.get("carleson"))}
     out["ball_energy"] = _ball_energy(
         measure, None, _bessel_potential, "ball_energy_w12",
         thresholds.get("ball_energy"),

@@ -196,6 +196,8 @@ def vmo_profile(field, deltas) -> list[tuple[float, float]]:
     deltas = [float(delta) for delta in deltas]
     tops = []
     for delta in deltas:
+        if not np.isfinite(delta):
+            raise ValueError(f"delta {delta} is not finite")
         if delta < h * (1.0 - 1e-12):
             raise ValueError(f"delta {delta} is below the grid resolution {h}")
         max_side = max(1, int(np.floor(delta / h * (1.0 + 1e-12))))

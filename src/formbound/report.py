@@ -100,11 +100,8 @@ def witness_payload(witness):
     """Index-coordinate form of a test witness.
 
     Accepts the shapes the test modules produce: a dyadic cube, a
-    (center, radius) ball, a bare cell tuple, or None; a payload already
-    in index form passes through.
+    (center, radius) ball, a bare cell tuple, or None.
     """
-    if witness is None or isinstance(witness, dict):
-        return witness
     corner = getattr(witness, "corner", None)
     if corner is not None:
         return {"cube_corner": [int(i) for i in corner],

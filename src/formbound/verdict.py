@@ -385,6 +385,9 @@ def assess_infinitesimal(
     grid, b0, q0 = _coefficients(None, b, q)
 
     deltas = sorted({float(d) for d in deltas}, reverse=True)
+    for d in deltas:
+        if not np.isfinite(d):
+            raise ValueError(f"delta {d} is not finite")
     if len(deltas) < 2:
         raise ValueError("need at least two deltas for a profile")
     h = grid.spacing

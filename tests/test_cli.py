@@ -256,6 +256,37 @@ def test_infinitesimal_default_deltas_unresolved_exit_1(capsys):
     assert "--deltas" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_infinitesimal_nonfinite_delta_exit_1(bad):
+    # run as a script, so that an uncaught exception shows as a traceback
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-m", "formbound.cli", "infinitesimal",
+                           "--grid", "32", "--deltas", f"{bad},0.125", "--threads", "1"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"error: delta {bad} is not finite")
+
+
+def test_carleson_truncated_runs_only_the_tree(tmp_path, monkeypatch):
+    # the truncated command reads one record; the W^{1,2} potentials of
+    # the rest of the battery must not run for it
+    from formbound import measures
+
+    def _refuse(*args):
+        raise AssertionError("W^{1,2} potential computed for the Carleson record")
+
+    monkeypatch.setattr(measures, "_ball_energy", _refuse)
+    monkeypatch.setattr(measures, "_pointwise", _refuse)
+    out = tmp_path / "rep.json"
+    assert main(["carleson", "--dim", "3", "--grid", "16", "--measure", "bump",
+                 "--truncated", "--out", str(out)]) == 0
+    [rec] = json.loads(out.read_text())["records"]
+    assert rec["name"] == "carleson_w12" and rec["note"] == "cubes of side <= L/2"
+    assert rec["witness"]["cube_side"] <= 8
+
+
 def test_capacity_gauge_records(tmp_path):
     out = tmp_path / "rep.json"
     code = main(["capacity", "--dim", "3", "--grid", "32", "--set", "cube",

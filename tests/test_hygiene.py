@@ -1,7 +1,8 @@
 """Static hygiene of the sources, read with ``ast``: no import that its
 module never uses (in ``src/`` and ``tests/``), no module-level private
-name in ``src/`` that nothing in ``src/`` uses, and no ``__all__`` entry in
-``src/`` that names nothing the module binds."""
+name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
+``src/`` that names nothing the module binds, and no dataclass field in
+``src/`` that nothing reads."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = sorted((ROOT / "src").rglob("*.py"))
 TESTS = sorted((ROOT / "tests").rglob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _tree(path: Path) -> ast.Module:
@@ -102,3 +104,41 @@ def test_every_exported_name_is_bound():
         missing += [f"{path.relative_to(ROOT)} {name}"
                     for name in sorted(_exported(tree) - bound)]
     assert missing == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _attribute_reads(tree: ast.Module) -> set[str]:
+    """Attribute names a module reads, as ``x.name`` or ``getattr(x, "name")``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            out.add(node.args[1].value)
+    return out
+
+
+def test_every_dataclass_field_is_read():
+    # a field that nothing reads is carried for no one, and a deletion of
+    # its last reader should take the field too
+    read = set().union(*(_attribute_reads(_tree(path))
+                         for path in SRC + TESTS + PERFBENCH))
+    unread = []
+    for path in SRC:
+        for node in ast.walk(_tree(path)):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)]
+            unread += [f"{path.relative_to(ROOT)}:{f.lineno} {node.name}.{f.target.id}"
+                       for f in fields if f.target.id not in read]
+    assert unread == []

@@ -124,6 +124,18 @@ def test_ball_growth_radius_validation():
         ball_growth_test(mu, radii=[])
 
 
+@pytest.mark.parametrize("run", [
+    lambda mu: ball_growth_test(mu, radii=[np.nan]),
+    lambda mu: fefferman_phong_test(mu.density(), 0.5, radii=[np.nan]),
+], ids=["ball_growth", "fefferman_phong"])
+def test_nan_radius_rejected(run):
+    # a NaN radius compares False both ways: only a check that requires
+    # lo <= r <= hi rejects it, instead of returning an all-zero record
+    bump = presets.make_measure("bump", Grid(3, 16, 1.0))
+    with pytest.raises(ValueError, match="radius nan"):
+        run(bump)
+
+
 def test_geometric_radii_span():
     g = Grid(3, 32, 1.0)
     radii = geometric_radii(g)
