@@ -20,7 +20,12 @@ cube attaining it (and, for the bmo flavor, the same for the r-mean of |f|
 from side n/2 up), and each flavor and each profile entry is a max over
 that table.  Ties keep the first cube in (side ascending, shift) order.
 Each layer is copied once into a contiguous array with one row of side**d
-samples per cube, so that every mean is a reduction along the last axis.
+samples per cube, so that every mean is a reduction along the last axis,
+and that copy is then reduced in place: the mean is subtracted from it and
+its |.| (and, for r = 2, its square) overwrites it; complex samples write
+their |.| into one real buffer.  A field whose samples are all zero skips
+the walk: its table is the one the walk would build, every sup 0.0 and
+first attained by the cube at the origin.
 """
 
 from __future__ import annotations
@@ -63,10 +68,11 @@ class BmoReport:
 
 
 def _r_mean(absvals: np.ndarray, r: int) -> np.ndarray:
-    """((1/|Q|) sum_Q |.|^r)^(1/r) of each row of nonnegative values."""
+    """((1/|Q|) sum_Q |.|^r)^(1/r) of each row of nonnegative values; r = 2
+    squares ``absvals`` in place."""
     if r == 1:
         return absvals.mean(axis=-1)
-    return np.sqrt((absvals**2).mean(axis=-1))
+    return np.sqrt(np.square(absvals, out=absvals).mean(axis=-1))
 
 
 def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
@@ -78,17 +84,26 @@ def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
     one row per cube: roll by the shift, split each axis into (block,
     offset), move the d block axes in front of the d offset axes and
     flatten each group.  Every reduction then runs along the contiguous
-    last axis, instead of over d strided axes of length side.
+    last axis, instead of over d strided axes of length side.  The rows are
+    reduced in place, after the r-mean of |f| has read them: each row loses
+    its mean, and its |.| overwrites it (complex rows write it into one real
+    buffer).  Where the layout is a view of ``vals`` (side 1, and side n
+    without a shift) it is copied first, so the caller's samples are never
+    written.
     """
     d = vals.ndim
+    layer = vals
     if any(shift):
-        vals = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(d)))
+        layer = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(d)))
     nb = vals.shape[0] // side
     order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-    blocks = vals.reshape((nb, side) * d).transpose(order).reshape(nb**d, side**d)
-    osc = _r_mean(np.abs(blocks - blocks.mean(axis=-1, keepdims=True)), r)
-    massr = _r_mean(np.abs(blocks), r).reshape((nb,) * d) if mass else None
-    return osc.reshape((nb,) * d), massr
+    rows = layer.reshape((nb, side) * d).transpose(order).reshape(nb**d, side**d)
+    if np.shares_memory(rows, vals):
+        rows = rows.copy()
+    massr = _r_mean(np.abs(rows), r).reshape((nb,) * d) if mass else None
+    rows -= rows.mean(axis=-1, keepdims=True)
+    absvals = np.abs(rows, out=None if np.iscomplexobj(rows) else rows)
+    return _r_mean(absvals, r).reshape((nb,) * d), massr
 
 
 def _sup(best, per_cube: np.ndarray, side: int, shift: tuple[int, ...]):
@@ -109,12 +124,19 @@ def _layer_sups(vals: np.ndarray, r: int, max_side: int, mass: bool = False):
     Returns {side: (osc, mass)}, each a (sup, cube) pair: the sup of the
     r-oscillation over the side's cubes and the first cube attaining it,
     and with ``mass``, from side n/2 up, the same for the r-mean of |f|
-    (``(-1.0, None)`` where it is not computed).
+    (``(-1.0, None)`` where it is not computed).  An all-zero field gets
+    the same table without the walk.
     """
     n, d = vals.shape[0], vals.ndim
+    sides = [2**k for k in range(max_side.bit_length())]
+    if not vals.any():
+        # the walk's table for an all-zero field: every sup is 0.0, first
+        # attained by the side's cube at the origin
+        tops = {side: (0.0, Cube((0,) * d, side)) for side in sides}
+        return {side: (top, top if mass and side >= n // 2 else (-1.0, None))
+                for side, top in tops.items()}
     table = {}
-    side = 1
-    while side <= max_side:
+    for side in sides:
         offsets = (0, side // 2) if 1 < side < n else (0,)
         osc_best = mass_best = (-1.0, None)
         for shift in itertools.product(offsets, repeat=d):
@@ -123,7 +145,6 @@ def _layer_sups(vals: np.ndarray, r: int, max_side: int, mass: bool = False):
             if massr is not None:
                 mass_best = _sup(mass_best, massr, side, shift)
         table[side] = (osc_best, mass_best)
-        side *= 2
     return table
 
 

@@ -32,7 +32,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from formbound.formnorm import ConvergenceError, form_norm, trace_constant
-from formbound.hodge import hodge_decompose, inhomogeneous_decompose, reduce_principal
+from formbound.hodge import (
+    _fused_split,
+    hodge_decompose,
+    inhomogeneous_decompose,
+    reduce_principal,
+)
 from formbound.measures import (
     DiscreteMeasure,
     ball_growth_test,
@@ -394,8 +399,9 @@ def assess_infinitesimal(
     if deltas[-1] < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"delta {deltas[-1]} below resolution (needs >= 2h = {2*h})")
 
-    dec = inhomogeneous_decompose(b0, q0)
-    vmo = vmo_profile(dec.F, deltas)
+    # the stream part F of the Bessel split of b: q's split is not read
+    _, _, F = _fused_split(b0, homogeneous=False)
+    vmo = vmo_profile(F, deltas)
 
     dens = sum(np.abs(c.values) ** 2 for c in b0.components) + np.abs(q0.values)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))

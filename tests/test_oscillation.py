@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from formbound import presets
-from formbound.hodge import hodge_decompose
-from formbound.oscillation import Cube, _block_reduce, bmo_norm, vmo_profile
+from formbound.hodge import hodge_decompose, inhomogeneous_decompose
+from formbound.oscillation import (
+    FLAVORS,
+    Cube,
+    _block_reduce,
+    _layer_sups,
+    bmo_norm,
+    vmo_profile,
+)
 from formbound.torus import Grid, ScalarField
+
+# writing a complex |.| into a complex buffer hands complex sups to float()
+no_complex_warning = pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 
 
 def _layers(n, dim, max_side=None):
@@ -123,6 +133,7 @@ def _r_mean(absvals, r):
     return float(np.mean(absvals**r) ** (1.0 / r))
 
 
+@no_complex_warning
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("r", [1, 2])
@@ -163,6 +174,7 @@ def _close(got, want):
     return abs(got - want) <= 1e-13 * max(want, 1.0)
 
 
+@no_complex_warning
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 @pytest.mark.parametrize("r", [1, 2])
@@ -313,3 +325,108 @@ def test_sharp_flavor_bounded_by_plain(grid2, noise):
     sharp = bmo_norm(f, flavor="BMO_sharp").norm
     assert sharp <= plain * (1.0 + 1e-12) * 2.0
     assert sharp > 0.0
+
+
+@no_complex_warning
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_samples_are_never_written(dim, n, dtype):
+    # the rows of side 1, and of side n unshifted, are views of the samples:
+    # reducing them in place must not reach the caller's field
+    grid = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(31)
+    vals = rng.standard_normal(grid.shape)
+    if dtype is np.complex128:
+        vals = vals + 1j * rng.standard_normal(grid.shape)
+    f = ScalarField(grid, vals)
+    before = f.values.tobytes()
+    for flavor in FLAVORS:
+        for r in (1, 2):
+            bmo_norm(f, flavor=flavor, r=r)
+            assert f.values.tobytes() == before, (flavor, r)
+    vmo_profile(f, [grid.spacing, 0.25, 0.5, 1.0])
+    assert f.values.tobytes() == before
+
+
+def _walk_table(vals, r, max_side, mass):
+    """The table of _layer_sups from the brute-force oracle: per side, the
+    largest value and the first cube in walking order attaining it."""
+    n = vals.shape[0]
+    osc, big = _oracle(vals, r)
+    table = {}
+    for side, _ in _layers(n, vals.ndim, max_side):
+        top = max(((v, c) for c, v in osc.items() if c.side == side), key=lambda p: p[0])
+        top_mass = (-1.0, None)
+        if mass and side >= n // 2:
+            top_mass = max(((v, c) for c, v in big.items() if c.side == side),
+                           key=lambda p: p[0])
+        table[side] = (top, top_mass)
+    return table
+
+
+@no_complex_warning
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("zero", [0.0, -0.0, 0j, complex(-0.0, -0.0)],
+                         ids=["+0", "-0", "+0j", "-0j"])
+@pytest.mark.parametrize("mass", [False, True])
+@pytest.mark.parametrize("r", [1, 2])
+def test_zero_field_table_is_the_walks(dim, n, zero, mass, r, monkeypatch):
+    import formbound.oscillation as osc
+
+    vals = np.full((n,) * dim, zero)
+    monkeypatch.setattr(osc, "_block_reduce", None)  # the walk must not run
+    for max_side in (n // 2, n):
+        got = _layer_sups(vals, r, max_side, mass=mass)
+        # repr tells 0.0 from -0.0
+        assert repr(got) == repr(_walk_table(vals, r, max_side, mass))
+
+
+class _NoShortcut(np.ndarray):
+    """Samples whose ``any()`` is always true, so every field is walked."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@no_complex_warning
+def test_zero_stream_entries_skip_the_walk(monkeypatch):
+    # the planar vortex's stream matrix has F02 = F12 = 0 exactly, in both
+    # splits: the reports equal the ones from walking every entry, and no
+    # layer of a zero entry is reduced
+    import formbound.oscillation as osc
+
+    g = Grid(3, 16, 1.0)
+    b = presets.make_field("vortex", g)
+    splits = (hodge_decompose(b).F,
+              inhomogeneous_decompose(b, ScalarField(g, np.zeros(g.shape))).F)
+    deltas = [g.spacing, 0.125, 0.25, 0.5]
+    walk = osc._layer_sups
+
+    def report(F):
+        reps = [bmo_norm(F, flavor=flavor, r=r) for flavor in FLAVORS for r in (1, 2)]
+        return [(rep.norm, rep.worst_cube, rep.entry) for rep in reps], vmo_profile(F, deltas)
+
+    def walked(vals, *args, **kwargs):
+        return walk(vals.view(_NoShortcut), *args, **kwargs)
+
+    reduced = []
+
+    def counting(vals, *args, **kwargs):
+        reduced.append(bool(vals.any()))
+        return _block_reduce(vals, *args, **kwargs)
+
+    for F in splits:
+        assert [(i, j) for i in range(3) for j in range(i + 1, 3)
+                if not F.values[i, j].any()] == [(0, 2), (1, 2)]
+        with monkeypatch.context() as m:
+            m.setattr(osc, "_layer_sups", walked)
+            want = report(F)
+        with monkeypatch.context() as m:
+            m.setattr(osc, "_block_reduce", counting)
+            got = report(F)
+        assert got == want
+        # one nonzero entry walked per report: 6 bmo_norm calls and 1 profile
+        assert reduced and all(reduced)
+        layers = [len(list(_layers(16, 3, top))) for top in (16, 8)]
+        assert len(reduced) == 2 * (2 * layers[0] + layers[1]) + len(list(_layers(16, 3, 8)))
+        reduced.clear()

@@ -165,6 +165,28 @@ def test_infinitesimal_profile():
     assert all(y < x for x, y in zip(vd.profiles["vmo"], vd.profiles["vmo"][1:]))
 
 
+def test_infinitesimal_reads_only_the_drift_split(monkeypatch):
+    # the profile needs F alone: the Bessel split of b gives it bit for bit,
+    # without q's split
+    import formbound.verdict as verdict
+    from formbound.hodge import inhomogeneous_decompose
+    from formbound.oscillation import vmo_profile
+
+    g = Grid(2, 64, 1.0)
+    b = presets.make_field("stream", g)
+    q = presets.make_scalar("trig", g)
+    deltas = [1 / 8, 1 / 16, 1 / 32]
+    want = vmo_profile(inhomogeneous_decompose(b, q).F, deltas)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inhomogeneous_decompose called")
+
+    monkeypatch.setattr(verdict, "inhomogeneous_decompose", refuse)
+    vd = assess_infinitesimal(b, q, deltas)
+    assert vd.profiles["delta"] == [d for d, _ in want]
+    assert vd.profiles["vmo"] == [v for _, v in want]
+
+
 def test_infinitesimal_zero_fields():
     g = Grid(2, 32, 1.0)
     vd = assess_infinitesimal(_zero_vec(g), ScalarField(g, np.zeros(g.shape)), [1 / 4, 1 / 8])
