@@ -80,6 +80,7 @@ __all__ = [
     "ball_set",
     "capacity",
     "cube_set",
+    "gauge_bounds",
     "gauge_check",
 ]
 
@@ -415,6 +416,13 @@ def _band_limited_probe(grid: Grid, rng: np.random.Generator):
     return inverse(hats.copy()).reshape(grid.shape), hats
 
 
+def gauge_bounds(tau: float) -> tuple[float, float]:
+    """(upper, lower): the gauge distortion ratios at ``tau`` must stay
+    at or below 1.1 (1 + 2 tau) and at or above 0.9 / (1 + 2 tau)."""
+    bound = 1.0 + 2.0 * tau
+    return bound * 1.1, 0.9 / bound
+
+
 def gauge_check(
     e: CompactSet,
     tau: float,
@@ -463,7 +471,6 @@ def gauge_check(
         hi = max(hi, ratio)
         lo = min(lo, ratio)
 
-    bound = 1.0 + 2.0 * tau
-    ok = hi <= bound * 1.1 and lo >= 0.9 / bound
+    upper, lower = gauge_bounds(tau)
     return GaugeReport(float(energy_lhs), float(energy_rhs), float(hi), float(lo),
-                       bool(ok), result.value)
+                       bool(hi <= upper and lo >= lower), result.value)

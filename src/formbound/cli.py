@@ -21,7 +21,8 @@ import time
 import numpy as np
 
 from formbound import fbf, presets, report
-from formbound.capacity import SolverError, ball_set, capacity, cube_set, gauge_check
+from formbound.capacity import (SolverError, ball_set, capacity, cube_set, gauge_bounds,
+                                 gauge_check)
 from formbound.formnorm import (
     ConvergenceError,
     form_norm,
@@ -63,9 +64,12 @@ def _finite(text: str) -> float:
 
 
 def _common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
-    sub.add_argument("--dim", type=int, default=dim_default, choices=(2, 3))
-    sub.add_argument("--grid", type=int, default=32,
-                     help="points per axis (power of two, >= 16)")
+    sub.add_argument("--dim", type=int, choices=(2, 3),
+                     help=f"default {dim_default}, or the --input file's")
+    sub.add_argument("--grid", type=int,
+                     help="points per axis (power of two, >= 16; default 32, "
+                          "or the --input file's)")
+    sub.set_defaults(dim_default=dim_default)
     sub.add_argument("--period", type=float, default=1.0)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the JSON report here")
@@ -173,33 +177,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _make_grid(args) -> Grid:
-    # the library floor is 8 (dense cross-checks need it); operational
-    # runs keep the stricter one
-    if args.grid < 16:
-        raise ValueError("--grid must be at least 16")
-    return Grid(args.dim, args.grid, args.period)
-
-
-def _drift(args, grid: Grid) -> VectorField:
-    if getattr(args, "input", None):
-        field = fbf.read_field(args.input, period=args.period)
-        if not isinstance(field, VectorField):
-            raise ValueError(f"{args.input} does not hold a vector field")
-        return field
-    return presets.make_field(args.preset, grid, seed=args.seed)
-
-
-def _maybe_q(args, grid: Grid) -> ScalarField | None:
+def _resolve(args) -> tuple[Grid, VectorField | None, ScalarField | None]:
+    """The run's grid, drift (None for commands without a field source)
+    and potential, decided once.  With --input the file's grid is the
+    run's, and --dim and --grid must match it when given.  Runs keep a
+    floor of 16 points per axis, above the library's 8 (which the dense
+    cross-checks need)."""
     q_const = getattr(args, "q_const", None)
     q_preset = getattr(args, "q_preset", None)
     if q_const is not None and q_preset is not None:
         raise ValueError("give at most one of --q-const and --q-preset")
+    path = getattr(args, "input", None)
+    if path:
+        b = fbf.read_field(path, period=args.period)
+        if not isinstance(b, VectorField):
+            raise ValueError(f"{path} does not hold a vector field")
+        grid = b.grid
+        for flag, given, held in (("--dim", args.dim, grid.dim),
+                                  ("--grid", args.grid, grid.points_per_axis)):
+            if given is not None and given != held:
+                raise ValueError(f"{flag} {given} disagrees with {path}, which holds {held}")
+    else:
+        grid = Grid(args.dim_default if args.dim is None else args.dim,
+                    32 if args.grid is None else args.grid, args.period)
+        b = None
+    if grid.points_per_axis < 16:
+        raise ValueError(f"runs need at least 16 points per axis, got {grid.points_per_axis}")
+    if b is None and getattr(args, "preset", None) is not None:
+        b = presets.make_field(args.preset, grid, seed=args.seed)
     if q_const is not None:
-        return ScalarField(grid, np.full(grid.shape, q_const))
-    if q_preset is not None:
-        return presets.make_scalar(q_preset, grid)
-    return None
+        return grid, b, ScalarField(grid, np.full(grid.shape, q_const))
+    return grid, b, None if q_preset is None else presets.make_scalar(q_preset, grid)
 
 
 def _config_echo(args, grid: Grid, **extra) -> dict:
@@ -241,9 +249,7 @@ def _verdict_report(args, grid: Grid, verdict, **extra_config):
 
 
 def _cmd_decompose(args):
-    grid = _make_grid(args)
-    b = _drift(args, grid)
-    q = _maybe_q(args, grid)
+    grid, b, q = _resolve(args)
     # the residuals rebuild b = mean + c + Div F and q = div h + gamma from the parts
     if args.flavor == "homogeneous":
         dec = hodge_decompose(b)
@@ -272,7 +278,7 @@ def _cmd_decompose(args):
 
 
 def _cmd_bmo(args):
-    grid = _make_grid(args)
+    grid, _, _ = _resolve(args)
     f = presets.make_scalar(args.scalar_preset, grid)
     rep = bmo_norm(f, flavor=args.flavor, r=args.r)
     records = [Record("bmo_norm", rep.norm, args.threshold, witness=rep.worst_cube,
@@ -282,7 +288,7 @@ def _cmd_bmo(args):
 
 
 def _cmd_carleson(args):
-    grid = _make_grid(args)
+    grid, _, _ = _resolve(args)
     mu = presets.make_measure(args.measure, grid, seed=args.seed)
     test = truncated_carleson_test if args.truncated else carleson_test
     rep = test(mu, threshold=args.threshold)
@@ -291,7 +297,7 @@ def _cmd_carleson(args):
 
 
 def _cmd_capacity(args):
-    grid = _make_grid(args)
+    grid, _, _ = _resolve(args)
     center = (grid.period / 2.0,) * grid.dim
     if args.set_kind == "ball":
         radius = args.radius if args.radius is not None else grid.period / 8.0
@@ -316,14 +322,14 @@ def _cmd_capacity(args):
     if args.tau is not None:
         gauge = gauge_check(e, args.tau, seed=args.seed, result=result)
         ratio = gauge.energy_lhs / gauge.energy_rhs
+        upper, lower = gauge_bounds(args.tau)
         records += [
             Record("gauge_energy_ratio", ratio, None, 0.85 <= ratio <= 1.15,
                    note="||grad u^tau||^2 over tau^2/(2tau-1) cap"),
-            Record("gauge_distortion_hi", gauge.gauge_ratio,
-                   (1.0 + 2.0 * args.tau) * 1.1, gauge.within_bounds),
-            Record("gauge_distortion_lo", gauge.gauge_ratio_min, None,
-                   gauge.within_bounds,
-                   note=f"lower bound {0.9 / (1.0 + 2.0 * args.tau):.6g}"),
+            Record("gauge_distortion_hi", gauge.gauge_ratio, upper),
+            Record("gauge_distortion_lo", gauge.gauge_ratio_min, lower,
+                   gauge.gauge_ratio_min >= lower,
+                   note="lower bound: passes at or above the threshold"),
         ]
     cfg = _config_echo(args, grid, **geometry)
     if args.tau is not None:
@@ -332,7 +338,7 @@ def _cmd_capacity(args):
 
 
 def _cmd_trace(args):
-    grid = _make_grid(args)
+    grid, _, _ = _resolve(args)
     mu = presets.make_measure(args.measure, grid, seed=args.seed)
     est = trace_constant(mu, flavor=args.flavor, seed=args.seed)
     details = {"iterations": est.iterations, "residual": est.residual}
@@ -341,9 +347,7 @@ def _cmd_trace(args):
 
 
 def _cmd_formnorm(args):
-    grid = _make_grid(args)
-    b = _drift(args, grid)
-    q = _maybe_q(args, grid)
+    grid, b, q = _resolve(args)
     if args.nonlinear and not b.is_real:
         # rejected before the form estimate, which would run for nothing
         raise ValueError("nonlinear constant needs a real drift")
@@ -364,9 +368,7 @@ def _cmd_formnorm(args):
 
 
 def _cmd_verdict(args):
-    grid = _make_grid(args)
-    b = _drift(args, grid)
-    q = _maybe_q(args, grid)
+    grid, b, q = _resolve(args)
     if args.flavor == "homogeneous":
         verdict = assess_homogeneous(None, b, q, seed=args.seed)
     else:
@@ -375,23 +377,17 @@ def _cmd_verdict(args):
 
 
 def _cmd_magnetic(args):
-    grid = _make_grid(args)
-    a = _drift(args, grid)
+    grid, a, q = _resolve(args)
     if args.q_from_gauge:
-        if args.q_const is not None or args.q_preset is not None:
+        if q is not None:
             raise ValueError("--q-from-gauge excludes --q-const/--q-preset")
-        asq = sum(c.values**2 for c in a.components)
-        q = ScalarField(grid, -asq)
-    else:
-        q = _maybe_q(args, grid)
+        q = ScalarField(grid, -sum(c.values**2 for c in a.components))
     verdict = assess_magnetic(a, q, seed=args.seed)
     return _verdict_report(args, grid, verdict, q_from_gauge=bool(args.q_from_gauge))
 
 
 def _cmd_infinitesimal(args):
-    grid = _make_grid(args)
-    b = _drift(args, grid)
-    q = _maybe_q(args, grid)
+    grid, b, q = _resolve(args)
     if args.deltas:
         deltas = [float(tok) for tok in args.deltas.split(",") if tok.strip()]
     else:

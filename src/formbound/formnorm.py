@@ -44,7 +44,6 @@ import numpy as np
 from .measures import DiscreteMeasure
 from .torus import (
     Grid,
-    GridMismatchError,
     MatrixField,
     ScalarField,
     VectorField,
@@ -63,6 +62,7 @@ from .torus import (
     _riesz_half_symbol,
     kappa_axes,
     kappa_sq,
+    shared_grid,
 )
 
 __all__ = [
@@ -219,18 +219,15 @@ class _Operator:
     with fewer transforms.
     """
 
-    def __init__(self, grid: Grid, A: MatrixField | None, b: VectorField | None,
-                 q: ScalarField | None):
+    def __init__(self, grid: Grid, A: np.ndarray | None, b: np.ndarray | None,
+                 q: np.ndarray | None):
         self.grid = grid
-        for field in (A, b, q):
-            if field is not None and field.grid != grid:
-                raise GridMismatchError("coefficient grids differ")
         self.ikappa = tuple(1j * k for k in kappa_axes(grid))
-        self.A = None if A is None else A.values
-        self.b = None if b is None else b.values
+        self.A = A
+        self.b = b
         # the axes of the nonzero drift components
-        self.drift = () if b is None else tuple(i for i in range(grid.dim) if b.values[i].any())
-        self.q = None if q is None or not q.values.any() else q.values
+        self.drift = () if b is None else tuple(i for i in range(grid.dim) if b[i].any())
+        self.q = None if q is None or not q.any() else q
 
     def compressed(self, hats, sym, conjugate: bool, out: np.ndarray) -> np.ndarray:
         """Write the spectrum of S L S u, or of S L* S u, into ``out``
@@ -319,7 +316,8 @@ def _normal_apply(op: _Operator, sym: np.ndarray):
 
 def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     """Each field of ``values`` (leading axes index components) cut to its
-    modes |k_i| < n/4 and sampled on the coarse n/2 grid of the same period."""
+    modes |k_i| < n/4 and sampled on the coarse n/2 grid of the same period;
+    real input gives a contiguous real copy, which frees the complex one."""
     d, kmax = grid.dim, grid.points_per_axis // 4 - 1
     fine_band, coarse_band = grid.band(kmax), coarse.band(kmax)
     out = np.zeros(values.shape[:-d] + coarse.shape, dtype=np.complex128)
@@ -328,7 +326,7 @@ def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
             hat = np.zeros(coarse.shape, dtype=np.complex128)
             hat[coarse_band] = _fftn(values[idx])[fine_band] * (coarse.npoints / grid.npoints)
             out[idx] = _ifftn(hat, overwrite=True)
-    return out if np.iscomplexobj(values) else out.real
+    return out if np.iscomplexobj(values) else np.ascontiguousarray(out.real)
 
 
 def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, int]:
@@ -350,8 +348,7 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     if n < _COARSE_FROM:
         return _start_vector(2 * grid.npoints, seed), 0
     coarse = Grid(d, n // 2, grid.period)
-    fields = [None if v is None else cls.from_array(coarse, _restrict(v, grid, coarse))
-              for cls, v in ((MatrixField, op.A), (VectorField, op.b), (ScalarField, op.q))]
+    coefs = [None if v is None else _restrict(v, grid, coarse) for v in (op.A, op.b, op.q)]
     band = coarse.band(n // 8 - 1)
     sym = np.zeros(coarse.shape)
     sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
@@ -359,7 +356,7 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     start[band] = _start_vector(2 * coarse.npoints, seed).view(np.complex128) \
         .reshape(coarse.shape)[band]
     value, vec, iters, _ = _top_eigenpair(
-        _normal_apply(_Operator(coarse, *fields), sym), start.reshape(-1).view(np.float64), seed)
+        _normal_apply(_Operator(coarse, *coefs), sym), start.reshape(-1).view(np.float64), seed)
     if value == 0.0:
         return _start_vector(2 * grid.npoints, seed), iters
     lifted = np.zeros(grid.shape, dtype=np.complex128)
@@ -395,11 +392,8 @@ def form_norm(
     the compression, the root of the top eigenvalue of R*R.
     """
     _check_flavor(flavor)
-    grids = [f.grid for f in (A, b, q) if f is not None]
-    if not grids:
-        raise ValueError("all coefficients empty")
-    op = _Operator(grids[0], A, b, q)
-    return _operator_norm(op, flavor, seed)
+    values = (None if f is None else f.values for f in (A, b, q))
+    return _operator_norm(_Operator(shared_grid(A, b, q), *values), flavor, seed)
 
 
 def nonlinear_form_constant(

@@ -40,6 +40,7 @@ from .torus import (
     _pairs,
     _skew_field,
     mat_div,
+    shared_grid,
 )
 
 __all__ = [
@@ -142,12 +143,11 @@ def reduce_principal(A: MatrixField, b: VectorField):
     b1 = b - mat_div((A - A^T)/2), and the essential sup of the pointwise
     operator norm of As.
     """
-    if A.grid != b.grid:
-        raise ValueError("A and b live on different grids")
+    grid = shared_grid(A, b)
     At = A.transpose()
     As = (A + At) * 0.5
     b1 = b - mat_div((A - At) * 0.5)
-    s_inf = float(_pointwise_opnorm(As.values, A.grid.dim).max())
+    s_inf = float(_pointwise_opnorm(As.values, grid.dim).max())
     return As, b1, s_inf
 
 
@@ -158,9 +158,7 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
     and F = -(1-Delta)^{-1} curl b;  q = div h + gamma with
     h = -grad((1-Delta)^{-1} q) and gamma = (1-Delta)^{-1} q.
     """
-    if b.grid != q.grid:
-        raise ValueError("b and q live on different grids")
-    g = b.grid
+    g = shared_grid(b, q)
     d = g.dim
     _, c, F = _fused_split(b, homogeneous=False)
     sp = _Spectral(q)

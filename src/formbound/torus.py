@@ -94,6 +94,7 @@ __all__ = [
     "l2_inner",
     "zero_mean",
     "fft_workers",
+    "shared_grid",
 ]
 
 _MEAN_TOL = 1e-10
@@ -454,6 +455,18 @@ def kappa_sq(grid: Grid) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def shared_grid(*fields) -> Grid:
+    """The grid that every given field lives on; a None (an absent
+    coefficient) is skipped.  Raises GridMismatchError when two fields
+    live on different grids, and ValueError when none is given."""
+    grids = [f.grid for f in fields if f is not None]
+    if not grids:
+        raise ValueError("all coefficients absent")
+    if any(g != grids[0] for g in grids[1:]):
+        raise GridMismatchError("fields live on different grids")
+    return grids[0]
+
+
 def _coerce(grid: Grid, values: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
     arr = np.asarray(values)
     want = lead + grid.shape
@@ -492,16 +505,12 @@ class _Field:
     def copy(self):
         return self.from_array(self.grid, self.values.copy())
 
-    def conj(self):
-        return self.from_array(self.grid, np.conj(self.values))
-
     def _operand(self, other):
         if not isinstance(other, _Field):
             return other
         if type(other) is not type(self):
             raise RankError("fields of different rank combined")
-        if other.grid != self.grid:
-            raise GridMismatchError("fields live on different grids")
+        shared_grid(self, other)
         return other.values
 
     def __add__(self, other):
@@ -529,13 +538,6 @@ def _view(grid: Grid, values: np.ndarray) -> ScalarField:
     return field
 
 
-def _stack_of(fields, grid: Grid) -> np.ndarray:
-    for f in fields:
-        if f.grid != grid:
-            raise GridMismatchError("components live on different grids")
-    return np.stack([f.values for f in fields])
-
-
 @dataclass(init=False)
 class VectorField(_Field):
     """Vector field; ``components`` and ``v[i]`` are views of its rows."""
@@ -546,10 +548,10 @@ class VectorField(_Field):
         comps = tuple(components)
         if not comps:
             raise RankError("vector field needs at least one component")
-        grid = comps[0].grid
+        grid = shared_grid(*comps)
         if len(comps) != grid.dim:
             raise RankError(f"expected {grid.dim} components, got {len(comps)}")
-        super().__init__(grid, _stack_of(comps, grid))
+        super().__init__(grid, np.stack([f.values for f in comps]))
 
     @property
     def components(self) -> tuple[ScalarField, ...]:
@@ -567,11 +569,11 @@ class MatrixField(_Field):
 
     def __init__(self, entries) -> None:
         rows = tuple(tuple(row) for row in entries)
-        grid = rows[0][0].grid
+        grid = shared_grid(*itertools.chain(*rows))
         d = grid.dim
         if len(rows) != d or any(len(r) != d for r in rows):
             raise RankError(f"expected a {d}x{d} matrix of fields")
-        super().__init__(grid, np.stack([_stack_of(row, grid) for row in rows]))
+        super().__init__(grid, np.stack([np.stack([e.values for e in row]) for row in rows]))
 
     @property
     def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
@@ -776,8 +778,7 @@ def integral(field: ScalarField) -> complex | float:
 
 def l2_inner(f: ScalarField, g: ScalarField) -> complex:
     """L2 pairing integral of f * conj(g)."""
-    if f.grid != g.grid:
-        raise GridMismatchError("fields live on different grids")
+    shared_grid(f, g)
     # a numpy reduction, not np.vdot, so the BLAS pool size cannot move it
     return complex(np.sum(np.conj(g.values) * f.values) * f.grid.cell_volume)
 
@@ -819,7 +820,10 @@ def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
 
 
 def dirichlet_norm(field: Field) -> float:
-    """L2 norm of the full gradient, evaluated in frequency space."""
+    """<-Lap u, u>^(1/2) by Parseval: every mode weighted by |kappa|^2,
+    the Nyquist modes included.  It is the energy that the capacity
+    Green operator inverts; for a field with Nyquist energy it exceeds
+    ||grad u||, since ``grad`` drops those modes."""
     _check_field(field)
     sp = _Spectral(field)
     return float(np.sqrt(_dirichlet_sq_from_hat(field.grid, sp.forward(field.values))))

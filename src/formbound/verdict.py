@@ -58,6 +58,7 @@ from formbound.torus import (
     grad,
     inv_laplacian,
     lp_norm,
+    shared_grid,
     zero_mean,
 )
 
@@ -110,12 +111,7 @@ class Verdict:
 def _coefficients(A, b, q):
     """The common grid of the coefficients given, with an absent drift or
     potential read as zero."""
-    grids = [f.grid for f in (A, b, q) if f is not None]
-    if not grids:
-        raise ValueError("all coefficients empty")
-    grid = grids[0]
-    if any(g != grid for g in grids[1:]):
-        raise ValueError("coefficient grids differ")
+    grid = shared_grid(A, b, q)
     if b is None:
         b = VectorField.from_array(grid, np.zeros((grid.dim,) + grid.shape))
     if q is None:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from formbound import cli, fbf, formnorm, presets
+from formbound.capacity import GaugeReport
 from formbound.cli import main
 from formbound.torus import Grid
 
@@ -376,3 +377,77 @@ def test_decompose_rejects_scalar_payload(tmp_path, capsys):
     code = main(["decompose", "--dim", "2", "--grid", "16", "--input", str(path)])
     assert code == 1
     assert "vector field" in capsys.readouterr().err
+
+
+@pytest.fixture
+def stream64(tmp_path):
+    """A 2-D stream drift on 64 points, as an FBF1 file."""
+    path = tmp_path / "s64.fbf"
+    fbf.write_field(path, presets.make_field("stream", Grid(2, 64, 1.0)))
+    return str(path)
+
+
+@pytest.mark.parametrize("q_flags", [[], ["--q-const", "1.0"], ["--q-preset", "trig"]])
+def test_input_file_decides_the_grid(stream64, tmp_path, q_flags):
+    # no --dim or --grid: the file's 2-D 64 grid is the run's, so q, the
+    # config and the default deltas (L/32 = 2h is resolved) are built on it
+    out = tmp_path / "rep.json"
+    code = main(["infinitesimal", "--input", stream64, *q_flags, "--threads", "1",
+                 "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert (rep["config"]["dim"], rep["config"]["points_per_axis"]) == (2, 64)
+    assert rep["config"]["deltas"] == [0.125, 0.0625, 0.03125]
+    assert rep["details"]["provenance"]["points_per_axis"] == 64
+
+
+def test_verdict_config_names_the_file_grid(stream64, tmp_path):
+    # verdict defaults to 3-D 32 without a file; the 2-D 64 file overrides
+    # both, and a constant potential on it is the n=2 obstruction
+    out = tmp_path / "rep.json"
+    code = main(["verdict", "--input", stream64, "--q-const", "1.0", "--threads", "1",
+                 "--out", str(out)])
+    assert code == 2
+    rep = json.loads(out.read_text())
+    assert (rep["config"]["dim"], rep["config"]["points_per_axis"]) == (2, 64)
+    assert rep["overall"] == "certified_unbounded_n2"
+
+
+@pytest.mark.parametrize("flags", [["--dim", "3"], ["--grid", "32"],
+                                   ["--dim", "2", "--grid", "128"]])
+def test_flags_that_disagree_with_the_file_exit_1(stream64, flags, capsys):
+    assert main(["verdict", "--input", stream64, *flags]) == 1
+    assert "disagrees with" in capsys.readouterr().err
+
+
+def test_flags_that_match_the_file_are_accepted(stream64, tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    argv = ["infinitesimal", "--input", stream64, "--threads", "1", "--out"]
+    assert main(argv + [str(a)]) == 0
+    assert main(argv + [str(b), "--dim", "2", "--grid", "64"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_input_file_below_the_floor_exit_1(tmp_path, capsys):
+    path = tmp_path / "v8.fbf"
+    fbf.write_field(path, presets.make_field("vortex", Grid(3, 8, 1.0)))
+    assert main(["verdict", "--input", str(path)]) == 1
+    assert "at least 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("hi, lo", [(3.0, 0.2), (3.4, 0.4)])
+def test_gauge_records_pass_on_their_own_bounds(hi, lo, tmp_path, monkeypatch):
+    # at tau = 1 the high ratio may reach 3.3 and the low one must stay at
+    # or above 0.3; each record is held to its own bound
+    def fake_gauge(e, tau, seed=0, result=None):
+        return GaugeReport(1.0, 1.0, hi, lo, False, result.value)
+
+    monkeypatch.setattr(cli, "gauge_check", fake_gauge)
+    out = tmp_path / "rep.json"
+    assert main(["capacity", "--dim", "3", "--grid", "16", "--tau", "1.0",
+                 "--out", str(out)]) == 2
+    recs = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert recs["gauge_distortion_hi"]["threshold"] == pytest.approx(3.3)
+    assert recs["gauge_distortion_lo"]["threshold"] == pytest.approx(0.3)
+    assert recs["gauge_distortion_hi"]["passed"] == (hi <= 3.3)
+    assert recs["gauge_distortion_lo"]["passed"] == (lo >= 0.3)

@@ -480,7 +480,7 @@ def test_coarse_start_is_galerkin_projection(dim, n, flavor, monkeypatch):
         assert abs(shifted[0] - coarse) <= 1e-12 * coarse
     hats = start.view(np.complex128).reshape(g.shape)
     assert not hats[~_band(g)].any()
-    op = formnorm._Operator(g, A, b, q)
+    op = formnorm._Operator(g, A.values, b.values, q.values)
     rx = op.compressed(hats, formnorm._sqrt_inv_symbol(g, flavor), False, np.empty_like(hats))
     quotient = np.sum(np.abs(rx[_band(g)]) ** 2) / np.sum(np.abs(hats) ** 2)
     assert abs(quotient - coarse) <= 1e-10 * coarse

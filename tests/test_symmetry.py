@@ -1,0 +1,67 @@
+"""Grid symmetries of the verdicts.
+
+The torus, the dyadic cube family and the paper's conditions do not change
+under a permutation of the axes or a roll by half the period along every
+axis, and neither may a verdict: each case runs on a drift and on its
+image, and the outcome and every constant above the round-off floor must
+agree.  The Lanczos tolerance is 1e-8, so 1e-7 leaves room for the form
+records.  Cell-centred reflections and one-cell rolls still move some
+records (ROADMAP, symmetry checks) and are not asserted here.
+"""
+
+import numpy as np
+import pytest
+
+from formbound import presets
+from formbound.torus import Grid, ScalarField
+from formbound.verdict import assess_homogeneous, assess_inhomogeneous, assess_magnetic
+
+_FLOOR = 1e-8
+_RTOL = 1e-7
+
+
+def _moved(field, how: str):
+    """The image of a field under a cyclic permutation of the axes, or a
+    roll by n/2 cells along every axis; components travel with their axes."""
+    d = field.grid.dim
+    lead = field.values.ndim - d
+    vals = field.values
+    if how == "permute":
+        perm = tuple(range(1, d)) + (0,)
+        if lead:
+            vals = vals[list(perm)]
+        vals = np.transpose(vals, tuple(range(lead)) + tuple(lead + p for p in perm))
+    else:
+        vals = np.roll(vals, field.grid.points_per_axis // 2, axis=tuple(range(lead, lead + d)))
+    return type(field).from_array(field.grid, vals)
+
+
+def _magnetic(a):
+    return assess_magnetic(a, ScalarField(a.grid, -sum(c.values**2 for c in a.components)))
+
+
+_PIPELINES = {
+    "homogeneous": lambda b: assess_homogeneous(None, b, None),
+    "inhomogeneous": lambda b: assess_inhomogeneous(None, b, None),
+    "magnetic": _magnetic,
+}
+
+_CASES = [(3, preset, flavor)
+          for preset in ("vortex", "random", "singular_gradient", "gradient")
+          for flavor in ("homogeneous", "inhomogeneous")]
+_CASES += [(3, "coulomb_gauge", "magnetic"), (2, "stream", "homogeneous"),
+           (2, "stream", "inhomogeneous")]
+
+
+@pytest.mark.parametrize("how", ["permute", "roll"])
+@pytest.mark.parametrize("dim, preset, pipeline", _CASES)
+def test_verdict_invariant_under_grid_symmetry(dim, preset, pipeline, how):
+    b = presets.make_field(preset, Grid(dim, 16, 1.0))
+    run = _PIPELINES[pipeline]
+    base, image = run(b), run(_moved(b, how))
+    assert image.overall == base.overall
+    assert [r.name for r in image.records] == [r.name for r in base.records]
+    for r0, r1 in zip(base.records, image.records):
+        assert r1.passed == r0.passed, r0.name
+        if abs(r0.constant) > _FLOOR:
+            assert abs(r1.constant - r0.constant) <= _RTOL * abs(r0.constant), r0.name

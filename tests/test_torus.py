@@ -194,6 +194,18 @@ def test_norms_constant_field():
     assert abs(mean(f) + 1.5) <= 1e-14
 
 
+@pytest.mark.parametrize("grid", [Grid(2, 16, 1.0), Grid(3, 16, 1.0)], ids=str)
+def test_dirichlet_norm_is_the_laplacian_energy(grid, noise):
+    # <-Lap u, u>^(1/2) with every mode weighted by |kappa|^2, the Nyquist
+    # modes included; grad drops those, so on noise that has Nyquist
+    # energy ||grad u|| is smaller
+    f = noise(grid, kind="scalar")
+    u = inv_laplacian(f)
+    energy = -l2_inner(f, u).real
+    assert abs(dirichlet_norm(u) ** 2 - energy) <= 1e-13 * energy
+    assert dirichlet_norm(u) > 1.001 * lp_norm(grad(u))
+
+
 def test_dirichlet_norm_single_mode(grid2):
     f = _mode(grid2, 0, 1)
     want = 2.0 * np.pi / grid2.period * np.sqrt(grid2.period**grid2.dim / 2.0)
