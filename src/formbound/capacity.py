@@ -206,7 +206,7 @@ class _ChargeSystem:
         self._row = np.searchsorted(self._forward.rows, row)
         # (1 - Lap)^-1, or the grounded Lap^-1 with the charges negated
         table = _bessel_inv_symbol if inhomogeneous else _inv_lap_symbol
-        self._symbol = _half(table(grid.dim, grid.points_per_axis, grid.period))
+        self._symbol = _half(table(grid))
         self._nb = _neighbours(grid, flat_idx)
         # charges plus one trailing zero that unlisted neighbours read
         self._padded = np.zeros(flat_idx.size + 1)

@@ -250,6 +250,9 @@ def _verdict_report(args, grid: Grid, verdict, **extra_config):
 
 def _cmd_decompose(args):
     grid, b, q = _resolve(args)
+    if args.flavor == "homogeneous" and q is not None:
+        raise ValueError("the homogeneous split takes no q; drop --q-const/--q-preset "
+                         "or pass --flavor inhomogeneous")
     # the residuals rebuild b = mean + c + Div F and q = div h + gamma from the parts
     if args.flavor == "homogeneous":
         dec = hodge_decompose(b)

@@ -17,10 +17,11 @@ trace operators are real symmetric already.  A form operator acts on N
 complex Fourier coefficients, read as 2N real unknowns: for Hermitian
 H that real-linear map is symmetric, has the spectrum of H with every
 eigenvalue doubled, and its real Rayleigh quotient equals <z, Hz>.
-Drift components and a potential that are identically zero are
-skipped, so a planar drift in 3-D costs 6 component transforms per R*R
-application instead of 8.  A problem on at most four unknowns (a small
-mask) is solved densely.
+The form operator plans each half, R = S L S and R* = S L* S, once when
+it is built; a drift component or a potential that is identically zero
+gets no term, so a planar drift in 3-D costs 6 component transforms per
+R*R application instead of 8.  A problem on at most four unknowns (a
+small mask) is solved densely.
 From 64 points per axis up, a form estimate starts from the top
 eigenvector of the Galerkin projection P R P onto the modes |k_i| < N/8,
 solved by the same call on the N/2 grid and zero-padded; its
@@ -56,7 +57,6 @@ from .torus import (
     _ifftn,
     _inv_lap_symbol,
     _irfftn,
-    _key,
     _norm,
     _rfftn,
     _riesz_half_symbol,
@@ -107,8 +107,8 @@ class FormEstimate:
 def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
     """S: (-Lap)^(-1/2) without the zero mode, or (1 - Lap)^(-1/2)."""
     if flavor == "inhomogeneous":
-        return _bessel_half_symbol(*_key(grid))
-    return _riesz_half_symbol(*_key(grid))
+        return _bessel_half_symbol(grid)
+    return _riesz_half_symbol(grid)
 
 
 def _check_flavor(flavor: str) -> None:
@@ -212,78 +212,101 @@ def trace_constant(
 
 
 class _Operator:
-    """Matrix-free L = div(A grad .) + b.grad + q and its adjoint.
+    """Matrix-free R = S L S and R* = S L* S, each half planned once from
+    the paper's terms:
 
-    A drift component or a potential that is identically zero is left
-    out: adding an exact 0 changes no value, so the result is the same
-    with fewer transforms.
+        L u  = sum_i d_i(sum_j A_ij d_j u) + sum_i b_i d_i u + q u,
+        L* v = sum_i d_i(sum_j conj(A_ji) d_j v) - sum_i d_i(conj(b_i) v) + conj(q) v.
+
+    A plan's spatial rows each sum coefficient x source (an axis derivative
+    of S u, or S u) and name the multiplier of their spectrum: i kappa_i
+    for a flux, -i kappa_i for an adjoint drift term, None for the point
+    row, which comes last.  Adding an exact 0 changes no value, so a zero
+    drift component or potential gets no term.
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None, b: np.ndarray | None,
-                 q: np.ndarray | None):
+                 q: np.ndarray | None, sym: np.ndarray):
         self.grid = grid
-        self.ikappa = tuple(1j * k for k in kappa_axes(grid))
         self.A = A
         self.b = b
-        # the axes of the nonzero drift components
-        self.drift = () if b is None else tuple(i for i in range(grid.dim) if b[i].any())
         self.q = None if q is None or not q.any() else q
+        self.sym = sym
+        self.ikappa = ik = tuple(1j * k for k in kappa_axes(grid))
+        drift = [] if b is None else [i for i in range(grid.dim) if b[i].any()]
+        # a term is (coefficient, source): the axis of a derivative of S u,
+        # or None for S u itself
+        potential = [] if self.q is None else [(self.q, None)]
+        transposed = None if A is None else np.swapaxes(A, 0, 1)
+        self._plans = (
+            _plan(_fluxes(A, ik) + [([(b[i], i) for i in drift] + potential, None)]),
+            _plan(_fluxes(transposed, ik) + [([(b[i], None)], -ik[i]) for i in drift]
+                  + [(potential, None)]),
+        )
 
-    def compressed(self, hats, sym, conjugate: bool, out: np.ndarray) -> np.ndarray:
+    def compressed(self, hats, conjugate: bool, out: np.ndarray) -> np.ndarray:
         """Write the spectrum of S L S u, or of S L* S u, into ``out``
         (which may be ``hats``) and return it; ``hats`` is that of u.
 
-        Every product is written into a buffer, and every sum adds its
-        terms left to right.
+        One inverse transform of the sources the half reads, one forward
+        transform of its rows.  Every product is written into a buffer,
+        and every sum adds its terms left to right.
         """
-        d = self.grid.dim
-        A, b, q, ikappa, drift = self.A, self.b, self.q, self.ikappa, self.drift
-        # one inverse transform of only what this half reads (grad u for
-        # the fluxes and the drift's point term, u for the potential and
-        # the adjoint's drift terms), one forward transform of the products
-        axes = tuple(range(d)) if A is not None else (() if conjugate else drift)
-        # the adjoint's drift terms conj(b_i) w, one per nonzero component
-        adjoint = drift if conjugate else ()
-        n_w = 1 if q is not None or adjoint else 0
-        if not axes and not n_w:
+        derivs, slots, rows = self._plans[conjugate]
+        if not rows:
             out[...] = 0.0
             return out
-        waves = np.empty((len(axes) + n_w,) + hats.shape, dtype=np.complex128)
+        d = self.grid.dim
+        waves = np.empty((slots,) + hats.shape, dtype=np.complex128)
         # S u goes into the last slot, which is read before it is overwritten
-        np.multiply(hats, sym, out=waves[-1])
-        for k, axis in enumerate(axes):
-            np.multiply(ikappa[axis], waves[-1], out=waves[k])
+        np.multiply(hats, self.sym, out=waves[-1])
+        for k, axis in enumerate(derivs):
+            np.multiply(self.ikappa[axis], waves[-1], out=waves[k])
         waves = _ifftn(waves, d, overwrite=True)
-        grads = waves[:len(axes)]
-        w = waves[-1] if n_w else None
-        n_flux = d if A is not None else 0
-        point = [] if conjugate else [(b[i], grads[axes.index(i)]) for i in drift]
-        if q is not None:
-            point.append((_conj(q) if conjugate else q, w))
-        spatial = np.empty((n_flux + len(adjoint) + bool(point),) + hats.shape,
-                           dtype=np.complex128)
+        spatial = np.empty((len(rows),) + hats.shape, dtype=np.complex128)
         term = np.empty_like(hats)
-        for i in range(n_flux):
-            # adjoint uses the conjugate transpose of A
-            _accumulate(spatial[i], [(_conj(A[j][i]) if conjugate else A[i][j], grads[j])
-                                     for j in range(d)], term)
-        for k, i in enumerate(adjoint):
-            np.multiply(_conj(b[i]), w, out=spatial[n_flux + k])
-        if point:
-            _accumulate(spatial[-1], point, term)
-        del waves, grads, w
+        for row, (terms, _) in zip(spatial, rows):
+            _accumulate(row, [(_conj(c) if conjugate else c, waves[k]) for c, k in terms],
+                        term)
+        del waves
         hat = _fftn(spatial, d, overwrite=True)
-        # fluxes go in as i kappa . F, the adjoint's drifts as -i kappa . F
-        pairs = [(ikappa[i], hat[i]) for i in range(n_flux)]
-        pairs += [(-ikappa[i], hat[n_flux + k]) for k, i in enumerate(adjoint)]
+        pairs = [(m, h) for (_, m), h in zip(rows, hat) if m is not None]
         if not pairs:
-            np.multiply(hat[-1], sym, out=out)
-            return out
-        _accumulate(out, pairs, term)
-        if point:
-            out += hat[-1]
-        out *= sym
+            out[...] = hat[-1]
+        else:
+            _accumulate(out, pairs, term)
+            if rows[-1][1] is None:
+                out += hat[-1]
+        out *= self.sym
         return out
+
+    def normal(self, x: np.ndarray) -> np.ndarray:
+        """R*R x on the real and imaginary parts of the Fourier coefficients;
+        the unnormalized transform scales the inner product uniformly, so
+        adjoints and Rayleigh quotients are unaffected."""
+        hats = x.view(np.complex128).reshape(self.grid.shape)
+        rx = self.compressed(hats, False, np.empty_like(hats))
+        return self.compressed(rx, True, rx).reshape(-1).view(np.float64)
+
+
+def _fluxes(M: np.ndarray | None, ikappa) -> list:
+    """The rows d_i(sum_j M_ij d_j .) of a coefficient matrix; none without one."""
+    if M is None:
+        return []
+    return [([(M[i][j], j) for j in range(len(M))], ikappa[i]) for i in range(len(M))]
+
+
+def _plan(rows: list) -> tuple:
+    """A half's plan from its rows, empty rows dropped: the axes whose
+    derivative of S u it reads in ascending order, the number of sources it
+    transforms (those derivatives, then S u if read), and each row with its
+    sources replaced by their slots."""
+    rows = [(terms, m) for terms, m in rows if terms]
+    sources = {s for terms, _ in rows for _, s in terms}
+    derivs = tuple(sorted(sources - {None}))
+    slots = len(derivs) + (None in sources)
+    slot = {None: slots - 1} | {axis: k for k, axis in enumerate(derivs)}
+    return derivs, slots, [([(c, slot[s]) for c, s in terms], m) for terms, m in rows]
 
 
 def _accumulate(out: np.ndarray, pairs, term: np.ndarray) -> None:
@@ -298,20 +321,6 @@ def _accumulate(out: np.ndarray, pairs, term: np.ndarray) -> None:
 def _conj(values: np.ndarray) -> np.ndarray:
     """The complex conjugate; real samples are returned as they are."""
     return np.conj(values) if np.iscomplexobj(values) else values
-
-
-def _normal_apply(op: _Operator, sym: np.ndarray):
-    """x -> R*R x for R = S L S, on the real and imaginary parts of the
-    Fourier coefficients; the unnormalized transform scales the inner
-    product uniformly, so adjoints and Rayleigh quotients are unaffected."""
-    shape = op.grid.shape
-
-    def apply_op(x):
-        hats = x.view(np.complex128).reshape(shape)
-        rx = op.compressed(hats, sym, False, np.empty_like(hats))
-        return op.compressed(rx, sym, True, rx).reshape(-1).view(np.float64)
-
-    return apply_op
 
 
 def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
@@ -356,25 +365,12 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     start[band] = _start_vector(2 * coarse.npoints, seed).view(np.complex128) \
         .reshape(coarse.shape)[band]
     value, vec, iters, _ = _top_eigenpair(
-        _normal_apply(_Operator(coarse, *coefs), sym), start.reshape(-1).view(np.float64), seed)
+        _Operator(coarse, *coefs, sym).normal, start.reshape(-1).view(np.float64), seed)
     if value == 0.0:
         return _start_vector(2 * grid.npoints, seed), iters
     lifted = np.zeros(grid.shape, dtype=np.complex128)
     lifted[grid.band(n // 8 - 1)] = vec.view(np.complex128).reshape(coarse.shape)[band]
     return lifted.reshape(-1).view(np.float64), iters
-
-
-def _operator_norm(op: _Operator, flavor: str, seed: int) -> FormEstimate:
-    grid = op.grid
-    sym = _sqrt_inv_symbol(grid, flavor)
-    start, coarse_iters = _lanczos_start(op, flavor, seed)
-    value, vec, iters, residual = _top_eigenpair(_normal_apply(op, sym), start, seed)
-    hats = vec.view(np.complex128).reshape(grid.shape)
-    u = ScalarField(grid, _ifftn(hats * sym))
-    rx = op.compressed(hats, sym, False, np.empty_like(hats))
-    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx.view(np.float64)), 1e-300)))
-    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v),
-                        coarse_iters)
 
 
 def form_norm(
@@ -392,8 +388,17 @@ def form_norm(
     the compression, the root of the top eigenvalue of R*R.
     """
     _check_flavor(flavor)
-    values = (None if f is None else f.values for f in (A, b, q))
-    return _operator_norm(_Operator(shared_grid(A, b, q), *values), flavor, seed)
+    grid = shared_grid(A, b, q)
+    sym = _sqrt_inv_symbol(grid, flavor)
+    op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)), sym)
+    start, coarse_iters = _lanczos_start(op, flavor, seed)
+    value, vec, iters, residual = _top_eigenpair(op.normal, start, seed)
+    hats = vec.view(np.complex128).reshape(grid.shape)
+    u = ScalarField(grid, _ifftn(hats * sym))
+    rx = op.compressed(hats, False, np.empty_like(hats))
+    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx.view(np.float64)), 1e-300)))
+    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v),
+                        coarse_iters)
 
 
 def nonlinear_form_constant(
@@ -424,9 +429,9 @@ def nonlinear_form_constant(
     smooth = 1e-8
     vol = grid.cell_volume
     # Nyquist-zeroed wavenumbers: the real part of the full derivative
-    kaps = [_half(k) for k in _deriv_kappas(*_key(grid))[0]]
+    kaps = [_half(k) for k in _deriv_kappas(grid)[0]]
     ks = _half(kappa_sq(grid))
-    inv_ks = -_half(_inv_lap_symbol(*_key(grid)))
+    inv_ks = -_half(_inv_lap_symbol(grid))
 
     def evaluate(hat):
         """The objective at ``hat`` scaled to unit Dirichlet norm, and what the

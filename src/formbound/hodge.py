@@ -36,7 +36,6 @@ from .torus import (
     VectorField,
     _Spectral,
     _deriv_kappas,
-    _key,
     _pairs,
     _skew_field,
     mat_div,
@@ -71,7 +70,7 @@ class DecompositionResult:
 
 def _split_symbols(sp):
     """(kaps, grounded |kaps|^2, Bessel factor) as ``sp`` reads them."""
-    kaps, ks, bessel = _deriv_kappas(*_key(sp.grid))
+    kaps, ks, bessel = _deriv_kappas(sp.grid)
     return tuple(sp.view(k) for k in kaps), sp.view(ks), sp.view(bessel)
 
 

@@ -44,7 +44,6 @@ from .torus import (
     _bessel_half_symbol,
     _half,
     _irfftn,
-    _key,
     _rfftn,
     riesz_half,
 )
@@ -260,7 +259,7 @@ def _riesz_potential(density: ScalarField) -> np.ndarray:
 
 def _bessel_potential(density: ScalarField) -> np.ndarray:
     grid = density.grid
-    symbol = _half(_bessel_half_symbol(*_key(grid)))
+    symbol = _half(_bessel_half_symbol(grid))
     return _irfftn(_rfftn(density.values.real) * symbol, grid.shape)
 
 

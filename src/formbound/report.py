@@ -21,6 +21,9 @@ SCHEMA_VERSION = 1
 
 _RECORD_KEYS = ("name", "constant", "threshold", "passed", "witness", "note")
 
+# the overall outcomes a verdict can reach
+OUTCOMES = ("certified_bounded", "certified_unbounded_n2", "inconclusive")
+
 
 @dataclass(frozen=True)
 class Record:
@@ -193,9 +196,7 @@ def validate(report: dict) -> None:
         if const is not None and not isinstance(const, (int, float, str)):
             raise ValueError("record constant must be number, string or null")
     overall = report.get("overall")
-    if overall is not None and overall not in (
-        "certified_bounded", "certified_unbounded_n2", "inconclusive"
-    ):
+    if overall is not None and overall not in OUTCOMES:
         raise ValueError(f"unknown overall outcome {overall!r}")
 
 

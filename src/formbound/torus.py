@@ -43,8 +43,10 @@ real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
 as its 1-D passes, in scipy's order, and skips each pass over a line with
 no nonzero input or no output that is read; the capacity solver's Green
 operator and its band-limited gauge probes use it, and every value it
-computes has the bits of the full transform.  Fourier symbols are built
-once per (dim, n, period) and cached.
+computes has the bits of the full transform.  Every Fourier symbol table
+is a function of the ``Grid`` under ``lru_cache``: the grid is a frozen
+dataclass and hashes by value, so a table is built once per grid, and
+every reader calls ``table(grid)``.
 
 Derivatives of real fields are real.  A real field's unpaired Nyquist mode
 carries no direction of travel, so the real path differentiates with
@@ -361,31 +363,29 @@ def _on_axes(*lines: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the symbol table: every Fourier symbol, built once per (dim, n, period)
+# the symbol table: every Fourier symbol, built once per grid
 # ---------------------------------------------------------------------------
 
 
-def _key(grid: Grid) -> tuple[int, int, float]:
-    return grid.dim, grid.points_per_axis, grid.period
+@lru_cache(maxsize=64)
+def kappa_axes(grid: Grid) -> tuple[np.ndarray, ...]:
+    """Angular wavenumbers 2*pi*k/L per axis, shaped for broadcasting."""
+    n = grid.points_per_axis
+    return tuple(_on_axes(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.period / n)] * grid.dim))
 
 
 @lru_cache(maxsize=64)
-def _kappa_axes(dim: int, n: int, period: float) -> tuple[np.ndarray, ...]:
-    return tuple(_on_axes(*[2.0 * np.pi * np.fft.fftfreq(n, d=period / n)] * dim))
-
-
-@lru_cache(maxsize=64)
-def _kappa_sq(dim: int, n: int, period: float) -> np.ndarray:
-    axes = _kappa_axes(dim, n, period)
-    out = np.zeros((n,) * dim)
-    for a in axes:
+def kappa_sq(grid: Grid) -> np.ndarray:
+    """|2*pi*k/L|^2 on the full frequency lattice."""
+    out = np.zeros(grid.shape)
+    for a in kappa_axes(grid):
         out = out + a**2
     return out
 
 
 @lru_cache(maxsize=64)
-def _inv_lap_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    ks = _kappa_sq(dim, n, period).copy()
+def _inv_lap_symbol(grid: Grid) -> np.ndarray:
+    ks = kappa_sq(grid).copy()
     ks.flat[0] = 1.0
     sym = -1.0 / ks
     sym.flat[0] = 0.0
@@ -393,9 +393,9 @@ def _inv_lap_symbol(dim: int, n: int, period: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _riesz_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
+def _riesz_half_symbol(grid: Grid) -> np.ndarray:
     """(-Lap)^(-1/2), zero mode dropped."""
-    ks = _kappa_sq(dim, n, period).copy()
+    ks = kappa_sq(grid).copy()
     ks.flat[0] = 1.0
     sym = 1.0 / np.sqrt(ks)
     sym.flat[0] = 0.0
@@ -403,18 +403,18 @@ def _riesz_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _bessel_half_symbol(dim: int, n: int, period: float) -> np.ndarray:
+def _bessel_half_symbol(grid: Grid) -> np.ndarray:
     """(1 - Lap)^(-1/2)."""
-    return 1.0 / np.sqrt(1.0 + _kappa_sq(dim, n, period))
+    return 1.0 / np.sqrt(1.0 + kappa_sq(grid))
 
 
 @lru_cache(maxsize=64)
-def _bessel_inv_symbol(dim: int, n: int, period: float) -> np.ndarray:
-    return 1.0 / (1.0 + _kappa_sq(dim, n, period))
+def _bessel_inv_symbol(grid: Grid) -> np.ndarray:
+    return 1.0 / (1.0 + kappa_sq(grid))
 
 
 @lru_cache(maxsize=64)
-def _deriv_kappas(dim: int, n: int, period: float):
+def _deriv_kappas(grid: Grid):
     """Wavenumbers with the own-axis Nyquist entry zeroed, for the fused
     Hodge splits and the real path's derivatives: (kaps, grounded
     |kaps|^2, 1 / (1 + |kaps|^2)).
@@ -430,24 +430,14 @@ def _deriv_kappas(dim: int, n: int, period: float):
     the Nyquist planes.
     """
     kaps = []
-    for kap in _kappa_axes(dim, n, period):
+    for kap in kappa_axes(grid):
         k = kap.copy()
-        k.flat[n // 2] = 0.0
+        k.flat[grid.points_per_axis // 2] = 0.0
         kaps.append(k)
     ks = kaps[0] ** 2
     for k in kaps[1:]:
         ks = ks + k**2
     return tuple(kaps), np.where(ks > 0.0, ks, 1.0), 1.0 / (1.0 + ks)
-
-
-def kappa_axes(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Angular wavenumbers 2*pi*k/L per axis, shaped for broadcasting."""
-    return _kappa_axes(*_key(grid))
-
-
-def kappa_sq(grid: Grid) -> np.ndarray:
-    """|2*pi*k/L|^2 on the full frequency lattice."""
-    return _kappa_sq(*_key(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +620,7 @@ class _Spectral:
         return _half(table) if self.real else table
 
     def kappas(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.view(k) for k in _deriv_kappas(*_key(self.grid))[0])
+        return tuple(self.view(k) for k in _deriv_kappas(self.grid)[0])
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         return (_rfftn if self.real else _fftn)(values, self.grid.dim)
@@ -739,7 +729,7 @@ def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
                 )
     sp = _Spectral(field)
     hat = sp.forward(field.values)
-    hat *= sp.view(symbol_of(*_key(g)))
+    hat *= sp.view(symbol_of(g))
     return field.from_array(g, sp.inverse(hat))
 
 

@@ -46,7 +46,7 @@ from formbound.measures import (
     inhomogeneous_variants,
 )
 from formbound.oscillation import BmoReport, bmo_norm, vmo_profile
-from formbound.report import Record
+from formbound.report import OUTCOMES, Record
 from formbound.torus import (
     Grid,
     MatrixField,
@@ -61,8 +61,6 @@ from formbound.torus import (
     shared_grid,
     zero_mean,
 )
-
-OUTCOMES = ("certified_bounded", "certified_unbounded_n2", "inconclusive")
 
 # the exponent 1 + eps of the Fefferman-Phong sufficiency probe
 _FP_EPS = 0.5

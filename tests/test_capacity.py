@@ -379,8 +379,8 @@ def test_pruned_transforms_match_full_transforms_bitwise(monkeypatch, threads,
         idx = rng.permutation(np.flatnonzero(cells.reshape(-1)))
         for inhomogeneous in (False, True):
             # the Green symbol as its own half-spectrum array
-            symbol = (_half(_bessel_inv_symbol(dim, n, g.period)) if inhomogeneous
-                      else -_half(_inv_lap_symbol(dim, n, g.period)))
+            symbol = (_half(_bessel_inv_symbol(g)) if inhomogeneous
+                      else -_half(_inv_lap_symbol(g)))
 
             def green(charges):
                 grid_values = np.zeros(g.npoints)

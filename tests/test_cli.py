@@ -368,6 +368,18 @@ def test_nonlinear_rejects_complex_input(tmp_path, capsys, monkeypatch):
     assert "needs a real drift" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q_flag", [["--q-const", "1.0"], ["--q-preset", "trig"]])
+def test_homogeneous_decompose_rejects_q(q_flag, capsys):
+    # the homogeneous split has no q part, so a given q would go unread
+    code = main(["decompose", "--dim", "2", "--grid", "16", "--preset", "vortex",
+                 "--flavor", "homogeneous"] + q_flag)
+    assert code == 1
+    assert "homogeneous split takes no q" in capsys.readouterr().err
+    code = main(["decompose", "--dim", "2", "--grid", "16", "--preset", "vortex",
+                 "--flavor", "inhomogeneous"] + q_flag)
+    assert code == 0
+
+
 def test_decompose_rejects_scalar_payload(tmp_path, capsys):
     from formbound.torus import ScalarField
 

@@ -36,8 +36,8 @@ def _dense_operator(grid, apply_fn):
     return M
 
 
-def _dense_top_singular(grid, A, b, q, flavor):
-    """Assemble S L S as an explicit matrix and take its top singular value."""
+def _dense_compression(grid, A, b, q, flavor):
+    """S L S as an explicit matrix on the samples."""
     kaps = kappa_axes(grid)
     ks = kappa_sq(grid)
     d = grid.dim
@@ -60,7 +60,12 @@ def _dense_top_singular(grid, A, b, q, flavor):
     else:
         symv = np.where(ks > 0, 1.0 / np.sqrt(np.where(ks > 0, ks, 1.0)), 0.0)
     S = _dense_operator(grid, lambda f: np.fft.ifftn(symv * np.fft.fftn(f)))
-    return float(svdvals(S @ L @ S)[0])
+    return S @ L @ S
+
+
+def _dense_top_singular(grid, A, b, q, flavor):
+    """The top singular value of the explicit S L S."""
+    return float(svdvals(_dense_compression(grid, A, b, q, flavor))[0])
 
 
 @pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
@@ -442,6 +447,44 @@ def _band(g):
     return band
 
 
+_KINDS = ("none", "real", "complex")
+_HALF_CASES = [(2, A, drift, q) for A in _KINDS for drift in ("none", "one", "all")
+               for q in _KINDS]
+_HALF_CASES += [(3, "real", "all", "complex"), (3, "none", "one", "real"),
+                (3, "complex", "none", "none"), (3, "none", "all", "none")]
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+@pytest.mark.parametrize("dim, a_kind, drift, q_kind", _HALF_CASES)
+def test_planned_halves_match_dense_operator(dim, a_kind, drift, q_kind, flavor):
+    # the forward half is S L S term by term, and the conjugate half is
+    # its adjoint: <R x, y> = <x, R* y> on Fourier coefficient vectors.
+    # A and q are absent, real or complex; the drift is absent, on axis 0
+    # alone (the others identically zero) or on every axis
+    g = Grid(dim, 8, 1.0)
+    white = {"real": _white(g, 3), "complex": _white(g, 4, True)}
+    A = None if a_kind == "none" else white[a_kind][0]
+    q = None if q_kind == "none" else white[q_kind][2]
+    b_kind = "complex" if "complex" in (a_kind, q_kind) else "real"
+    b = None if drift == "none" else white[b_kind][1]
+    if drift == "one":
+        b = VectorField.from_array(g, np.concatenate([b.values[:1], 0.0 * b.values[1:]]))
+    op = formnorm._Operator(g, *(None if f is None else f.values for f in (A, b, q)),
+                            formnorm._sqrt_inv_symbol(g, flavor))
+    rng = np.random.default_rng(5)
+    x, y = (rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+            for _ in range(2))
+    rx = op.compressed(x, False, np.empty_like(x))
+    want = _dense_compression(g, A, b, q, flavor) @ np.fft.ifftn(x).reshape(-1)
+    got = np.fft.ifftn(rx).reshape(-1)
+    assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1.0)
+    ry = op.compressed(y.copy(), True, np.empty_like(y))
+    assert abs(np.vdot(y, rx) - np.vdot(ry, x)) <= \
+        1e-12 * np.linalg.norm(rx) * np.linalg.norm(y) + 1e-300
+    # the conjugate half may write over its input
+    assert np.array_equal(op.compressed(y, True, y), ry)
+
+
 def _forced_coarse_runs(monkeypatch, A, b, q, flavor):
     """form_norm with the coarse start forced at the coefficients' grid,
     and the (value, start) of each Lanczos run it made, the coarse one
@@ -480,8 +523,9 @@ def test_coarse_start_is_galerkin_projection(dim, n, flavor, monkeypatch):
         assert abs(shifted[0] - coarse) <= 1e-12 * coarse
     hats = start.view(np.complex128).reshape(g.shape)
     assert not hats[~_band(g)].any()
-    op = formnorm._Operator(g, A.values, b.values, q.values)
-    rx = op.compressed(hats, formnorm._sqrt_inv_symbol(g, flavor), False, np.empty_like(hats))
+    op = formnorm._Operator(g, A.values, b.values, q.values,
+                            formnorm._sqrt_inv_symbol(g, flavor))
+    rx = op.compressed(hats, False, np.empty_like(hats))
     quotient = np.sum(np.abs(rx[_band(g)]) ** 2) / np.sum(np.abs(hats) ** 2)
     assert abs(quotient - coarse) <= 1e-10 * coarse
     assert est.value**2 >= coarse * (1.0 - 1e-12)

@@ -119,6 +119,15 @@ def test_serialized_report_matches_schema(tmp_path):
     jsonschema.validate(loaded, _schema())
 
 
+def test_outcomes_match_schema():
+    # one list of outcomes: the verdicts and the validator read it, and the
+    # schema spells the same
+    from formbound import verdict
+
+    assert verdict.OUTCOMES is report.OUTCOMES
+    assert _schema()["properties"]["overall"]["enum"] == list(report.OUTCOMES)
+
+
 def test_nonfinite_constants_pass_schema():
     rec = report.record_entry("vmo_decay", float("inf"), passed=True)
     rep = report.build("infinitesimal", {"dim": 2}, [rec])
