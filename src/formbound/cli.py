@@ -253,11 +253,14 @@ def _cmd_decompose(args):
     if args.flavor == "homogeneous" and q is not None:
         raise ValueError("the homogeneous split takes no q; drop --q-const/--q-preset "
                          "or pass --flavor inhomogeneous")
-    # the residuals rebuild b = mean + c + Div F and q = div h + gamma from the parts
+    # the residuals rebuild b = b_h + c + Div F and q = div h + gamma from the
+    # parts; b_h repeats its table of parity classes over the grid
     if args.flavor == "homogeneous":
         dec = hodge_decompose(b)
         recon = (dec.c + mat_div(dec.F)).values
-        residual = max(float(np.max(np.abs(b.values[i] - dec.mean_part[i] - recon[i])))
+        reps = (grid.points_per_axis // 2,) * grid.dim
+        residual = max(float(np.max(np.abs(b.values[i] - np.tile(dec.harmonic[i], reps)
+                                           - recon[i])))
                        for i in range(grid.dim))
         extra = {}
     else:

@@ -2,24 +2,24 @@
 bounded remainders, plus the principal-part reduction for matrix
 coefficients.
 
-The homogeneous split of a mean-free field b is
+The homogeneous split of a field b is
 
-    b = grad(inv_laplacian(div b)) + mat_div(inv_laplacian(curl b)),
+    b = b_h + grad(inv_laplacian(div b)) + mat_div(inv_laplacian(curl b)),
 
-exact mode by mode with the curl convention of torus.py.  All multiplier
+exact mode by mode with the curl convention of torus.py, where the
+harmonic part b_h holds the modes that the Nyquist-zeroed derivative
+annihilates: the mean and the Nyquist-only modes.  All multiplier
 compositions are fused in frequency space: one batched forward transform
 of the input field and one batched inverse transform of every output
 component, both through torus, so the reconstruction residual is pure
 rounding.  A real field takes the real path (half spectra, ``rfftn`` /
 ``irfftn``) and a complex one the full spectra; both read the symbols of
 the torus table (``_deriv_kappas``, whose own-axis Nyquist entries are
-zero), the real path through ``[..., :n//2 + 1]`` views.  One caveat
-inherited from real spectral calculus: energy at the unpaired Nyquist
-frequency of a real field has no real derivative representation, so its
-solenoidal part shows up in the residual instead of in F.  Band-limited
-inputs (anything sampled from a smooth function) are reconstructed to
-machine precision.  The splits return their parts only: the residual is
-the diagnostic of the ``decompose`` command, which rebuilds b from them.
+zero), the real path through ``[..., :n//2 + 1]`` views.  b_h costs no
+transform: it is b's mean over each parity class of cells.  Every input,
+white noise included, is reconstructed to machine precision.  The splits
+return their parts only: the residual is the diagnostic of the
+``decompose`` command, which rebuilds b from them.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .torus import (
 
 __all__ = [
     "DecompositionResult",
+    "harmonic_part",
     "hodge_decompose",
     "project",
     "reduce_principal",
@@ -55,17 +56,36 @@ __all__ = [
 class DecompositionResult:
     """Outcome of a field decomposition.
 
-    mean_part is the removed zero mode (zeros for the inhomogeneous split,
-    which keeps every mode).  h and gamma are the potential part and
-    remainder of the inhomogeneous split's scalar source q, and None for
-    the homogeneous split, which takes no q.
+    harmonic is the table of ``harmonic_part``: the modes the homogeneous
+    split's derivative annihilates, which neither c nor Div F carries
+    (zeros for the inhomogeneous split, which keeps every mode in c).  h
+    and gamma are the potential part and remainder of the inhomogeneous
+    split's scalar source q, and None for the homogeneous split, which
+    takes no q.
     """
 
-    mean_part: np.ndarray
+    harmonic: np.ndarray
     c: VectorField
     F: MatrixField
     h: VectorField | None = None
     gamma: ScalarField | None = None
+
+    @property
+    def mean_part(self) -> np.ndarray:
+        """The zero mode of the harmonic part, which is b's mean."""
+        return self.harmonic.reshape(len(self.harmonic), -1).mean(axis=1)
+
+
+def harmonic_part(b: VectorField) -> np.ndarray:
+    """b_h, the part of b that the Nyquist-zeroed derivative annihilates:
+    the mean and the Nyquist-only modes, whose every wavenumber component
+    is 0 or n/2.  These modes span the fields that are constant on each
+    parity class of cells (i_1 mod 2, ..., i_d mod 2), so b_h is b's mean
+    over each class, computed without a transform.  Returned as an array
+    of shape (dim, 2, ..., 2) indexed by component, then class."""
+    g = b.grid
+    split = b.values.reshape((g.dim,) + (g.points_per_axis // 2, 2) * g.dim)
+    return split.mean(axis=tuple(range(1, 2 * g.dim, 2)))
 
 
 def _split_symbols(sp):
@@ -75,16 +95,13 @@ def _split_symbols(sp):
 
 
 def _fused_split(b: VectorField, homogeneous: bool):
-    """(mean, c, F) of the homogeneous or the Bessel split of b, from one
+    """(c, F) of the homogeneous or the Bessel split of b, from one
     batched forward and one batched inverse transform."""
     g = b.grid
     d = g.dim
     sp = _Spectral(b)
     kaps, ks, bessel = _split_symbols(sp)
     hats = sp.forward(b.values)
-    mean_part = np.array([h.flat[0] / g.npoints for h in hats])
-    if b.is_real:
-        mean_part = mean_part.real
     if homogeneous:
         for h in hats:
             h.flat[0] = 0.0
@@ -100,31 +117,33 @@ def _fused_split(b: VectorField, homogeneous: bool):
     spec = sp.stacked(itertools.chain(c_hat, f_hat), d + d * (d - 1) // 2)
     del hats, s, c_hat, f_hat
     back = sp.inverse(spec)
-    return mean_part, VectorField.from_array(g, back[:d]), _skew_field(g, back[d:])
+    return VectorField.from_array(g, back[:d]), _skew_field(g, back[d:])
 
 
 def hodge_decompose(b: VectorField) -> DecompositionResult:
-    """Split b into mean + gradient part c + divergence part mat_div(F)."""
+    """Split b into harmonic part b_h + gradient part c + divergence part
+    mat_div(F)."""
     if not isinstance(b, VectorField):
         raise RankError("hodge_decompose expects a vector field")
-    mean_part, c, F = _fused_split(b, homogeneous=True)
-    return DecompositionResult(mean_part=mean_part, c=c, F=F)
+    c, F = _fused_split(b, homogeneous=True)
+    return DecompositionResult(harmonic=harmonic_part(b), c=c, F=F)
 
 
 def project(which: str, b: VectorField) -> VectorField:
     """Idempotent Hodge projections, read off the homogeneous split.
 
-    "P" keeps the gradient part grad(inv_laplacian(div .)), "Q" the
-    divergence part mat_div(inv_laplacian(curl .)); both drop the mean and
-    satisfy P + Q = id - mean, P Q = Q P = 0 exactly.
+    "P" keeps the gradient part grad(inv_laplacian(div .)), "Q" the rest
+    of the mean-free part: the divergence part mat_div(inv_laplacian(curl .))
+    and the Nyquist-only modes of b_h.  Both drop the mean and satisfy
+    P + Q = id - mean, P Q = Q P = 0 exactly.
     """
     if which not in ("P", "Q"):
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")
-    mean_part, c, _ = _fused_split(b, homogeneous=True)
+    dec = hodge_decompose(b)
     if which == "P":
-        return c
-    mean = mean_part.reshape((-1,) + (1,) * b.grid.dim)
-    return VectorField.from_array(b.grid, b.values - mean - c.values)
+        return dec.c
+    mean = dec.mean_part.reshape((-1,) + (1,) * b.grid.dim)
+    return VectorField.from_array(b.grid, b.values - mean - dec.c.values)
 
 
 def _pointwise_opnorm(sym: np.ndarray, d: int) -> np.ndarray:
@@ -159,7 +178,7 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
     """
     g = shared_grid(b, q)
     d = g.dim
-    _, c, F = _fused_split(b, homogeneous=False)
+    c, F = _fused_split(b, homogeneous=False)
     sp = _Spectral(q)
     kaps, _, bessel = _split_symbols(sp)
     qhat = sp.forward(q.values)
@@ -167,6 +186,6 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
                                       [bessel * qhat]), d + 1)
     del qhat
     back = sp.inverse(spec)
-    return DecompositionResult(mean_part=np.zeros(d), c=c, F=F,
+    return DecompositionResult(harmonic=np.zeros((d,) + (2,) * d), c=c, F=F,
                                h=VectorField.from_array(g, back[:d]),
                                gamma=ScalarField(g, back[d]))

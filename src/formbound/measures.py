@@ -10,16 +10,20 @@ relative to the Dirichlet form:
 * ``ball_energy_test``  energy of the Riesz potential of mu restricted
                         to a ball, constant c3
 * ``pointwise_test``    I1[(I1 mu)^2] <= c4 I1 mu pointwise
-* ``fefferman_phong_test``  integral growth of a nonnegative density
+* ``fefferman_phong_test``  integral growth of the measure's density
                         raised to the power 1 + eps
 * ``inhomogeneous_variants``  the same battery with the Bessel kernel
                         (1 - Lap)^(-1/2) and the Carleson tree cut at
                         side L/2, for the W^{1,2} setting
 
 Conventions.  Balls are discrete: a cell belongs to B_r(x) iff its
-center lies within torus distance r of x.  Ball masses are computed for
-every center at once by circular convolution with the ball indicator.
-Radii default to the geometric family 2h * sqrt(2)^j capped at L/4.
+center lies within torus distance r of x.  The ball growth and
+Fefferman-Phong tests are one ball scan, which per radius convolves the
+cell masses (or rho^(1+eps) h^n) with the ball indicator, giving the ball
+sums at every center at once, and weights the peak by the test's power of
+r.  Radii default to the geometric family 2h * sqrt(2)^j capped at L/4.
+Every witness is the first maximum in C order (``torus._peak``), so a
+tie goes to the first radius given and the first center.
 
 The homogeneous Riesz potential I1 = (-Lap)^(-1/2) is evaluated
 spectrally on mean-free input; the mean of the density re-enters
@@ -44,6 +48,7 @@ from .torus import (
     _bessel_half_symbol,
     _half,
     _irfftn,
+    _peak,
     _rfftn,
     riesz_half,
 )
@@ -160,12 +165,9 @@ def _carleson_scan(tree: DyadicTree, first_level: int) -> tuple[float, Cube | No
         occupied = mass > 0.0
         if not occupied.any():
             continue
-        ratio = np.where(occupied, energy, 0.0) / np.where(occupied, mass, 1.0)
-        flat = int(ratio.argmax())
-        value = float(ratio.flat[flat])
+        value, index = _peak(np.where(occupied, energy, 0.0) / np.where(occupied, mass, 1.0))
         if value > best:
-            best = value
-            witness = tree.cube(level, np.unravel_index(flat, mass.shape))
+            best, witness = value, tree.cube(level, index)
     return best, witness
 
 
@@ -198,13 +200,6 @@ def geometric_radii(grid: Grid) -> list[float]:
     return radii
 
 
-def _ball_counts(mass_hat: np.ndarray, dist_sq: np.ndarray, radius: float) -> np.ndarray:
-    # mu(B_r(x)) for every center x at once: circular convolution of the
-    # mass (given by its half spectrum) with the (symmetric) ball indicator.
-    kernel = (dist_sq <= radius * radius).astype(np.float64)
-    return _irfftn(mass_hat * _rfftn(kernel), dist_sq.shape)
-
-
 def _check_radii(grid: Grid, radii: Sequence[float]) -> list[float]:
     radii = [float(r) for r in radii]
     if not radii:
@@ -217,6 +212,26 @@ def _check_radii(grid: Grid, radii: Sequence[float]) -> list[float]:
     return radii
 
 
+def _ball_scan(grid: Grid, values: np.ndarray, radii: Sequence[float] | None,
+               weight) -> tuple[float, tuple | None]:
+    """The largest weight(sum of ``values`` over B_r(x), r) over every
+    center x and every radius (the geometric family when None), with its
+    first (center, r).  Per radius, the sums at every center at once are
+    one circular convolution with the (symmetric) ball indicator."""
+    radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
+    dist_sq = grid.dist_sq()
+    values_hat = _rfftn(values)
+    best = 0.0
+    witness = None
+    for r in radii:
+        kernel = (dist_sq <= r * r).astype(np.float64)
+        mass, center = _peak(_irfftn(values_hat * _rfftn(kernel), grid.shape))
+        value = weight(mass, r)
+        if value > best:
+            best, witness = value, (center, r)
+    return best, witness
+
+
 def ball_growth_test(
     measure: DiscreteMeasure,
     radii: Sequence[float] | None = None,
@@ -227,23 +242,10 @@ def ball_growth_test(
     In two dimensions r^(n-2) = 1 and admissibility actually forces
     mu = 0; the record then carries the max ball mass with a note.
     """
-    grid = measure.grid
-    radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
-    dist_sq = grid.dist_sq()
-    mass_hat = _rfftn(measure.cell_mass)
-
-    best = 0.0
-    witness = None
-    for r in radii:
-        counts = _ball_counts(mass_hat, dist_sq, r)
-        flat = int(counts.argmax())
-        mass = float(counts.flat[flat])
-        value = mass if grid.dim == 2 else mass / r ** (grid.dim - 2)
-        if value > best:
-            best = value
-            witness = (tuple(int(i) for i in np.unravel_index(flat, counts.shape)), r)
-
-    note = "n=2: reporting max ball mass; admissibility forces mu = 0" if grid.dim == 2 else ""
+    d = measure.grid.dim
+    best, witness = _ball_scan(measure.grid, measure.cell_mass, radii,
+                               lambda mass, r: mass / r ** (d - 2))
+    note = "n=2: reporting max ball mass; admissibility forces mu = 0" if d == 2 else ""
     return Record("ball_growth", best, threshold, witness=witness, note=note)
 
 
@@ -278,8 +280,7 @@ def default_ball_sample(
         for idx in np.ndindex(*([n // step] * grid.dim))
     ]
     if measure is not None and measure.total > 0.0:
-        flat = int(measure.cell_mass.argmax())
-        peak = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
+        peak = _peak(measure.cell_mass)[1]
         if peak not in centers:
             centers.append(peak)
     sample = []
@@ -349,42 +350,24 @@ def _pointwise(measure, potential, test_name, threshold) -> Record:
         return Record(test_name, 0.0, threshold)
     squared = potential(ScalarField(grid, pot * pot))
     keep = pot > 1e-8 * top
-    ratio = np.where(keep, squared, 0.0) / np.where(keep, pot, 1.0)
-    flat = int(ratio.argmax())
-    witness = tuple(int(i) for i in np.unravel_index(flat, grid.shape))
-    return Record(test_name, float(ratio.flat[flat]), threshold, witness=witness)
+    value, witness = _peak(np.where(keep, squared, 0.0) / np.where(keep, pot, 1.0))
+    return Record(test_name, value, threshold, witness=witness)
 
 
 def fefferman_phong_test(
-    rho: ScalarField,
+    measure: DiscreteMeasure,
     eps: float,
     radii: Sequence[float] | None = None,
     threshold: float | None = None,
 ) -> Record:
-    """Max over balls of r^(2(1+eps)-n) int_{B_r} rho^(1+eps) dx."""
+    """Max over balls of r^(2(1+eps)-n) int_{B_r} rho^(1+eps) dx, rho the
+    density of the measure."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
-    if not rho.is_real:
-        raise ValueError("density must be real")
-    grid = rho.grid
-    values = rho.values.real
-    if values.size and float(values.min()) < _MASS_TOL:
-        raise ValueError(f"negative density sample {values.min():g}")
-    values = np.clip(values, 0.0, None)
-
-    radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
-    dist_sq = grid.dist_sq()
-    integrand_hat = _rfftn(values ** (1.0 + eps) * grid.cell_volume)
-
-    best = 0.0
-    witness = None
-    for r in radii:
-        integrals = _ball_counts(integrand_hat, dist_sq, r)
-        flat = int(integrals.argmax())
-        value = float(integrals.flat[flat]) * r ** (2.0 * (1.0 + eps) - grid.dim)
-        if value > best:
-            best = value
-            witness = (tuple(int(i) for i in np.unravel_index(flat, grid.shape)), r)
+    grid = measure.grid
+    integrand = measure.density().values ** (1.0 + eps) * grid.cell_volume
+    best, witness = _ball_scan(grid, integrand, radii,
+                               lambda mass, r: mass * r ** (2.0 * (1.0 + eps) - grid.dim))
     return Record("fefferman_phong", best, threshold, witness=witness)
 
 

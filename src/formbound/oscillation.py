@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import MatrixField, RankError, ScalarField
+from .torus import MatrixField, RankError, ScalarField, _peak
 
 __all__ = [
     "Cube",
@@ -109,13 +109,11 @@ def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
 def _sup(best, per_cube: np.ndarray, side: int, shift: tuple[int, ...]):
     """The larger of ``best`` and this layer's max with its first cube; a
     tie keeps ``best``, the cube met first."""
-    flat = int(np.argmax(per_cube))
-    top = float(per_cube.flat[flat])
+    top, idx = _peak(per_cube)
     if top <= best[0]:
         return best
     n = per_cube.shape[0] * side
-    idx = np.unravel_index(flat, per_cube.shape)
-    return top, Cube(tuple(int((i * side + o) % n) for i, o in zip(idx, shift)), side)
+    return top, Cube(tuple((i * side + o) % n for i, o in zip(idx, shift)), side)
 
 
 def _layer_sups(vals: np.ndarray, r: int, max_side: int, mass: bool = False):

@@ -797,6 +797,13 @@ def max_abs(field: Field) -> float:
     return float(_pointwise_magnitude(field).max())
 
 
+def _peak(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The first maximum of ``values`` in C order, with its index: the
+    witness rule of every test that says where its constant is attained."""
+    flat = int(values.argmax())
+    return float(values.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, values.shape))
+
+
 def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
     """Squared Dirichlet norm by Parseval from full spectra, or from the half
     spectra of real fields, whose interior columns of the last axis stand

@@ -34,6 +34,7 @@ import numpy as np
 from formbound.formnorm import ConvergenceError, form_norm, trace_constant
 from formbound.hodge import (
     _fused_split,
+    harmonic_part,
     hodge_decompose,
     inhomogeneous_decompose,
     reduce_principal,
@@ -52,6 +53,7 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    _peak,
     bessel_inv,
     curl,
     div,
@@ -193,6 +195,18 @@ def _outcome(records) -> str:
     return "inconclusive"
 
 
+def _harmonic_record(harmonic: np.ndarray, grid: Grid, thr: Thresholds) -> Record:
+    """sup|b_h| / kappa1, kappa1 = 2 pi / L, from the parity-class table of
+    b_h and witnessed by the first cell of the worst class.  For mean-free u
+    and v, |<b_h . grad u, v>| <= sup|b_h| ||grad u|| ||v||, and Poincare
+    bounds ||v|| by ||grad v|| / kappa1: no other record sees b_h, which
+    the derivatives of the split annihilate."""
+    top, cell = _peak(np.sqrt(sum(np.abs(h) ** 2 for h in harmonic)))
+    return Record("harmonic_drift", top / (2.0 * np.pi / grid.period), thr.trace,
+                  witness=cell, note="sup|b_h| / (2 pi / L), b_h the mean and "
+                                     "Nyquist-only modes")
+
+
 # the n=2 mass records: the divergence note, and the potential's name and note
 _N2_MASS = {
     "homogeneous": ("L1 of div b", "n2_potential_mass", "L1 of q"),
@@ -204,10 +218,11 @@ def _homogeneous_battery(
     pipeline: str, b: VectorField, q: ScalarField, thr: Thresholds
 ) -> list[Record]:
     """The Dirichlet-norm criterion on a drift b and potential q: in three
-    dimensions the stream part of b in BMO and |c|^2 + |grad inv_laplacian q~|^2
-    as an admissible measure, c the gradient part of b; in two dimensions the
-    masses of div b and q, then the rotation potential of b in BMO.  The
-    battery stops at a failed mass record."""
+    dimensions the harmonic part b_h of b bounded, the stream part of b in
+    BMO and |c|^2 + |grad inv_laplacian q~|^2 as an admissible measure, c
+    the gradient part of b; in two dimensions the masses of div b and q,
+    then b_h bounded and the rotation potential of b in BMO.  The battery
+    stops at a failed mass record."""
     grid = b.grid
     if grid.dim == 2:
         div_note, q_name, q_note = _N2_MASS[pipeline]
@@ -219,9 +234,11 @@ def _homogeneous_battery(
         if _obstructed(records):
             return records
         pot = inv_laplacian(curl(b)[0, 1], annihilate_mean=True)
-        return records + [_bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo)]
+        return records + [_harmonic_record(harmonic_part(b), grid, thr),
+                          _bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo)]
 
     dec = hodge_decompose(b)
+    harmonic = _harmonic_record(dec.harmonic, grid, thr)
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + _gradient_energy_density(q)
     bmo_rep = bmo_norm(dec.F)
@@ -230,7 +247,7 @@ def _homogeneous_battery(
     measure_records = [
         carleson_test(mu, threshold=thr.carleson),
         ball_growth_test(mu, threshold=thr.ball_growth),
-        fefferman_phong_test(mu.density(), _FP_EPS, threshold=thr.fefferman_phong),
+        fefferman_phong_test(mu, _FP_EPS, threshold=thr.fefferman_phong),
     ]
     # a round-off density (the gradient part of a divergence-free drift)
     # has no witness: its argmax is noise
@@ -239,7 +256,7 @@ def _homogeneous_battery(
         measure_records = [
             replace(r, witness=None, note=f"{r.note}; {note}" if r.note else note)
             for r in measure_records]
-    return [_bmo_record("stream_bmo", bmo_rep, thr.bmo), *measure_records]
+    return [harmonic, _bmo_record("stream_bmo", bmo_rep, thr.bmo), *measure_records]
 
 
 def assess_homogeneous(
@@ -394,16 +411,14 @@ def assess_infinitesimal(
         raise ValueError(f"delta {deltas[-1]} below resolution (needs >= 2h = {2*h})")
 
     # the stream part F of the Bessel split of b: q's split is not read
-    _, _, F = _fused_split(b0, homogeneous=False)
+    _, F = _fused_split(b0, homogeneous=False)
     vmo = vmo_profile(F, deltas)
 
     dens = sum(np.abs(c.values) ** 2 for c in b0.components) + np.abs(q0.values)
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
 
     n = grid.points_per_axis
-    peak_flat = int(mu.cell_mass.argmax())
-    peak = np.unravel_index(peak_flat, grid.shape)
-    anchors = [tuple(int(i) for i in peak), (n // 2,) * grid.dim, (0,) * grid.dim]
+    anchors = [_peak(mu.cell_mass)[1], (n // 2,) * grid.dim, (0,) * grid.dim]
 
     def _local(delta: float) -> float:
         side = max(1, int(round(delta / h)))

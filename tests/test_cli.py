@@ -368,6 +368,15 @@ def test_nonlinear_rejects_complex_input(tmp_path, capsys, monkeypatch):
     assert "needs a real drift" in capsys.readouterr().err
 
 
+def test_homogeneous_decompose_rebuilds_vortex(tmp_path):
+    # the vortex has energy on the Nyquist-only modes, which b_h carries
+    out = tmp_path / "rep.json"
+    assert main(["decompose", "--dim", "2", "--grid", "16", "--preset", "vortex",
+                 "--flavor", "homogeneous", "--out", str(out)]) == 0
+    recs = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    assert recs["reconstruction_residual"]["passed"]
+
+
 @pytest.mark.parametrize("q_flag", [["--q-const", "1.0"], ["--q-preset", "trig"]])
 def test_homogeneous_decompose_rejects_q(q_flag, capsys):
     # the homogeneous split has no q part, so a given q would go unread

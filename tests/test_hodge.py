@@ -3,6 +3,7 @@ import pytest
 
 from formbound import presets
 from formbound.hodge import (
+    harmonic_part,
     hodge_decompose,
     inhomogeneous_decompose,
     project,
@@ -26,9 +27,37 @@ def _sup(b):
 
 
 def _defect(b, dec):
-    """Componentwise max of |b_i - mean_i - (c + Div F)_i|."""
-    recon = dec.c + mat_div(dec.F)
-    return max(max_abs(b[i] - dec.mean_part[i] - recon[i]) for i in range(b.grid.dim))
+    """Componentwise max of |b_i - (b_h + c + Div F)_i|, b_h repeated over
+    the grid from its table of parity classes."""
+    recon = (dec.c + mat_div(dec.F)).values
+    reps = (b.grid.points_per_axis // 2,) * b.grid.dim
+    return max(float(np.abs(b.values[i] - np.tile(dec.harmonic[i], reps) - recon[i]).max())
+               for i in range(b.grid.dim))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_split_rebuilds_white_noise(dim, complex_, noise):
+    # full-spectrum noise plus a mean: the mean and the Nyquist-only modes,
+    # which no derivative sees, are b_h
+    g = Grid(dim, 16, 1.0)
+    vals = noise(g, seed=18).values + 0.5
+    if complex_:
+        vals = vals + 1j * noise(g, seed=19).values
+    b = VectorField.from_array(g, vals)
+    assert _defect(b, hodge_decompose(b)) <= 1e-13 * _sup(b)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_harmonic_part_is_the_nyquist_only_modes(dim, noise):
+    g = Grid(dim, 16, 1.0)
+    b = noise(g, seed=20)
+    axes = tuple(range(1, dim + 1))
+    keep = np.zeros(g.shape)
+    keep[np.ix_(*[[0, 8]] * dim)] = 1.0
+    want = np.fft.ifftn(np.fft.fftn(b.values, axes=axes) * keep, axes=axes).real
+    got = np.stack([np.tile(h, (8,) * dim) for h in harmonic_part(b)])
+    assert np.abs(got - want).max() <= 1e-14 * _sup(b)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 64), (3, 32)])

@@ -126,7 +126,7 @@ def test_ball_growth_radius_validation():
 
 @pytest.mark.parametrize("run", [
     lambda mu: ball_growth_test(mu, radii=[np.nan]),
-    lambda mu: fefferman_phong_test(mu.density(), 0.5, radii=[np.nan]),
+    lambda mu: fefferman_phong_test(mu, 0.5, radii=[np.nan]),
 ], ids=["ball_growth", "fefferman_phong"])
 def test_nan_radius_rejected(run):
     # a NaN radius compares False both ways: only a check that requires
@@ -134,6 +134,34 @@ def test_nan_radius_rejected(run):
     bump = presets.make_measure("bump", Grid(3, 16, 1.0))
     with pytest.raises(ValueError, match="radius nan"):
         run(bump)
+
+
+@pytest.mark.parametrize("dim, n", [(2, 16), (3, 8)])
+def test_ball_tests_match_brute_force_ball_sums(dim, n):
+    # every center and every geometric radius, each ball summed over its
+    # own dist_sq mask: per radius, over the whole family, and at the witness
+    g = Grid(dim, n, 1.0)
+    mu = DiscreteMeasure(g, np.random.default_rng(7).exponential(size=g.shape))
+    eps = 0.5
+    integrand = (mu.cell_mass / g.cell_volume) ** (1.0 + eps) * g.cell_volume
+    cases = [
+        (lambda radii: ball_growth_test(mu, radii), mu.cell_mass,
+         lambda mass, r: mass / r ** (dim - 2)),
+        (lambda radii: fefferman_phong_test(mu, eps, radii), integrand,
+         lambda mass, r: mass * r ** (2.0 * (1.0 + eps) - dim)),
+    ]
+    radii = geometric_radii(g)
+    for run, values, weight in cases:
+        def ball(center, r):
+            return weight(values[g.dist_sq(center) <= r * r].sum(), r)
+
+        tops = {r: max(ball(c, r) for c in np.ndindex(*g.shape)) for r in radii}
+        for r, top in tops.items():
+            assert abs(run([r]).constant - top) <= 1e-12 * top
+        rec = run(None)
+        want = max(tops.values())
+        assert abs(rec.constant - want) <= 1e-12 * want
+        assert abs(ball(*rec.witness) - want) <= 1e-12 * want
 
 
 def test_geometric_radii_span():
@@ -205,21 +233,18 @@ def test_pointwise_scaling_exact():
 
 def test_fefferman_phong_lebesgue():
     g = Grid(3, 16, 1.0)
-    rho = ScalarField(g, np.ones(g.shape))
-    rep = fefferman_phong_test(rho, 0.5)
+    rep = fefferman_phong_test(DiscreteMeasure.from_density(ScalarField(g, np.ones(g.shape))), 0.5)
     want = 4.0 * np.pi / 3.0 * 0.25 ** (2.0 * 1.5)  # (4pi/3) r^(2(1+eps)) at r = L/4
     assert abs(rep.constant - want) <= 0.1 * want
 
 
 def test_fefferman_phong_validation():
     g = Grid(2, 16, 1.0)
-    rho = ScalarField(g, np.ones(g.shape))
+    mu = presets.make_measure("lebesgue", g)
     with pytest.raises(ValueError):
-        fefferman_phong_test(rho, 0.0)
+        fefferman_phong_test(mu, 0.0)
     with pytest.raises(ValueError):
-        fefferman_phong_test(rho, 1.5)
-    with pytest.raises(ValueError):
-        fefferman_phong_test(ScalarField(g, -np.ones(g.shape)), 0.5)
+        fefferman_phong_test(mu, 1.5)
 
 
 def test_inhomogeneous_variants_lebesgue():

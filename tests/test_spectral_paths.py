@@ -138,9 +138,6 @@ def test_real_measure_potentials_match_complex_oracle(grid):
         return np.fft.ifftn(hat * np.fft.fftn((dist_sq <= r * r) * 1.0)).real
 
     radii = measures.geometric_radii(grid)
-    for r in radii:
-        _close(measures._ball_counts(torus._rfftn(mu.cell_mass), dist_sq, r),
-               counts(mass_hat, r))
     want = max(counts(mass_hat, r).max() / r ** (grid.dim - 2) for r in radii)
     got = measures.ball_growth_test(mu).constant
     assert abs(got - want) <= 1e-13 * want
@@ -149,7 +146,7 @@ def test_real_measure_potentials_match_complex_oracle(grid):
     eps = 0.5
     hat = np.fft.fftn(rho.values ** (1.0 + eps) * grid.cell_volume)
     want = max(counts(hat, r).max() * r ** (2.0 * (1.0 + eps) - grid.dim) for r in radii)
-    got = measures.fefferman_phong_test(rho, eps).constant
+    got = measures.fefferman_phong_test(mu, eps).constant
     assert abs(got - want) <= 1e-13 * want
 
     ks = _ksq(_kaps(grid, nyquist=True))

@@ -7,7 +7,8 @@ image, and the outcome and every constant above the round-off floor must
 agree.  The Lanczos tolerance is 1e-8, so 1e-7 leaves room for the form
 records.  A roll by one cell along x moves the dyadic records and the
 ball-energy sample, which hang on where the cells sit (ROADMAP, symmetry
-checks), so under it the outcome and the six spectral records alone are
+checks), so under it the outcome, the six spectral records and
+harmonic_drift (a max over the parity classes of cells) alone are
 asserted.  Cell-centred reflections still move some records and are not
 asserted here.
 """
@@ -23,9 +24,9 @@ _FLOOR = 1e-8
 _RTOL = 1e-7
 
 # the records that do not hang on where the dyadic cells or the sampled
-# balls sit
+# balls sit; a one-cell roll permutes the parity classes of b_h
 _SPECTRAL = {"form_norm", "trace", "strengthened_drift", "ball_growth",
-             "fefferman_phong", "pointwise_w12"}
+             "fefferman_phong", "pointwise_w12", "harmonic_drift"}
 
 
 def _moved(field, how: str):

@@ -228,8 +228,8 @@ def _gauge_case(name, dim, n, cancel):
     return assess_magnetic(a, q)
 
 
-_HOM3 = ("symmetric_sup", "stream_bmo", "carleson", "ball_growth", "fefferman_phong",
-         "form_norm")
+_HOM3 = ("symmetric_sup", "harmonic_drift", "stream_bmo", "carleson", "ball_growth",
+         "fefferman_phong", "form_norm")
 _MAG3 = _HOM3[1:]
 _N2 = ("symmetric_sup", "n2_divergence_mass", "n2_potential_mass")
 _MAG2 = ("n2_divergence_mass", "n2_effective_potential_mass")
@@ -242,7 +242,7 @@ _MAG2 = ("n2_divergence_mass", "n2_effective_potential_mass")
         _N2, "certified_unbounded_n2", id="homogeneous-n2-obstructed"),
     pytest.param(lambda: assess_homogeneous(
         None, presets.make_field("stream", Grid(2, 32, 1.0)), None),
-        _N2 + ("rotation_bmo", "form_norm"), "certified_bounded",
+        _N2 + ("harmonic_drift", "rotation_bmo", "form_norm"), "certified_bounded",
         id="homogeneous-n2"),
     pytest.param(lambda: assess_homogeneous(
         None, presets.make_field("gradient", Grid(3, 16, 1.0)), None),
@@ -250,7 +250,8 @@ _MAG2 = ("n2_divergence_mass", "n2_effective_potential_mass")
     pytest.param(lambda: _gauge_case("coulomb_gauge", 2, 32, False),
                  _MAG2, "certified_unbounded_n2", id="magnetic-n2-obstructed"),
     pytest.param(lambda: _gauge_case("stream", 2, 32, True),
-                 _MAG2 + ("rotation_bmo",), "certified_bounded", id="magnetic-n2"),
+                 _MAG2 + ("harmonic_drift", "rotation_bmo"), "certified_bounded",
+                 id="magnetic-n2"),
     pytest.param(lambda: _gauge_case("log_stream", 3, 16, False),
                  _MAG3, "inconclusive", id="magnetic-n3"),
     pytest.param(lambda: assess_inhomogeneous(
@@ -273,6 +274,37 @@ def test_outcome_rule_per_branch(run, names, overall):
         assert failed and all(name.startswith("n2_") for name in failed)
     else:
         assert bool(failed) == (overall == "inconclusive")
+
+
+def _harmonic_drift(name: str, dim: int) -> VectorField:
+    """b = 1000 e_x, or 100((-1)^i, (-1)^(i+j), 0): drifts made of the mean
+    and the Nyquist-only modes alone, which every derivative of the split
+    annihilates."""
+    g = Grid(dim, 16, 1.0)
+    vals = np.zeros((dim,) + g.shape)
+    if name == "constant":
+        vals[0] = 1000.0
+    else:
+        i, j = np.indices(g.shape)[:2]
+        vals[0], vals[1] = 100.0 * (-1.0) ** i, 100.0 * (-1.0) ** (i + j)
+    return VectorField.from_array(g, vals)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name, sup", [("constant", 1000.0), ("nyquist", 100.0 * np.sqrt(2.0))])
+def test_harmonic_drift_is_not_certified(name, sup, dim):
+    # every other thresholded record of these drifts reads 0
+    b = _harmonic_drift(name, dim)
+    want = sup / (2.0 * np.pi)
+    vd = assess_homogeneous(None, b, None)
+    assert [r.name for r in vd.records if not r.passed] == ["harmonic_drift"]
+    runs = [vd, assess_magnetic(b, None)] if dim == 3 else [vd]
+    for vd in runs:
+        rec = vd.record("harmonic_drift")
+        assert abs(rec.constant - want) <= 1e-12 * want
+        assert rec.threshold == Thresholds().trace
+        assert len(rec.witness) == dim
+        assert vd.overall == "inconclusive"
 
 
 def test_failed_sufficiency_probe_alone_is_inconclusive():
