@@ -12,16 +12,22 @@ matrix-free realization of the object under test:
 Each norm is the top eigenvalue of a Hermitian positive semidefinite
 operator (the compression itself, or R*R for a non-Hermitian R), found
 by one ARPACK call with fixed settings and a seeded start: implicitly
-restarted Lanczos (scipy.sparse.linalg.eigsh) on real vectors.  The
-trace operators are real symmetric already.  A form operator acts on N
-complex Fourier coefficients, read as 2N real unknowns: for Hermitian
-H that real-linear map is symmetric, has the spectrum of H with every
-eigenvalue doubled, and its real Rayleigh quotient equals <z, Hz>.
+restarted Lanczos (scipy.sparse.linalg.eigsh) on real vectors.  Both
+run on one operator: a trace is the form operator with q = rho, applied
+once (S rho S is symmetric), a form norm is R*R.  It differentiates with
+the Nyquist-free wavenumbers of ``_deriv_kappas``, as the rest of the
+package does.  Real or absent coefficients run it on the half spectra
+of real fields, about N real unknowns (see ``_Operator``).  Complex
+coefficients act on N complex Fourier coefficients, read as 2N real
+unknowns: for Hermitian H that real-linear map is symmetric, has the
+spectrum of H with every eigenvalue doubled, and its real Rayleigh
+quotient equals <z, Hz>.  A real field stored as complex gives the same
+value through either path.
 The form operator plans each half, R = S L S and R* = S L* S, once when
 it is built; a drift component or a potential that is identically zero
 gets no term, so a planar drift in 3-D costs 6 component transforms per
-R*R application instead of 8.  A problem on at most four unknowns (a
-small mask) is solved densely.
+R*R application instead of 8.  A masked trace keeps the masked cells as
+its unknowns, and a problem on at most four unknowns is solved densely.
 From 64 points per axis up, a form estimate starts from the top
 eigenvector of the Galerkin projection P R P onto the modes |k_i| < N/8,
 solved by the same call on the N/2 grid and zero-padded; its
@@ -60,7 +66,6 @@ from .torus import (
     _norm,
     _rfftn,
     _riesz_half_symbol,
-    kappa_axes,
     kappa_sq,
     shared_grid,
 )
@@ -177,9 +182,10 @@ def trace_constant(
 ) -> FormEstimate:
     """Best C in  int |u|^2 dmu <= C ||u||^2  for the flavor's norm.
 
-    Computed as the top eigenvalue of u -> S (rho S u) with rho the cell
-    density of mu.  With a boolean mask, trials are confined to the
-    masked cells and the eigenproblem is posed on those cells alone,
+    Computed as the top eigenvalue of S rho S with rho the cell density of
+    mu: the form operator with q = rho, applied once, on the unknowns of a
+    real field's half spectrum.  With a boolean mask, trials are confined
+    to the masked cells and the eigenproblem is posed on those cells alone,
     giving the localized constant used by the shrinking-neighborhood
     profile.
     """
@@ -189,25 +195,27 @@ def trace_constant(
         raise ValueError(f"mask shape {np.shape(mask)} does not match grid {grid.shape}")
     if measure.total <= 0.0:
         return FormEstimate(0.0, 0, 0.0)
-    rho = measure.cell_mass / grid.cell_volume
-    # S is real and even, so the operator is real symmetric: real vectors
-    # and half-spectrum transforms
-    sym = _half(_sqrt_inv_symbol(grid, flavor))
-    cells = slice(None) if mask is None else np.flatnonzero(mask)
-    start = _start_vector(grid.npoints, seed)[cells]
-    if start.size == 0:
-        return FormEstimate(0.0, 0, 0.0)
+    op = _Operator(grid, None, None, measure.cell_mass / grid.cell_volume,
+                   _sqrt_inv_symbol(grid, flavor))
+    if mask is None:
+        apply_op, spectrum, start = op.apply, op.spectrum, _start_vector(op.size, seed)
+    else:
+        cells = np.flatnonzero(mask)
+        start = _start_vector(grid.npoints, seed)[cells]
+        if start.size == 0:
+            return FormEstimate(0.0, 0, 0.0)
 
-    def smooth(x):
-        u = np.zeros(grid.npoints)
-        u[cells] = x
-        return _irfftn(_rfftn(u.reshape(grid.shape)) * sym, grid.shape)
+        def spectrum(x):
+            u = np.zeros(grid.npoints)
+            u[cells] = x
+            return _rfftn(u.reshape(grid.shape))
 
-    def apply_op(x):
-        return _irfftn(_rfftn(rho * smooth(x)) * sym, grid.shape).reshape(-1)[cells]
+        def apply_op(x):
+            hats = spectrum(x)
+            return op.samples(op.compressed(hats, False, hats)).reshape(-1)[cells]
 
     value, vec, iters, residual = _top_eigenpair(apply_op, start, seed)
-    witness = ScalarField(grid, smooth(vec))
+    witness = ScalarField(grid, op.samples(spectrum(vec) * op.sym))
     return FormEstimate(value, iters, residual, witness)
 
 
@@ -216,13 +224,23 @@ class _Operator:
     the paper's terms:
 
         L u  = sum_i d_i(sum_j A_ij d_j u) + sum_i b_i d_i u + q u,
-        L* v = sum_i d_i(sum_j conj(A_ji) d_j v) - sum_i d_i(conj(b_i) v) + conj(q) v.
+        L* v = sum_i d_i(sum_j conj(A_ji) d_j v) - sum_i d_i(conj(b_i) v) + conj(q) v,
 
-    A plan's spatial rows each sum coefficient x source (an axis derivative
-    of S u, or S u) and name the multiplier of their spectrum: i kappa_i
-    for a flux, -i kappa_i for an adjoint drift term, None for the point
-    row, which comes last.  Adding an exact 0 changes no value, so a zero
-    drift component or potential gets no term.
+    with d_i the Nyquist-free derivative of ``_deriv_kappas``.  A plan's
+    spatial rows each sum coefficient x source (an axis derivative of S u,
+    or S u) and name the multiplier of their spectrum: i kappa_i for a
+    flux, -i kappa_i for an adjoint drift term, None for the point row,
+    which comes last.  Adding an exact 0 changes no value, so a zero drift
+    component or potential gets no term.
+
+    With A, b and q real or absent, R maps real fields to real fields and
+    the operator runs on half spectra (``real``): a field's unknowns are
+    its half spectrum times ``weight``, sqrt 2 on the interior columns of
+    the last axis and 1 on its two self-conjugate columns (0 and n/2), so
+    that their Euclidean inner product is Parseval's.  The anti-Hermitian
+    parts of those two columns, which no real field has, lie in the null
+    space: the inverse transform drops them.  Otherwise the unknowns are
+    the real and imaginary parts of the full spectrum.
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None, b: np.ndarray | None,
@@ -231,8 +249,18 @@ class _Operator:
         self.A = A
         self.b = b
         self.q = None if q is None or not q.any() else q
-        self.sym = sym
-        self.ikappa = ik = tuple(1j * k for k in kappa_axes(grid))
+        self.real = not any(np.iscomplexobj(c) for c in (A, b, q) if c is not None)
+        view = _half if self.real else (lambda table: table)
+        self.sym = view(sym)
+        self.shape = self.sym.shape
+        self.size = 2 * self.sym.size
+        self.ikappa = ik = tuple(1j * view(k) for k in _deriv_kappas(grid)[0])
+        # the first and last multipliers of an application on the unknowns
+        self.weight, self._into, self._back = 1.0, self.sym, self.sym
+        if self.real:
+            self.weight = np.full(self.shape[-1], np.sqrt(2.0))
+            self.weight[[0, -1]] = 1.0
+            self._into, self._back = self.sym / self.weight, self.sym * self.weight
         drift = [] if b is None else [i for i in range(grid.dim) if b[i].any()]
         # a term is (coefficient, source): the axis of a derivative of S u,
         # or None for S u itself
@@ -244,9 +272,23 @@ class _Operator:
                   + [(potential, None)]),
         )
 
-    def compressed(self, hats, conjugate: bool, out: np.ndarray) -> np.ndarray:
+    def samples(self, hats: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """The samples of a spectrum, or of a batch of them; with
+        ``overwrite`` the caller gives the spectra up."""
+        if self.real:
+            return _irfftn(hats, self.grid.shape)
+        return _ifftn(hats, self.grid.dim, overwrite=overwrite)
+
+    def spectrum(self, x: np.ndarray) -> np.ndarray:
+        """The spectrum whose unknowns are ``x``."""
+        return x.view(np.complex128).reshape(self.shape) / self.weight
+
+    def compressed(self, hats, conjugate: bool, out: np.ndarray, into=None,
+                   back=None) -> np.ndarray:
         """Write the spectrum of S L S u, or of S L* S u, into ``out``
         (which may be ``hats``) and return it; ``hats`` is that of u.
+        ``into`` and ``back``, when given, stand in for the first and the
+        last multiplication by S.
 
         One inverse transform of the sources the half reads, one forward
         transform of its rows.  Every product is written into a buffer,
@@ -257,36 +299,42 @@ class _Operator:
             out[...] = 0.0
             return out
         d = self.grid.dim
-        waves = np.empty((slots,) + hats.shape, dtype=np.complex128)
+        waves = np.empty((slots,) + self.shape, dtype=np.complex128)
         # S u goes into the last slot, which is read before it is overwritten
-        np.multiply(hats, self.sym, out=waves[-1])
+        np.multiply(hats, self.sym if into is None else into, out=waves[-1])
         for k, axis in enumerate(derivs):
             np.multiply(self.ikappa[axis], waves[-1], out=waves[k])
-        waves = _ifftn(waves, d, overwrite=True)
-        spatial = np.empty((len(rows),) + hats.shape, dtype=np.complex128)
-        term = np.empty_like(hats)
+        waves = self.samples(waves, overwrite=True)
+        spatial = np.empty((len(rows),) + self.grid.shape, dtype=waves.dtype)
+        term = np.empty(self.grid.shape, dtype=waves.dtype)
         for row, (terms, _) in zip(spatial, rows):
             _accumulate(row, [(_conj(c) if conjugate else c, waves[k]) for c, k in terms],
                         term)
-        del waves
-        hat = _fftn(spatial, d, overwrite=True)
+        del waves, term
+        hat = _rfftn(spatial, d) if self.real else _fftn(spatial, d, overwrite=True)
         pairs = [(m, h) for (_, m), h in zip(rows, hat) if m is not None]
         if not pairs:
             out[...] = hat[-1]
         else:
-            _accumulate(out, pairs, term)
+            _accumulate(out, pairs, np.empty_like(out))
             if rows[-1][1] is None:
                 out += hat[-1]
-        out *= self.sym
+        out *= self.sym if back is None else back
         return out
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """R x on the unknowns; symmetric when R is Hermitian."""
+        hats = x.view(np.complex128).reshape(self.shape)
+        rx = self.compressed(hats, False, np.empty_like(hats), self._into, self._back)
+        return rx.reshape(-1).view(np.float64)
+
     def normal(self, x: np.ndarray) -> np.ndarray:
-        """R*R x on the real and imaginary parts of the Fourier coefficients;
-        the unnormalized transform scales the inner product uniformly, so
-        adjoints and Rayleigh quotients are unaffected."""
-        hats = x.view(np.complex128).reshape(self.grid.shape)
-        rx = self.compressed(hats, False, np.empty_like(hats))
-        return self.compressed(rx, True, rx).reshape(-1).view(np.float64)
+        """R*R x on the unknowns; the unnormalized transform scales the
+        inner product uniformly, so adjoints and Rayleigh quotients are
+        unaffected."""
+        hats = x.view(np.complex128).reshape(self.shape)
+        rx = self.compressed(hats, False, np.empty_like(hats), self._into)
+        return self.compressed(rx, True, rx, back=self._back).reshape(-1).view(np.float64)
 
 
 def _fluxes(M: np.ndarray | None, ikappa) -> list:
@@ -323,19 +371,29 @@ def _conj(values: np.ndarray) -> np.ndarray:
     return np.conj(values) if np.iscomplexobj(values) else values
 
 
+def _band(grid: Grid, kmax: int, half: bool) -> tuple[np.ndarray, ...]:
+    """``grid.band(kmax)``, or with ``half`` its modes 0..kmax of the last
+    axis, the part of the band a half spectrum holds."""
+    band = grid.band(kmax)
+    return band[:-1] + (band[-1][..., kmax:],) if half else band
+
+
 def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     """Each field of ``values`` (leading axes index components) cut to its
     modes |k_i| < n/4 and sampled on the coarse n/2 grid of the same period;
-    real input gives a contiguous real copy, which frees the complex one."""
+    real input takes the real transforms and gives real samples."""
     d, kmax = grid.dim, grid.points_per_axis // 4 - 1
-    fine_band, coarse_band = grid.band(kmax), coarse.band(kmax)
-    out = np.zeros(values.shape[:-d] + coarse.shape, dtype=np.complex128)
+    real = not np.iscomplexobj(values)
+    fine_band, coarse_band = _band(grid, kmax, real), _band(coarse, kmax, real)
+    spectrum = coarse.shape[:-1] + (coarse.points_per_axis // 2 + 1,) if real else coarse.shape
+    out = np.zeros(values.shape[:-d] + coarse.shape, dtype=values.dtype)
     for idx in np.ndindex(values.shape[:-d]):
         if values[idx].any():
-            hat = np.zeros(coarse.shape, dtype=np.complex128)
-            hat[coarse_band] = _fftn(values[idx])[fine_band] * (coarse.npoints / grid.npoints)
-            out[idx] = _ifftn(hat, overwrite=True)
-    return out if np.iscomplexobj(values) else np.ascontiguousarray(out.real)
+            hat = np.zeros(spectrum, dtype=np.complex128)
+            fine = _rfftn(values[idx]) if real else _fftn(values[idx])
+            hat[coarse_band] = fine[fine_band] * (coarse.npoints / grid.npoints)
+            out[idx] = _irfftn(hat, coarse.shape) if real else _ifftn(hat, overwrite=True)
+    return out
 
 
 def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, int]:
@@ -347,29 +405,31 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     on the N/2 grid and zero-padded.  The coarse coefficients keep the modes
     |k_i| < N/4: a coefficient mode there times a field mode in the band
     cannot alias back into the band, so the coarse operator restricted to
-    the band is P R P exactly, independent of where the cells sit.  A
-    zero coarse value (no coefficient mode reaches the band) leaves the
-    seeded random vector; a coarse run that does not converge raises
-    ConvergenceError as the fine one would.
+    the band is P R P exactly, independent of where the cells sit.  The
+    band holds neither grid's Nyquist column, so its unknowns carry the
+    same weights on both grids and the lift copies them.  A zero coarse
+    value (no coefficient mode reaches the band) leaves the seeded random
+    vector; a coarse run that does not converge raises ConvergenceError
+    as the fine one would.
     """
     grid = op.grid
     n, d = grid.points_per_axis, grid.dim
     if n < _COARSE_FROM:
-        return _start_vector(2 * grid.npoints, seed), 0
+        return _start_vector(op.size, seed), 0
     coarse = Grid(d, n // 2, grid.period)
     coefs = [None if v is None else _restrict(v, grid, coarse) for v in (op.A, op.b, op.q)]
     band = coarse.band(n // 8 - 1)
     sym = np.zeros(coarse.shape)
     sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
-    start = np.zeros(coarse.shape, dtype=np.complex128)
-    start[band] = _start_vector(2 * coarse.npoints, seed).view(np.complex128) \
-        .reshape(coarse.shape)[band]
-    value, vec, iters, _ = _top_eigenpair(
-        _Operator(coarse, *coefs, sym).normal, start.reshape(-1).view(np.float64), seed)
+    small = _Operator(coarse, *coefs, sym)
+    band = _band(coarse, n // 8 - 1, small.real)
+    start = np.zeros(small.shape, dtype=np.complex128)
+    start[band] = _start_vector(small.size, seed).view(np.complex128).reshape(small.shape)[band]
+    value, vec, iters, _ = _top_eigenpair(small.normal, start.reshape(-1).view(np.float64), seed)
     if value == 0.0:
-        return _start_vector(2 * grid.npoints, seed), iters
-    lifted = np.zeros(grid.shape, dtype=np.complex128)
-    lifted[grid.band(n // 8 - 1)] = vec.view(np.complex128).reshape(coarse.shape)[band]
+        return _start_vector(op.size, seed), iters
+    lifted = np.zeros(op.shape, dtype=np.complex128)
+    lifted[_band(grid, n // 8 - 1, op.real)] = vec.view(np.complex128).reshape(small.shape)[band]
     return lifted.reshape(-1).view(np.float64), iters
 
 
@@ -389,16 +449,16 @@ def form_norm(
     """
     _check_flavor(flavor)
     grid = shared_grid(A, b, q)
-    sym = _sqrt_inv_symbol(grid, flavor)
-    op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)), sym)
+    op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)),
+                   _sqrt_inv_symbol(grid, flavor))
     start, coarse_iters = _lanczos_start(op, flavor, seed)
     value, vec, iters, residual = _top_eigenpair(op.normal, start, seed)
-    hats = vec.view(np.complex128).reshape(grid.shape)
-    u = ScalarField(grid, _ifftn(hats * sym))
+    hats = op.spectrum(vec)
+    u = ScalarField(grid, op.samples(hats * op.sym))
     rx = op.compressed(hats, False, np.empty_like(hats))
-    v = ScalarField(grid, _ifftn(rx * sym / max(_norm(rx.view(np.float64)), 1e-300)))
-    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual, (u, v),
-                        coarse_iters)
+    rx *= op.sym / max(_norm((rx * op.weight).view(np.float64)), 1e-300)
+    return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual,
+                        (u, ScalarField(grid, op.samples(rx))), coarse_iters)
 
 
 def nonlinear_form_constant(

@@ -75,31 +75,44 @@ def _r_mean(absvals: np.ndarray, r: int) -> np.ndarray:
     return np.sqrt(np.square(absvals, out=absvals).mean(axis=-1))
 
 
+def _pieces(nb: int, side: int, offset: int) -> list[tuple[tuple[slice, slice], ...]]:
+    """The (destination, source) index pairs that lay one axis of a layer
+    out in (block, offset-in-block) coordinates: cube b of the shifted
+    layer holds cells b * side + offset + t, t < side, wrapped.  The cells
+    past the block's end come from the next block, and the last block's
+    from the first."""
+    whole = (slice(None), slice(None))
+    if not offset:
+        return [(whole, whole)]
+    head, tail = slice(0, side - offset), slice(side - offset, side)
+    return [((slice(None), head), (slice(None), slice(offset, side))),
+            ((slice(0, nb - 1), tail), (slice(1, nb), slice(0, offset))),
+            ((slice(nb - 1, nb), tail), (slice(0, 1), slice(0, offset)))]
+
+
 def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
                   mass: bool = False):
     """Per-cube oscillation of one (scale, shift) layer, and with ``mass``
     the r-mean of |f|; both shaped (n/side,)*d, or None for the mass.
 
-    The layer is laid out once as a contiguous (n_blocks, side**d) array,
-    one row per cube: roll by the shift, split each axis into (block,
-    offset), move the d block axes in front of the d offset axes and
-    flatten each group.  Every reduction then runs along the contiguous
-    last axis, instead of over d strided axes of length side.  The rows are
-    reduced in place, after the r-mean of |f| has read them: each row loses
-    its mean, and its |.| overwrites it (complex rows write it into one real
-    buffer).  Where the layout is a view of ``vals`` (side 1, and side n
-    without a shift) it is copied first, so the caller's samples are never
-    written.
+    The layer is copied once into a contiguous (n_blocks, side**d) array,
+    one row per cube: each axis of ``vals`` is split into (block, offset)
+    and the shift is applied by copying at most three slabs per axis (see
+    ``_pieces``) into the rows, viewed with the same split.  Every
+    reduction then runs along the contiguous last axis, instead of over d
+    strided axes of length side.  The rows are reduced in place, after the
+    r-mean of |f| has read them: each row loses its mean, and its |.|
+    overwrites it (complex rows write it into one real buffer).
     """
     d = vals.ndim
-    layer = vals
-    if any(shift):
-        layer = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(d)))
     nb = vals.shape[0] // side
-    order = tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-    rows = layer.reshape((nb, side) * d).transpose(order).reshape(nb**d, side**d)
-    if np.shares_memory(rows, vals):
-        rows = rows.copy()
+    rows = np.empty((nb,) * d + (side,) * d, dtype=vals.dtype)
+    # the rows seen as (block_0, offset_0, block_1, offset_1, ...)
+    dest = rows.transpose([a for axis in range(d) for a in (axis, d + axis)])
+    src = vals.reshape((nb, side) * d)
+    for pieces in itertools.product(*(_pieces(nb, side, o) for o in shift)):
+        dest[sum((to for to, _ in pieces), ())] = src[sum((of for _, of in pieces), ())]
+    rows = rows.reshape(nb**d, side**d)
     massr = _r_mean(np.abs(rows), r).reshape((nb,) * d) if mass else None
     rows -= rows.mean(axis=-1, keepdims=True)
     absvals = np.abs(rows, out=None if np.iscomplexobj(rows) else rows)

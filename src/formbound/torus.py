@@ -37,9 +37,9 @@ the Hodge splits pick their path through ``_Spectral``: a real field takes
 the half spectrum (the last axis keeps modes 0..n//2) and reads every
 symbol through ``_half``, a ``[..., :n//2 + 1]`` view of the cached table;
 a complex field takes the full spectrum and the whole tables.  The measure
-potentials and the nonlinear ascent, whose input is always real, call the
-real pair directly.  The form operator and the preset draw still transform
-real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
+potentials, the nonlinear ascent and the form operator (for real
+coefficients) call the real pair directly.  Only the preset draw still
+transforms real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
 as its 1-D passes, in scipy's order, and skips each pass over a line with
 no nonzero input or no output that is read; the capacity solver's Green
 operator and its band-limited gauge probes use it, and every value it
@@ -57,8 +57,9 @@ spectral-derivative convention.  Complex fields read the same table, so a
 field's derivatives, and every certificate built on them, do not depend on
 whether its samples are stored as real or complex; a complex field with no
 energy on the Nyquist planes differentiates as it would with the Nyquist
-entries kept.  Only the form operator still reads ``kappa_axes``, the
-table with the Nyquist entries.  Composite identities that must hold to
+entries kept.  The form operator reads the same table, for real and
+complex coefficients alike; ``kappa_axes``, the table with the Nyquist
+entries, only builds ``kappa_sq`` and this one.  Composite identities that must hold to
 machine precision (Hodge reconstruction and friends) are assembled in
 frequency space in one pass, see hodge.py.
 """

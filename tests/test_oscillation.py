@@ -13,6 +13,7 @@ from formbound.oscillation import (
     bmo_norm,
     vmo_profile,
 )
+from formbound.oscillation import _r_mean as _row_r_mean
 from formbound.torus import Grid, ScalarField
 
 # writing a complex |.| into a complex buffer hands complex sups to float()
@@ -139,15 +140,25 @@ def _r_mean(absvals, r):
 @pytest.mark.parametrize("r", [1, 2])
 def test_block_reduce_matches_cube_slices(dim, n, dtype, r):
     # every (side, shift) layer, every cube: the oscillation and the r-mean
-    # of |f| against the cube's own slice of the field
+    # of |f| against the cube's own slice of the field, and bit for bit
+    # against the same reductions of rows laid out by np.roll and a
+    # transpose; the caller's samples are not written
     grid = Grid(dim, n, 1.0)
     rng = np.random.default_rng(27)
     vals = rng.standard_normal(grid.shape)
     if dtype is np.complex128:
         vals = vals + 1j * rng.standard_normal(grid.shape)
+    kept = vals.copy()
+    order = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
     for side, shift in _layers(n, dim):
         osc, massr = _block_reduce(vals, side, shift, r, mass=True)
         assert osc.shape == massr.shape == (n // side,) * dim
+        nb = n // side
+        rows = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(dim))) \
+            .reshape((nb, side) * dim).transpose(order).reshape(nb**dim, side**dim)
+        assert np.array_equal(massr.reshape(-1), _row_r_mean(np.abs(rows), r))
+        centred = np.abs(rows - rows.mean(axis=-1, keepdims=True))
+        assert np.array_equal(osc.reshape(-1), _row_r_mean(centred, r))
         for idx in np.ndindex(osc.shape):
             corner = tuple((i * side + o) % n for i, o in zip(idx, shift))
             block = _cube_values(vals, Cube(corner, side))
@@ -155,6 +166,7 @@ def test_block_reduce_matches_cube_slices(dim, n, dtype, r):
             want_mass = _r_mean(np.abs(block), r)
             assert abs(osc[idx] - want_osc) <= 1e-13 * max(want_osc, 1.0)
             assert abs(massr[idx] - want_mass) <= 1e-13 * max(want_mass, 1.0)
+    assert np.array_equal(vals, kept)
 
 
 def _oracle(vals, r):

@@ -9,15 +9,18 @@ records.  A roll by one cell along x moves the dyadic records and the
 ball-energy sample, which hang on where the cells sit (ROADMAP, symmetry
 checks), so under it the outcome, the six spectral records and
 harmonic_drift (a max over the parity classes of cells) alone are
-asserted.  Cell-centred reflections still move some records and are not
-asserted here.
+asserted.  Cell-centred reflections still move some records, so under
+them only form_norm is asserted: its Nyquist-free derivative is odd in
+every mode, so the compression of a drift and of its mirror image are
+unitarily equivalent, and the two values agree to round-off.
 """
 
 import numpy as np
 import pytest
 
 from formbound import presets
-from formbound.torus import Grid, ScalarField
+from formbound.formnorm import form_norm
+from formbound.torus import Grid, ScalarField, VectorField
 from formbound.verdict import assess_homogeneous, assess_inhomogeneous, assess_magnetic
 
 _FLOOR = 1e-8
@@ -79,3 +82,15 @@ def test_verdict_invariant_under_grid_symmetry(dim, preset, pipeline, how):
         assert r1.passed == r0.passed, r0.name
         if abs(r0.constant) > _FLOOR:
             assert abs(r1.constant - r0.constant) <= _RTOL * abs(r0.constant), r0.name
+
+
+@pytest.mark.parametrize("flavor", ["homogeneous", "inhomogeneous"])
+def test_form_norm_invariant_under_cell_centred_reflection(flavor):
+    # i -> n - 1 - i along x, with b_x negated
+    g = Grid(3, 16, 1.0)
+    b = presets.make_field("vortex", g)
+    mirrored = np.flip(b.values, axis=1).copy()
+    mirrored[0] *= -1.0
+    base = form_norm(None, b, None, flavor=flavor).value
+    image = form_norm(None, VectorField.from_array(g, mirrored), None, flavor=flavor).value
+    assert abs(image - base) <= 1e-12 * base
