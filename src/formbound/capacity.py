@@ -405,15 +405,31 @@ def _probe_band(grid: Grid):
     return sub, _PrunedFFT("ifftn", grid.shape, nonzero=support)
 
 
-def _band_limited_probe(grid: Grid, rng: np.random.Generator):
-    """Random complex probe with modes |k_i| <= kmax, and its spectrum."""
-    sub, inverse = _probe_band(grid)
-    hats = np.zeros(grid.shape, dtype=np.complex128)
-    size = tuple(modes.size for modes in sub)
-    block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    hats[sub] = block
-    hats.flat[0] = 0.0
-    return inverse(hats.copy()).reshape(grid.shape), hats
+class _Probes:
+    """The gauge probes' kept buffers: one full spectrum, zeroed once, whose
+    band each draw refills; a copy of it that the pruned inverse runs on;
+    and one real buffer for the Dirichlet densities."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self._sub, self._inverse = _probe_band(grid)
+        self.hats = np.zeros(grid.shape, dtype=np.complex128)
+        self._work = np.empty_like(self.hats)
+        self._dens = np.empty(grid.shape)
+
+    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Random complex probe with modes |k_i| <= kmax, and its spectrum;
+        both are overwritten by the next draw."""
+        size = tuple(modes.size for modes in self._sub)
+        block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        self.hats[self._sub] = block
+        self.hats.flat[0] = 0.0
+        np.copyto(self._work, self.hats)
+        return self._inverse(self._work).reshape(self.grid.shape), self.hats
+
+    def norm(self, fhat: np.ndarray) -> float:
+        """Dirichlet norm of the full spectrum ``fhat``."""
+        return float(np.sqrt(_dirichlet_sq_from_hat(self.grid, fhat, self._dens)))
 
 
 def gauge_bounds(tau: float) -> tuple[float, float]:
@@ -461,12 +477,13 @@ def gauge_check(
     rng = np.random.default_rng(seed)
     hi = 0.0
     lo = np.inf
+    probes = _Probes(grid)
     for _ in range(nprobe):
-        probe, hats = _band_limited_probe(grid, rng)
-        base = float(np.sqrt(_dirichlet_sq_from_hat(grid, hats)))
-        # the twisted probe is a private temporary: transform it in place
-        twisted = np.sqrt(_dirichlet_sq_from_hat(
-            grid, _fftn(phase * probe, grid.dim, overwrite=True)))
+        probe, hats = probes.draw(rng)
+        base = probes.norm(hats)
+        # the probe's buffer is the next draw's: twist and transform in place
+        np.multiply(phase, probe, out=probe)
+        twisted = probes.norm(_fftn(probe, grid.dim, overwrite=True))
         ratio = twisted / base
         hi = max(hi, ratio)
         lo = min(lo, ratio)

@@ -9,14 +9,17 @@ The homogeneous split of a field b is
 exact mode by mode with the curl convention of torus.py, where the
 harmonic part b_h holds the modes that the Nyquist-zeroed derivative
 annihilates: the mean and the Nyquist-only modes.  All multiplier
-compositions are fused in frequency space: one batched forward transform
-of the input field and one batched inverse transform of every output
-component, both through torus, so the reconstruction residual is pure
-rounding.  A real field takes the real path (half spectra, ``rfftn`` /
-``irfftn``) and a complex one the full spectra; both read the symbols of
-the torus table (``_deriv_kappas``, whose own-axis Nyquist entries are
-zero), the real path through ``[..., :n//2 + 1]`` views.  b_h costs no
-transform: it is b's mean over each parity class of cells.  Every input,
+compositions are fused in frequency space, all through torus: one batched
+forward transform of the input field, then each output component's
+spectrum is built and inverse-transformed on its own, straight into the
+part that holds it.  So the reconstruction residual is pure rounding, and
+one output spectrum is alive at a time.  A real field takes the real path
+(half spectra, ``rfftn`` / ``irfftn``) and a complex one the full
+spectra; both read the symbols of the torus table (``_deriv_kappas``,
+whose own-axis Nyquist entries are zero), the real path through
+``[..., :n//2 + 1]`` views.  b_h costs no transform: it is b's mean over
+each parity class of cells, and a zero q costs the Bessel split none
+either.  Every input,
 white noise included, is reconstructed to machine precision.  The splits
 return their parts only: the residual is the diagnostic of the
 ``decompose`` command, which rebuilds b from them.
@@ -24,7 +27,6 @@ return their parts only: the residual is the diagnostic of the
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +98,8 @@ def _split_symbols(sp):
 
 def _fused_split(b: VectorField, homogeneous: bool):
     """(c, F) of the homogeneous or the Bessel split of b, from one
-    batched forward and one batched inverse transform."""
+    batched forward transform; each output component streams back on its
+    own."""
     g = b.grid
     d = g.dim
     sp = _Spectral(b)
@@ -114,10 +117,9 @@ def _fused_split(b: VectorField, homogeneous: bool):
         c_hat = (bessel * (kaps[i] * s + hats[i]) for i in range(d))
         f_hat = (-1j * bessel * (kaps[j] * hats[i] - kaps[i] * hats[j])
                  for i, j in _pairs(d))
-    spec = sp.stacked(itertools.chain(c_hat, f_hat), d + d * (d - 1) // 2)
-    del hats, s, c_hat, f_hat
-    back = sp.inverse(spec)
-    return VectorField.from_array(g, back[:d]), _skew_field(g, back[d:])
+    c = VectorField.from_array(g, sp.stream(c_hat, (d,)))
+    del s  # c alone reads it
+    return c, _skew_field(sp, f_hat)
 
 
 def hodge_decompose(b: VectorField) -> DecompositionResult:
@@ -179,13 +181,16 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
     g = shared_grid(b, q)
     d = g.dim
     c, F = _fused_split(b, homogeneous=False)
-    sp = _Spectral(q)
-    kaps, _, bessel = _split_symbols(sp)
-    qhat = sp.forward(q.values)
-    spec = sp.stacked(itertools.chain((-1j * kaps[i] * bessel * qhat for i in range(d)),
-                                      [bessel * qhat]), d + 1)
-    del qhat
-    back = sp.inverse(spec)
+    if not q.values.any():
+        # the verdicts fill an absent q with zeros: no transform for them
+        h = VectorField.from_array(g, np.zeros((d,) + g.shape, dtype=q.values.dtype))
+        gamma = ScalarField(g, np.zeros_like(q.values))
+    else:
+        sp = _Spectral(q)
+        kaps, _, bessel = _split_symbols(sp)
+        qhat = sp.forward(q.values)
+        h = VectorField.from_array(g, sp.stream((-1j * kaps[i] * bessel * qhat
+                                                 for i in range(d)), (d,)))
+        gamma = ScalarField(g, sp.inverse(bessel * qhat))
     return DecompositionResult(harmonic=np.zeros((d,) + (2,) * d), c=c, F=F,
-                               h=VectorField.from_array(g, back[:d]),
-                               gamma=ScalarField(g, back[d]))
+                               h=h, gamma=gamma)

@@ -30,8 +30,12 @@ constructor, which rejects NaN and infinite samples.
 Transforms.  Every transform in the package goes through ``_fftn`` /
 ``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real) here.  Given the
 grid's ``dim`` they transform the last ``dim`` axes and treat the leading
-axes as a batch, so a vector or matrix field costs one call; each
-component's result has the same bits as its own transform.  The calculus
+axes as a batch; each component's result has the same bits as its own
+transform.  An input vector or matrix field goes forward in one call
+(``mat_div`` takes one row per call).  The outputs of ``grad``, ``curl``,
+``mat_div`` and the Hodge splits come back one component at a time
+through ``_Spectral.stream``, so that one output spectrum is alive at a
+time; a multiplier transforms its batch back in one call.  The calculus
 below (``grad``, ``div``, ``curl``, ``mat_div`` and the multipliers) and
 the Hodge splits pick their path through ``_Spectral``: a real field takes
 the half spectrum (the last axis keeps modes 0..n//2) and reads every
@@ -592,23 +596,15 @@ def _pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
 
 
-def _skew_field(grid: Grid, upper: np.ndarray) -> MatrixField:
-    """Skew matrix field from its upper entries, stacked in ``_pairs`` order."""
-    d = grid.dim
-    out = np.zeros((d, d) + grid.shape, dtype=upper.dtype)
-    for (i, j), ent in zip(_pairs(d), upper):
-        out[i, j] = ent
-        out[j, i] = -ent
-    return MatrixField.from_array(grid, out)
-
-
 class _Spectral:
     """The transform pair and the symbol views for one field's samples.
 
-    Real samples take the real path: one batched ``rfftn`` over the grid
-    axes, symbols read through ``_half``, then ``irfftn``.  Complex samples
-    take ``fftn`` / ``ifftn`` and the whole tables.  Both differentiate
-    with the Nyquist-zeroed wavenumbers of ``_deriv_kappas``.
+    Real samples take the real path: ``rfftn`` over the grid axes, symbols
+    read through ``_half``, then ``irfftn``.  Complex samples take
+    ``fftn`` / ``ifftn`` and the whole tables.  Both differentiate with the
+    Nyquist-zeroed wavenumbers of ``_deriv_kappas``.  An input's components
+    go forward in one batched call; outputs come back through ``stream``,
+    one component at a time.
     """
 
     def __init__(self, field: _Field):
@@ -626,19 +622,44 @@ class _Spectral:
     def forward(self, values: np.ndarray) -> np.ndarray:
         return (_rfftn if self.real else _fftn)(values, self.grid.dim)
 
-    def stacked(self, parts, count: int) -> np.ndarray:
-        """A batch of the ``count`` spectra ``parts`` yields, filled one at a
-        time so that only one part is alive besides the batch."""
-        out = np.empty((count,) + self.shape, dtype=np.complex128)
-        for k, part in enumerate(parts):
-            out[k] = part
-        return out
+    def div_hat(self, values: np.ndarray) -> np.ndarray:
+        """Spectrum of the divergence of the vector whose components
+        ``values`` holds: sum_j i kappa_j hat_j."""
+        acc = np.zeros(self.shape, dtype=np.complex128)
+        for kap, hat in zip(self.kappas(), self.forward(values)):
+            acc += 1j * kap * hat
+        return acc
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
         """Samples of ``spec``, a buffer the caller gives up."""
         if self.real:
             return _irfftn(spec, self.grid.shape)
         return _ifftn(spec, self.grid.dim, overwrite=True)
+
+    def stream(self, parts, lead: tuple[int, ...], rows=None) -> np.ndarray:
+        """Samples of shape ``lead`` + grid: each spectrum that ``parts``
+        yields is inverse-transformed into the next of ``rows`` (indices
+        into ``lead``; by default its first axis in order), and every other
+        entry is zero.  Only one output spectrum is alive at a time, and
+        each row has the bits of a batched inverse, which transforms every
+        component on its own."""
+        out = np.zeros(lead + self.grid.shape,
+                       dtype=np.float64 if self.real else np.complex128)
+        for row, part in zip(range(lead[0]) if rows is None else rows, parts):
+            out[row] = self.inverse(part)
+        return out
+
+
+def _skew_field(sp: _Spectral, upper) -> MatrixField:
+    """Skew matrix field from the spectra of its upper entries, yielded in
+    ``_pairs`` order: each is streamed into its entry, and the lower entry
+    is its negative."""
+    d = sp.grid.dim
+    pairs = _pairs(d)
+    out = sp.stream(upper, (d, d), pairs)
+    for i, j in pairs:
+        np.negative(out[i, j], out=out[j, i])
+    return MatrixField.from_array(sp.grid, out)
 
 
 def _check_field(field) -> None:
@@ -658,20 +679,16 @@ def grad(f: ScalarField) -> VectorField:
     g = f.grid
     sp = _Spectral(f)
     fhat = sp.forward(f.values)
-    spec = sp.stacked((1j * kap * fhat for kap in sp.kappas()), g.dim)
-    return VectorField.from_array(g, sp.inverse(spec))
+    return VectorField.from_array(g, sp.stream((1j * kap * fhat for kap in sp.kappas()),
+                                               (g.dim,)))
 
 
 def div(v: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     if not isinstance(v, VectorField):
         raise RankError("div expects a vector field")
-    g = v.grid
     sp = _Spectral(v)
-    acc = np.zeros(sp.shape, dtype=np.complex128)
-    for kap, hat in zip(sp.kappas(), sp.forward(v.values)):
-        acc += 1j * kap * hat
-    return ScalarField(g, sp.inverse(acc))
+    return ScalarField(v.grid, sp.inverse(sp.div_hat(v.values)))
 
 
 def curl(v: VectorField) -> MatrixField:
@@ -682,31 +699,23 @@ def curl(v: VectorField) -> MatrixField:
     """
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")
-    g = v.grid
     sp = _Spectral(v)
     kaps = sp.kappas()
     hats = sp.forward(v.values)
-    pairs = _pairs(g.dim)
-    spec = sp.stacked((1j * (kaps[j] * hats[i] - kaps[i] * hats[j]) for i, j in pairs),
-                      len(pairs))
-    del hats
-    return _skew_field(g, sp.inverse(spec))
+    return _skew_field(sp, (1j * (kaps[j] * hats[i] - kaps[i] * hats[j])
+                            for i, j in _pairs(v.grid.dim)))
 
 
 def mat_div(m: MatrixField) -> VectorField:
-    """Row-wise divergence of a matrix field, (Div F)_i = sum_j d_j F_ij."""
+    """Row-wise divergence of a matrix field, (Div F)_i = sum_j d_j F_ij.
+    Each row goes forward on its own, so one row's spectra are alive at a
+    time."""
     if not isinstance(m, MatrixField):
         raise RankError("mat_div expects a matrix field")
     g = m.grid
     sp = _Spectral(m)
-    kaps = sp.kappas()
-    hats = sp.forward(m.values)
-    out = np.zeros((g.dim,) + sp.shape, dtype=np.complex128)
-    for acc, row in zip(out, hats):
-        for kap, hat in zip(kaps, row):
-            acc += 1j * kap * hat
-    del hats
-    return VectorField.from_array(g, sp.inverse(out))
+    return VectorField.from_array(g, sp.stream((sp.div_hat(row) for row in m.values),
+                                               (g.dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -805,13 +814,19 @@ def _peak(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(values.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, values.shape))
 
 
-def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray) -> float:
+def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray,
+                           dens: np.ndarray | None = None) -> float:
     """Squared Dirichlet norm by Parseval from full spectra, or from the half
     spectra of real fields, whose interior columns of the last axis stand
-    for their conjugate partners too; leading axes index components."""
+    for their conjugate partners too; leading axes index components.  The
+    full path writes its densities |kappa|^2 |fhat|^2 into ``dens``, a
+    real buffer of fhat's shape, when one is given."""
     scale = g.period**g.dim / g.npoints**2
     if fhat.shape[-1] == g.points_per_axis:
-        return float(np.sum(kappa_sq(g) * np.abs(fhat) ** 2) * scale)
+        dens = np.abs(fhat, out=dens)
+        np.square(dens, out=dens)
+        np.multiply(kappa_sq(g), dens, out=dens)
+        return float(np.sum(dens) * scale)
     dens = _half(kappa_sq(g)) * np.abs(fhat) ** 2
     edges = np.sum(dens[..., 0]) + np.sum(dens[..., -1])
     return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * scale)

@@ -10,7 +10,7 @@ from formbound import capacity as capacity_module
 from formbound.capacity import (
     CompactSet,
     _ChargeSystem,
-    _band_limited_probe,
+    _Probes,
     _ground_for,
     _start_cells,
     ball_set,
@@ -36,6 +36,11 @@ from formbound.torus import (
 
 
 CENTER3 = (0.5, 0.5, 0.5)
+
+
+def _band_limited_probe(grid, rng):
+    """A gauge probe and its spectrum, in buffers of their own."""
+    return _Probes(grid).draw(rng)
 
 
 @pytest.fixture(scope="module")
