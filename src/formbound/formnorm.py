@@ -11,8 +11,10 @@ matrix-free realization of the object under test:
 
 Each norm is the top eigenvalue of a Hermitian positive semidefinite
 operator (the compression itself, or R*R for a non-Hermitian R), found
-by one ARPACK call with fixed settings and a seeded start: implicitly
-restarted Lanczos (scipy.sparse.linalg.eigsh) on real vectors.  Both
+by one thick-restart Lanczos run (``_lanczos``) with fixed settings and
+a seeded start, on real vectors: a basis of five, the top two Ritz
+vectors kept at each restart, ARPACK's stopping rule, and every
+reduction a numpy one, so no BLAS pool moves a digit.  Both
 run on one operator: a trace is the form operator with q = rho, applied
 once (S rho S is symmetric), a form norm is R*R.  It differentiates with
 the Nyquist-free wavenumbers of ``_deriv_kappas``, as the rest of the
@@ -27,10 +29,10 @@ The form operator plans each half, R = S L S and R* = S L* S, once when
 it is built; a drift component or a potential that is identically zero
 gets no term, so a planar drift in 3-D costs 6 component transforms per
 R*R application instead of 8.  A masked trace keeps the masked cells as
-its unknowns, and a problem on at most four unknowns is solved densely.
+its unknowns.
 From 64 points per axis up, a form estimate starts from the top
 eigenvector of the Galerkin projection P R P onto the modes |k_i| < N/8,
-solved by the same call on the N/2 grid and zero-padded; its
+solved by the same solver on the N/2 grid and zero-padded; its
 applications are counted in ``coarse_iterations``, not ``iterations``.
 The reported value is the Rayleigh quotient of the returned unit
 vector, so it bounds the norm from below.
@@ -81,12 +83,14 @@ __all__ = [
 FLAVORS = ("homogeneous", "inhomogeneous")
 
 
-# Lanczos settings: one wanted pair from a basis of four vectors (three
-# did not converge on the 32^3 vortex in 300 restarts; six and eight
-# raise the 64^3 peak memory by 8 and 16 MiB), ARPACK's relative Ritz
-# tolerance, and a cap on implicit restarts, each of which costs
-# ncv - 1 = 3 matvecs.
-_NCV = 4
+# Lanczos settings: a basis of five vectors, of which each restart keeps
+# the top two Ritz vectors (keeping one in a basis of four did not
+# converge on the 16^3 vortex in 3000 matvecs), ARPACK's relative Ritz
+# tolerance, and a cap on restarts, each of which costs
+# _NCV - _KEEP = 3 matvecs.  The basis and the residual are one kept
+# (_NCV + 1, n) array, so a run holds 6n doubles beside its operator.
+_NCV = 5
+_KEEP = 2
 _TOL = 1e-8
 _MAX_RESTARTS = 1000
 
@@ -125,53 +129,78 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _top_eigenpair(apply_op, start: np.ndarray, seed: int):
+def _top_eigenpair(apply_op, start: np.ndarray):
     """Top eigenpair of a real symmetric positive semidefinite operator,
-    by implicitly restarted Lanczos from the given start vector.
+    by thick-restart Lanczos from the given start vector.
 
     Returns (value, unit vector, matvecs, relative eigen-residual).  The
-    zero operator, which ARPACK rejects, gives 0.0.
+    zero operator gives 0.0.
     """
-    # imported here: scipy.sparse.linalg adds about 60 ms to every start
-    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
-
-    matvecs = 0
-
-    def counted(x):
-        nonlocal matvecs
-        matvecs += 1
-        return apply_op(x)
-
-    n = start.size
-    if n <= _NCV:
-        # no room for a restarted basis; the whole matrix costs no more
-        # matvecs than one Lanczos pass would
-        _, vecs = np.linalg.eigh(np.column_stack([counted(e) for e in np.eye(n)]))
-        x = vecs[:, -1]
-    else:
-        op = LinearOperator((n, n), matvec=counted, dtype=np.float64)
-        # rng seeds the vector ARPACK restarts from when its Krylov space
-        # becomes invariant (an operator of rank below ncv)
-        try:
-            _, vecs = eigsh(op, k=1, which="LA", ncv=_NCV, tol=_TOL, v0=start,
-                            maxiter=_MAX_RESTARTS, rng=seed)
-        except ArpackNoConvergence:
-            raise ConvergenceError(
-                f"Lanczos not within {_TOL:g} after {_MAX_RESTARTS} restarts "
-                f"({matvecs} matvecs)"
-            ) from None
-        except ArpackError:
-            # ARPACK's first matvec maps v0 into the range of the operator
-            # and stops there if the product is zero: the zero operator
-            if counted(start).any():
-                raise
-            return 0.0, start / _norm(start), matvecs, 0.0
-        x = vecs[:, 0]
-    # the residual's matvec runs after ARPACK has freed its workspace
+    x, matvecs = _lanczos(apply_op, start)
+    # the residual's matvec runs after the basis is freed
     x /= _norm(x)
-    y = counted(x)
+    y = apply_op(x)
     value = _dot(x, y)
-    return value, x, matvecs, _norm(y - value * x) / max(value, 1e-300)
+    return value, x, matvecs + 1, _norm(y - value * x) / max(value, 1e-300)
+
+
+def _lanczos(apply_op, start: np.ndarray) -> tuple[np.ndarray, int]:
+    """The top Ritz vector of thick-restart Lanczos (Wu and Simon, 2000)
+    and the matvecs it took.
+
+    The rows of ``basis`` are the orthonormal Lanczos vectors, then the
+    normalized residual; ``T`` is the operator projected onto the vectors.
+    A restart keeps the top ``_KEEP`` Ritz vectors, whose block of ``T`` is
+    diagonal with an arrow row coupling it to the residual, which becomes
+    the next Lanczos vector.  After every matvec the top pair is tested
+    by ARPACK's rule, |beta s_m| <= _TOL max(|theta|, eps^(2/3)), so an
+    invariant Krylov space (beta = 0) is converged outright, and a problem
+    on at most ``_NCV`` unknowns ends within that many matvecs.
+    """
+    basis = np.empty((_NCV + 1, start.size))
+    np.divide(start, _norm(start), out=basis[0])
+    T = np.zeros((_NCV, _NCV))
+    floor = np.finfo(float).eps ** (2.0 / 3.0)
+    kept = matvecs = 0
+    for _ in range(_MAX_RESTARTS + 1):
+        for j in range(kept, _NCV):
+            w = apply_op(basis[j])
+            matvecs += 1
+            T[j, j], beta = _orthogonalize(w, basis[:j + 1])
+            theta, s = np.linalg.eigh(T[:j + 1, :j + 1])
+            if abs(beta * s[-1, -1]) <= _TOL * max(abs(theta[-1]), floor):
+                return np.einsum("i,in->n", s[:, -1], basis[:j + 1]), matvecs
+            if j + 1 < _NCV:
+                T[j, j + 1] = T[j + 1, j] = beta
+            np.divide(w, beta, out=basis[j + 1])
+        basis[:_KEEP] = np.einsum("ik,in->kn", s[:, -_KEEP:], basis[:_NCV])
+        basis[_KEEP] = basis[_NCV]
+        T[...] = 0.0
+        T[range(_KEEP), range(_KEEP)] = theta[-_KEEP:]
+        T[_KEEP, :_KEEP] = T[:_KEEP, _KEEP] = beta * s[-1, -_KEEP:]
+        kept = _KEEP
+    raise ConvergenceError(
+        f"Lanczos not within {_TOL:g} after {_MAX_RESTARTS} restarts ({matvecs} matvecs)"
+    )
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[float, float]:
+    """Classical Gram-Schmidt of ``w`` against the orthonormal rows of
+    ``basis``, in place, with one DGKS correction pass when ||w|| drops
+    below 0.717 of its value before the pass.  Returns w's coefficient on
+    the last row and the norm left, 0.0 when w lies numerically in the
+    span (the correction loses as much again)."""
+    before = _norm(w)
+    last = 0.0
+    for _ in range(2):
+        h = np.einsum("in,n->i", basis, w)
+        w -= np.einsum("i,in->n", h, basis)
+        last += h[-1]
+        after = _norm(w)
+        if after >= 0.717 * before:
+            return last, after
+        before = after
+    return last, 0.0
 
 
 def trace_constant(
@@ -214,7 +243,7 @@ def trace_constant(
             hats = spectrum(x)
             return op.samples(op.compressed(hats, False, hats)).reshape(-1)[cells]
 
-    value, vec, iters, residual = _top_eigenpair(apply_op, start, seed)
+    value, vec, iters, residual = _top_eigenpair(apply_op, start)
     witness = ScalarField(grid, op.samples(spectrum(vec) * op.sym))
     return FormEstimate(value, iters, residual, witness)
 
@@ -425,7 +454,7 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     band = _band(coarse, n // 8 - 1, small.real)
     start = np.zeros(small.shape, dtype=np.complex128)
     start[band] = _start_vector(small.size, seed).view(np.complex128).reshape(small.shape)[band]
-    value, vec, iters, _ = _top_eigenpair(small.normal, start.reshape(-1).view(np.float64), seed)
+    value, vec, iters, _ = _top_eigenpair(small.normal, start.reshape(-1).view(np.float64))
     if value == 0.0:
         return _start_vector(op.size, seed), iters
     lifted = np.zeros(op.shape, dtype=np.complex128)
@@ -452,7 +481,7 @@ def form_norm(
     op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)),
                    _sqrt_inv_symbol(grid, flavor))
     start, coarse_iters = _lanczos_start(op, flavor, seed)
-    value, vec, iters, residual = _top_eigenpair(op.normal, start, seed)
+    value, vec, iters, residual = _top_eigenpair(op.normal, start)
     hats = op.spectrum(vec)
     u = ScalarField(grid, op.samples(hats * op.sym))
     rx = op.compressed(hats, False, np.empty_like(hats))

@@ -145,11 +145,30 @@ def _form_record(name: str, thunk, threshold: float | None = None) -> Record:
     return Record(name, est.value, threshold)
 
 
-def _bmo_record(name: str, rep: BmoReport, threshold: float) -> Record:
-    """An oscillation record, witnessed by the worst cube (and, for a
-    matrix field, noted with the worst entry)."""
+# a constant at or below this share of its drift's scale is round-off,
+# and its argmax is noise: the record carries no witness
+_ROUNDOFF = 1e-12
+
+
+def _sup(b: VectorField) -> float:
+    """max_i sup|b_i|"""
+    return max(float(np.abs(c).max()) for c in b.values)
+
+
+def _roundoff(rec: Record, note: str) -> Record:
+    """``rec`` without its witness, noted as round-off."""
+    return replace(rec, witness=None, note=f"{rec.note}; {note}" if rec.note else note)
+
+
+def _bmo_record(name: str, rep: BmoReport, threshold: float, b: VectorField) -> Record:
+    """An oscillation record of a potential of the drift b, witnessed by
+    the worst cube (and, for a matrix field, noted with the worst entry);
+    at or below the round-off floor 1e-12 max|b_i| L, by no cube."""
     note = "" if rep.entry is None else f"worst entry {rep.entry}"
-    return Record(name, rep.norm, threshold, witness=rep.worst_cube, note=note)
+    rec = Record(name, rep.norm, threshold, witness=rep.worst_cube, note=note)
+    if rep.norm <= _ROUNDOFF * _sup(b) * b.grid.period:
+        rec = _roundoff(rec, "BMO norm at round-off level (<= 1e-12 max|b_i| L): no witness")
+    return rec
 
 
 def _fold_principal(A: MatrixField | None, b: VectorField):
@@ -195,16 +214,21 @@ def _outcome(records) -> str:
     return "inconclusive"
 
 
-def _harmonic_record(harmonic: np.ndarray, grid: Grid, thr: Thresholds) -> Record:
+def _harmonic_record(harmonic: np.ndarray, b: VectorField, thr: Thresholds) -> Record:
     """sup|b_h| / kappa1, kappa1 = 2 pi / L, from the parity-class table of
-    b_h and witnessed by the first cell of the worst class.  For mean-free u
-    and v, |<b_h . grad u, v>| <= sup|b_h| ||grad u|| ||v||, and Poincare
-    bounds ||v|| by ||grad v|| / kappa1: no other record sees b_h, which
-    the derivatives of the split annihilate."""
+    b_h (the harmonic part of the drift b) and witnessed by the first cell
+    of the worst class, unless it is at or below the round-off floor
+    1e-12 max|b_i| / kappa1.  For mean-free u and v,
+    |<b_h . grad u, v>| <= sup|b_h| ||grad u|| ||v||, and Poincare bounds
+    ||v|| by ||grad v|| / kappa1: no other record sees b_h, which the
+    derivatives of the split annihilate."""
     top, cell = _peak(np.sqrt(sum(np.abs(h) ** 2 for h in harmonic)))
-    return Record("harmonic_drift", top / (2.0 * np.pi / grid.period), thr.trace,
-                  witness=cell, note="sup|b_h| / (2 pi / L), b_h the mean and "
-                                     "Nyquist-only modes")
+    rec = Record("harmonic_drift", top / (2.0 * np.pi / b.grid.period), thr.trace,
+                 witness=cell, note="sup|b_h| / (2 pi / L), b_h the mean and "
+                                    "Nyquist-only modes")
+    if top <= _ROUNDOFF * _sup(b):
+        rec = _roundoff(rec, "at round-off level (<= 1e-12 max|b_i| / (2 pi / L)): no witness")
+    return rec
 
 
 # the n=2 mass records: the divergence note, and the potential's name and note
@@ -234,11 +258,11 @@ def _homogeneous_battery(
         if _obstructed(records):
             return records
         pot = inv_laplacian(curl(b)[0, 1], annihilate_mean=True)
-        return records + [_harmonic_record(harmonic_part(b), grid, thr),
-                          _bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo)]
+        return records + [_harmonic_record(harmonic_part(b), b, thr),
+                          _bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo, b)]
 
     dec = hodge_decompose(b)
-    harmonic = _harmonic_record(dec.harmonic, grid, thr)
+    harmonic = _harmonic_record(dec.harmonic, b, thr)
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + _gradient_energy_density(q)
     bmo_rep = bmo_norm(dec.F)
@@ -251,12 +275,10 @@ def _homogeneous_battery(
     ]
     # a round-off density (the gradient part of a divergence-free drift)
     # has no witness: its argmax is noise
-    if rho.max() <= (1e-12 * max(float(np.abs(c).max()) for c in b.values)) ** 2:
+    if rho.max() <= (_ROUNDOFF * _sup(b)) ** 2:
         note = "density at round-off level (<= (1e-12 max|b_i|)^2): no witness"
-        measure_records = [
-            replace(r, witness=None, note=f"{r.note}; {note}" if r.note else note)
-            for r in measure_records]
-    return [harmonic, _bmo_record("stream_bmo", bmo_rep, thr.bmo), *measure_records]
+        measure_records = [_roundoff(r, note) for r in measure_records]
+    return [harmonic, _bmo_record("stream_bmo", bmo_rep, thr.bmo, b), *measure_records]
 
 
 def assess_homogeneous(
@@ -305,7 +327,7 @@ def assess_inhomogeneous(
 
     dec = inhomogeneous_decompose(b1, q0)
     bmo_rep = bmo_norm(dec.F, flavor="BMO_sharp")
-    records.append(_bmo_record("stream_bmo_sharp", bmo_rep, thr.bmo))
+    records.append(_bmo_record("stream_bmo_sharp", bmo_rep, thr.bmo, b1))
 
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + sum(np.abs(c.values) ** 2 for c in dec.h.components)

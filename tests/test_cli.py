@@ -100,7 +100,7 @@ def test_reports_independent_of_thread_counts(tmp_path):
     runs = {
         "trace": ["trace", "--dim", "3", "--grid", "32", "--measure", "bump"],
         "formnorm": ["formnorm", "--dim", "3", "--grid", "32"],
-        # large enough that ARPACK's own BLAS calls could thread
+        # large enough that a reduction on the BLAS pool would thread
         "formnorm_64": ["formnorm", "--dim", "3", "--grid", "64"],
         "formnorm_complex": ["formnorm", "--dim", "3", "--grid", "32",
                              "--input", str(complex_drift)],

@@ -1,10 +1,14 @@
 """Static hygiene of the sources, read with ``ast``: no import that its
 module never uses (in ``src/`` and ``tests/``), no module-level private
 name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
-``src/`` that names nothing the module binds, and no dataclass field in
-``src/`` that nothing reads."""
+``src/`` that names nothing the module binds, no dataclass field in
+``src/`` that nothing reads, and no import of ``scipy.sparse`` or
+``scipy.linalg`` in ``src/`` (checked in a verdict run as well)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +146,42 @@ def test_every_dataclass_field_is_read():
             unread += [f"{path.relative_to(ROOT)}:{f.lineno} {node.name}.{f.target.id}"
                        for f in fields if f.target.id not in read]
     assert unread == []
+
+
+# the norm estimates run their own Lanczos on numpy; these two would add
+# megabytes of resident memory and BLAS calls to every run
+_BANNED = ("scipy.sparse", "scipy.linalg")
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names a module imports, with ``from a import b`` read as
+    both ``a`` and ``a.b``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+            out.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def _banned(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in _BANNED)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_sparse_or_dense_linalg_import(path):
+    assert sorted(m for m in _imported_modules(_tree(path)) if _banned(m)) == []
+
+
+def test_verdict_run_loads_neither_scipy_sparse_nor_linalg():
+    code = ("import sys\n"
+            "from formbound.cli import main\n"
+            "assert main(['verdict', '--dim', '3', '--grid', '16', '--threads', '1']) == 0\n"
+            "print(','.join(sorted(m for m in sys.modules if m.startswith('scipy.'))))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = done.stdout.strip().splitlines()[-1].split(",")
+    assert [m for m in loaded if _banned(m)] == []

@@ -2,7 +2,9 @@
 half and full spectra, the Hodge projections, batched complex and real
 transforms against one transform per component),
 of the measure tests (dyadic mass conservation, invariance under torus
-shifts) and of the compressed norms (linear scaling in the drift)."""
+shifts), of the compressed norms (linear scaling in the drift) and of
+the Lanczos solver behind them (the top eigenvalue of small dense
+symmetric matrices)."""
 
 import os
 
@@ -13,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formbound import presets  # noqa: E402
-from formbound.formnorm import form_norm  # noqa: E402
+from formbound.formnorm import _TOL, _top_eigenpair, form_norm  # noqa: E402
 from formbound.hodge import project  # noqa: E402
 from formbound.measures import (  # noqa: E402
     DiscreteMeasure,
@@ -175,3 +177,32 @@ def test_compressed_norms_scale_linearly_in_drift(grid, preset, flavor, alpha):
     base = form_norm(None, b, None, flavor=flavor).value
     scaled = form_norm(None, alpha * b, None, flavor=flavor).value
     assert abs(scaled - abs(alpha) * base) <= 1e-12 * abs(alpha) * base
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=5, max_value=60), seed=seeds,
+       rank=st.sampled_from([None, 1, 2, 3]),
+       cluster=st.sampled_from([None, 0.0, 1e-13, 1e-11]),
+       gap=st.floats(1e-3, 0.9), scale=st.floats(1e-3, 1e3))
+def test_lanczos_finds_the_top_eigenvalue(n, seed, rank, cluster, gap, scale):
+    # a symmetric PSD matrix whose top eigenvalue is 1, or a pair 1 and
+    # 1 - cluster, with the rest of the spectrum at most 1 - gap (zero
+    # beyond the rank), in a random orthonormal basis
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.0, 1.0 - gap, n)
+    if rank is not None:
+        lam[rank:] = 0.0
+    lam[0] = 1.0
+    if cluster is not None and (rank is None or rank > 1):
+        lam[1] = 1.0 - cluster
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    M = scale * (basis * lam) @ basis.T
+    M = (M + M.T) / 2.0
+    top = np.linalg.eigvalsh(M)[-1]
+    value, x, _, residual = _top_eigenpair(lambda v: M @ v, rng.standard_normal(n))
+    assert abs(value - top) <= 1e-10 * top
+    assert value <= top * (1.0 + 1e-13)
+    assert abs(np.linalg.norm(x) - 1.0) <= 1e-13
+    assert residual <= _TOL * (1.0 + 1e-6) + 1e-13
+    assert residual * value == pytest.approx(np.linalg.norm(M @ x - value * x),
+                                             rel=1e-6, abs=1e-13 * top)

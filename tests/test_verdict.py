@@ -68,6 +68,27 @@ def test_roundoff_density_carries_no_witness(name, roundoff):
             assert rec.constant < 1e-24 if roundoff else rec.constant > 1e-4
 
 
+@pytest.mark.parametrize("dim, name, roundoff", [
+    (3, "singular_gradient", {"harmonic_drift", "stream_bmo", "stream_bmo_sharp"}),
+    (3, "vortex", set()),
+    (2, "stream", {"harmonic_drift"}),
+])
+def test_roundoff_oscillation_carries_no_witness(dim, name, roundoff):
+    # a gradient drift has a stream part and a harmonic part of pure
+    # rounding; the vortex's are real, as is the rotation potential of the
+    # 2-D stream, whose harmonic part is rounding
+    b = presets.make_field(name, Grid(dim, 16, 1.0))
+    records = [r for vd in (assess_homogeneous(None, b, None), assess_inhomogeneous(None, b, None))
+               for r in vd.records
+               if r.name in ("harmonic_drift", "stream_bmo", "stream_bmo_sharp", "rotation_bmo")]
+    assert len(records) == 3
+    for rec in records:
+        assert rec.passed
+        assert (rec.witness is None) == (rec.name in roundoff), rec.name
+        assert ("round-off" in rec.note) == (rec.name in roundoff), rec.name
+        assert rec.constant < 1e-14 if rec.name in roundoff else rec.constant > 1e-3
+
+
 def test_two_dimensional_stream_certifies():
     g = Grid(2, 32, 1.0)
     vd = assess_homogeneous(None, presets.make_field("stream", g), None)
