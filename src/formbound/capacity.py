@@ -61,13 +61,11 @@ from .torus import (
     Grid,
     ScalarField,
     _PrunedFFT,
+    _Spectral,
     _bessel_inv_symbol,
     _dirichlet_sq_from_hat,
     _dot,
-    _fftn,
-    _half,
     _inv_lap_symbol,
-    _irfftn,
     _norm,
     dirichlet_norm,
 )
@@ -206,7 +204,8 @@ class _ChargeSystem:
         self._row = np.searchsorted(self._forward.rows, row)
         # (1 - Lap)^-1, or the grounded Lap^-1 with the charges negated
         table = _bessel_inv_symbol if inhomogeneous else _inv_lap_symbol
-        self._symbol = _half(table(grid))
+        self._sp = _Spectral(grid)
+        self._symbol = self._sp.view(table(grid))
         self._nb = _neighbours(grid, flat_idx)
         # charges plus one trailing zero that unlisted neighbours read
         self._padded = np.zeros(flat_idx.size + 1)
@@ -269,7 +268,7 @@ class _ChargeSystem:
         return sigma, iters
 
     def potential(self, sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
-        u = _irfftn(self._green_hat(sigma), self.grid.shape).reshape(-1)
+        u = self._sp.inverse(self._green_hat(sigma)).reshape(-1)
         if self.zero_sum:
             # constant component of the grounded problem, fixed by the
             # residual mean on the active cells
@@ -478,12 +477,13 @@ def gauge_check(
     hi = 0.0
     lo = np.inf
     probes = _Probes(grid)
+    sp = _Spectral(grid, real=False)
     for _ in range(nprobe):
         probe, hats = probes.draw(rng)
         base = probes.norm(hats)
         # the probe's buffer is the next draw's: twist and transform in place
         np.multiply(phase, probe, out=probe)
-        twisted = probes.norm(_fftn(probe, grid.dim, overwrite=True))
+        twisted = probes.norm(sp.forward(probe, overwrite=True))
         ratio = twisted / base
         hi = max(hi, ratio)
         lo = min(lo, ratio)

@@ -2,7 +2,7 @@
 
 Layout: 4-byte magic ``FBF1``, then little-endian uint32 words
 [version, dim, n_1, ..., n_dim, component_count, dtype_code], then the raw
-samples, component-major, C order.  dtype_code 0 is float64, 1 is
+samples, component-major, C order, and nothing after them.  dtype_code 0 is float64, 1 is
 complex128.  The physical period is run configuration, not file payload.
 """
 
@@ -38,19 +38,27 @@ def write_field(path, field) -> None:
         fh.write(np.ascontiguousarray(comps, dtype=_DTYPES[code]).tobytes())
 
 
+def _words(raw: bytes, offset: int, count: int) -> np.ndarray:
+    """``count`` header words from byte ``offset``; a file that ends inside
+    them is a FormatError."""
+    if len(raw) < offset + 4 * count:
+        raise FormatError(f"file of {len(raw)} bytes ends inside its header")
+    return np.frombuffer(raw, dtype="<u4", count=count, offset=offset)
+
+
 def read_field(path, period: float = 1.0):
-    """Read a field file; the component count decides the field rank."""
+    """Read a field file; the component count decides the field rank.  The
+    payload must hold exactly the samples the header declares."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    head = np.frombuffer(raw, dtype="<u4", count=2, offset=4)
-    version, dim = int(head[0]), int(head[1])
+    version, dim = (int(w) for w in _words(raw, 4, 2))
     if version != VERSION:
         raise FormatError(f"unsupported version {version}")
     if dim not in (2, 3):
         raise FormatError(f"unsupported dim {dim}")
-    rest = np.frombuffer(raw, dtype="<u4", count=dim + 2, offset=12)
+    rest = _words(raw, 12, dim + 2)
     sizes = [int(s) for s in rest[:dim]]
     ncomp, code = int(rest[dim]), int(rest[dim + 1])
     if len(set(sizes)) != 1:
@@ -64,8 +72,9 @@ def read_field(path, period: float = 1.0):
     dtype = _DTYPES[code]
     offset = 12 + 4 * (dim + 2)
     want = ncomp * grid.npoints
-    if len(raw) - offset < want * dtype.itemsize:
-        raise FormatError("truncated payload")
+    if len(raw) - offset != want * dtype.itemsize:
+        raise FormatError(f"payload of {len(raw) - offset} bytes, header declares "
+                          f"{want * dtype.itemsize}")
     data = np.frombuffer(raw, dtype=dtype, count=want, offset=offset)
     bad = int(np.count_nonzero(~np.isfinite(data)))
     if bad:

@@ -18,9 +18,13 @@ reduction a numpy one, so no BLAS pool moves a digit.  Both
 run on one operator: a trace is the form operator with q = rho, applied
 once (S rho S is symmetric), a form norm is R*R.  It differentiates with
 the Nyquist-free wavenumbers of ``_deriv_kappas``, as the rest of the
-package does.  Real or absent coefficients run it on the half spectra
-of real fields, about N real unknowns (see ``_Operator``).  Complex
-coefficients act on N complex Fourier coefficients, read as 2N real
+package does.  Every transform here is a ``torus._Spectral`` call: the
+operator holds the core of its grid and path, and its witnesses, the
+masked traces, the coarse restriction and the nonlinear ascent transform
+through it or through a core of their own.  Real or absent coefficients
+run the operator on the real path, the half spectra of real fields,
+about N real unknowns (see ``_Operator``).  Complex coefficients take the
+complex path and act on N complex Fourier coefficients, read as 2N real
 unknowns: for Hermitian H that real-linear map is symmetric, has the
 spectrum of H with every eigenvalue doubled, and its real Rayleigh
 quotient equals <z, Hz>.  A real field stored as complex gives the same
@@ -56,17 +60,12 @@ from .torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    _Spectral,
     _bessel_half_symbol,
-    _deriv_kappas,
     _dirichlet_sq_from_hat,
     _dot,
-    _fftn,
-    _half,
-    _ifftn,
     _inv_lap_symbol,
-    _irfftn,
     _norm,
-    _rfftn,
     _riesz_half_symbol,
     kappa_sq,
     shared_grid,
@@ -237,14 +236,14 @@ def trace_constant(
         def spectrum(x):
             u = np.zeros(grid.npoints)
             u[cells] = x
-            return _rfftn(u.reshape(grid.shape))
+            return op.sp.forward(u.reshape(grid.shape))
 
         def apply_op(x):
             hats = spectrum(x)
-            return op.samples(op.compressed(hats, False, hats)).reshape(-1)[cells]
+            return op.sp.inverse(op.compressed(hats, False, hats)).reshape(-1)[cells]
 
     value, vec, iters, residual = _top_eigenpair(apply_op, start)
-    witness = ScalarField(grid, op.samples(spectrum(vec) * op.sym))
+    witness = ScalarField(grid, op.sp.inverse(spectrum(vec) * op.sym))
     return FormEstimate(value, iters, residual, witness)
 
 
@@ -263,13 +262,14 @@ class _Operator:
     component or potential gets no term.
 
     With A, b and q real or absent, R maps real fields to real fields and
-    the operator runs on half spectra (``real``): a field's unknowns are
-    its half spectrum times ``weight``, sqrt 2 on the interior columns of
-    the last axis and 1 on its two self-conjugate columns (0 and n/2), so
-    that their Euclidean inner product is Parseval's.  The anti-Hermitian
-    parts of those two columns, which no real field has, lie in the null
-    space: the inverse transform drops them.  Otherwise the unknowns are
-    the real and imaginary parts of the full spectrum.
+    the operator runs on the real path of its core ``sp``, on half
+    spectra: a field's unknowns are its half spectrum times ``weight``,
+    sqrt 2 on the interior columns of the last axis and 1 on its two
+    self-conjugate columns (0 and n/2), so that their Euclidean inner
+    product is Parseval's.  The anti-Hermitian parts of those two columns,
+    which no real field has, lie in the null space: the inverse transform
+    drops them.  Otherwise the unknowns are the real and imaginary parts of
+    the full spectrum.
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None, b: np.ndarray | None,
@@ -278,15 +278,15 @@ class _Operator:
         self.A = A
         self.b = b
         self.q = None if q is None or not q.any() else q
-        self.real = not any(np.iscomplexobj(c) for c in (A, b, q) if c is not None)
-        view = _half if self.real else (lambda table: table)
-        self.sym = view(sym)
-        self.shape = self.sym.shape
+        real = not any(np.iscomplexobj(c) for c in (A, b, q) if c is not None)
+        self.sp = _Spectral(grid, real)
+        self.sym = self.sp.view(sym)
+        self.shape = self.sp.shape
         self.size = 2 * self.sym.size
-        self.ikappa = ik = tuple(1j * view(k) for k in _deriv_kappas(grid)[0])
+        self.ikappa = ik = tuple(1j * k for k in self.sp.kappas())
         # the first and last multipliers of an application on the unknowns
         self.weight, self._into, self._back = 1.0, self.sym, self.sym
-        if self.real:
+        if real:
             self.weight = np.full(self.shape[-1], np.sqrt(2.0))
             self.weight[[0, -1]] = 1.0
             self._into, self._back = self.sym / self.weight, self.sym * self.weight
@@ -300,13 +300,6 @@ class _Operator:
             _plan(_fluxes(transposed, ik) + [([(b[i], None)], -ik[i]) for i in drift]
                   + [(potential, None)]),
         )
-
-    def samples(self, hats: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """The samples of a spectrum, or of a batch of them; with
-        ``overwrite`` the caller gives the spectra up."""
-        if self.real:
-            return _irfftn(hats, self.grid.shape)
-        return _ifftn(hats, self.grid.dim, overwrite=overwrite)
 
     def spectrum(self, x: np.ndarray) -> np.ndarray:
         """The spectrum whose unknowns are ``x``."""
@@ -327,20 +320,19 @@ class _Operator:
         if not rows:
             out[...] = 0.0
             return out
-        d = self.grid.dim
         waves = np.empty((slots,) + self.shape, dtype=np.complex128)
         # S u goes into the last slot, which is read before it is overwritten
         np.multiply(hats, self.sym if into is None else into, out=waves[-1])
         for k, axis in enumerate(derivs):
             np.multiply(self.ikappa[axis], waves[-1], out=waves[k])
-        waves = self.samples(waves, overwrite=True)
+        waves = self.sp.inverse(waves)
         spatial = np.empty((len(rows),) + self.grid.shape, dtype=waves.dtype)
         term = np.empty(self.grid.shape, dtype=waves.dtype)
         for row, (terms, _) in zip(spatial, rows):
             _accumulate(row, [(_conj(c) if conjugate else c, waves[k]) for c, k in terms],
                         term)
         del waves, term
-        hat = _rfftn(spatial, d) if self.real else _fftn(spatial, d, overwrite=True)
+        hat = self.sp.forward(spatial, overwrite=True)
         pairs = [(m, h) for (_, m), h in zip(rows, hat) if m is not None]
         if not pairs:
             out[...] = hat[-1]
@@ -400,28 +392,20 @@ def _conj(values: np.ndarray) -> np.ndarray:
     return np.conj(values) if np.iscomplexobj(values) else values
 
 
-def _band(grid: Grid, kmax: int, half: bool) -> tuple[np.ndarray, ...]:
-    """``grid.band(kmax)``, or with ``half`` its modes 0..kmax of the last
-    axis, the part of the band a half spectrum holds."""
-    band = grid.band(kmax)
-    return band[:-1] + (band[-1][..., kmax:],) if half else band
-
-
 def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     """Each field of ``values`` (leading axes index components) cut to its
     modes |k_i| < n/4 and sampled on the coarse n/2 grid of the same period;
     real input takes the real transforms and gives real samples."""
     d, kmax = grid.dim, grid.points_per_axis // 4 - 1
     real = not np.iscomplexobj(values)
-    fine_band, coarse_band = _band(grid, kmax, real), _band(coarse, kmax, real)
-    spectrum = coarse.shape[:-1] + (coarse.points_per_axis // 2 + 1,) if real else coarse.shape
+    fine_sp, coarse_sp = _Spectral(grid, real), _Spectral(coarse, real)
     out = np.zeros(values.shape[:-d] + coarse.shape, dtype=values.dtype)
     for idx in np.ndindex(values.shape[:-d]):
         if values[idx].any():
-            hat = np.zeros(spectrum, dtype=np.complex128)
-            fine = _rfftn(values[idx]) if real else _fftn(values[idx])
-            hat[coarse_band] = fine[fine_band] * (coarse.npoints / grid.npoints)
-            out[idx] = _irfftn(hat, coarse.shape) if real else _ifftn(hat, overwrite=True)
+            hat = np.zeros(coarse_sp.shape, dtype=np.complex128)
+            fine = fine_sp.forward(values[idx])
+            hat[coarse_sp.band(kmax)] = fine[fine_sp.band(kmax)] * (coarse.npoints / grid.npoints)
+            out[idx] = coarse_sp.inverse(hat)
     return out
 
 
@@ -451,14 +435,14 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     sym = np.zeros(coarse.shape)
     sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
     small = _Operator(coarse, *coefs, sym)
-    band = _band(coarse, n // 8 - 1, small.real)
+    band = small.sp.band(n // 8 - 1)
     start = np.zeros(small.shape, dtype=np.complex128)
     start[band] = _start_vector(small.size, seed).view(np.complex128).reshape(small.shape)[band]
     value, vec, iters, _ = _top_eigenpair(small.normal, start.reshape(-1).view(np.float64))
     if value == 0.0:
         return _start_vector(op.size, seed), iters
     lifted = np.zeros(op.shape, dtype=np.complex128)
-    lifted[_band(grid, n // 8 - 1, op.real)] = vec.view(np.complex128).reshape(small.shape)[band]
+    lifted[op.sp.band(n // 8 - 1)] = vec.view(np.complex128).reshape(small.shape)[band]
     return lifted.reshape(-1).view(np.float64), iters
 
 
@@ -483,11 +467,11 @@ def form_norm(
     start, coarse_iters = _lanczos_start(op, flavor, seed)
     value, vec, iters, residual = _top_eigenpair(op.normal, start)
     hats = op.spectrum(vec)
-    u = ScalarField(grid, op.samples(hats * op.sym))
+    u = ScalarField(grid, op.sp.inverse(hats * op.sym))
     rx = op.compressed(hats, False, np.empty_like(hats))
     rx *= op.sym / max(_norm((rx * op.weight).view(np.float64)), 1e-300)
     return FormEstimate(float(np.sqrt(max(value, 0.0))), iters, residual,
-                        (u, ScalarField(grid, op.samples(rx))), coarse_iters)
+                        (u, ScalarField(grid, op.sp.inverse(rx))), coarse_iters)
 
 
 def nonlinear_form_constant(
@@ -517,16 +501,17 @@ def nonlinear_form_constant(
 
     smooth = 1e-8
     vol = grid.cell_volume
+    sp = _Spectral(grid)
     # Nyquist-zeroed wavenumbers: the real part of the full derivative
-    kaps = [_half(k) for k in _deriv_kappas(grid)[0]]
-    ks = _half(kappa_sq(grid))
-    inv_ks = -_half(_inv_lap_symbol(grid))
+    kaps = sp.kappas()
+    ks = sp.view(kappa_sq(grid))
+    inv_ks = -sp.view(_inv_lap_symbol(grid))
 
     def evaluate(hat):
         """The objective at ``hat`` scaled to unit Dirichlet norm, and what the
         gradient reads: (hat, u, b.grad u, |b.grad u|, |u|), smoothed."""
         hat = hat / np.sqrt(_dirichlet_sq_from_hat(grid, hat))
-        u, *grads = _irfftn(np.stack([hat] + [1j * k * hat for k in kaps]), grid.shape)
+        u, *grads = sp.inverse(np.stack([hat] + [1j * k * hat for k in kaps]))
         bg = sum(bv[i] * grads[i] for i in range(dim))
         mag_bg = np.sqrt(bg**2 + smooth**2)
         mag_u = np.sqrt(u**2 + smooth**2)
@@ -543,7 +528,7 @@ def nonlinear_form_constant(
         hats0 = np.zeros(grid.shape, np.complex128)
         hats0[band] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         hats0.flat[0] = 0.0
-        value, state = evaluate(_rfftn(_ifftn(hats0).real))
+        value, state = evaluate(sp.forward(_Spectral(grid, real=False).inverse(hats0).real))
 
         step = 0.5
         direction = None
@@ -554,11 +539,11 @@ def nonlinear_form_constant(
                 # d(num / den) at den = 1 as a density: d num = -div(b phi |u|)
                 # + |b.grad u| u / |u| with phi = b.grad u / |b.grad u|, d den = -2 Lap u
                 phi = bg / mag_bg
-                fluxes = _rfftn(np.stack([bv[i] * phi * mag_u for i in range(dim)]), dim)
+                fluxes = sp.forward(np.stack([bv[i] * phi * mag_u for i in range(dim)]))
                 flux_hat = sum(1j * kaps[i] * fluxes[i] for i in range(dim))
-                div_flux, lap_u = _irfftn(np.stack([flux_hat, ks * hat]), grid.shape)
+                div_flux, lap_u = sp.inverse(np.stack([flux_hat, ks * hat]))
                 grad_vals = -div_flux + mag_bg * (u / mag_u) - 2.0 * lap_u * value
-                g_hat = _rfftn(grad_vals) * inv_ks   # H^1 preconditioning
+                g_hat = sp.forward(grad_vals) * inv_ks   # H^1 preconditioning
                 gnorm = np.sqrt(_dirichlet_sq_from_hat(grid, g_hat))
                 if gnorm == 0.0:
                     break

@@ -102,7 +102,7 @@ def _fused_split(b: VectorField, homogeneous: bool):
     own."""
     g = b.grid
     d = g.dim
-    sp = _Spectral(b)
+    sp = _Spectral(b.grid, b.is_real)
     kaps, ks, bessel = _split_symbols(sp)
     hats = sp.forward(b.values)
     if homogeneous:
@@ -186,7 +186,7 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
         h = VectorField.from_array(g, np.zeros((d,) + g.shape, dtype=q.values.dtype))
         gamma = ScalarField(g, np.zeros_like(q.values))
     else:
-        sp = _Spectral(q)
+        sp = _Spectral(q.grid, q.is_real)
         kaps, _, bessel = _split_symbols(sp)
         qhat = sp.forward(q.values)
         h = VectorField.from_array(g, sp.stream((-1j * kaps[i] * bessel * qhat

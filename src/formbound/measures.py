@@ -45,11 +45,9 @@ from .report import Record
 from .torus import (
     Grid,
     ScalarField,
+    _Spectral,
     _bessel_half_symbol,
-    _half,
-    _irfftn,
     _peak,
-    _rfftn,
     riesz_half,
 )
 
@@ -220,12 +218,13 @@ def _ball_scan(grid: Grid, values: np.ndarray, radii: Sequence[float] | None,
     one circular convolution with the (symmetric) ball indicator."""
     radii = _check_radii(grid, radii if radii is not None else geometric_radii(grid))
     dist_sq = grid.dist_sq()
-    values_hat = _rfftn(values)
+    sp = _Spectral(grid)
+    values_hat = sp.forward(values)
     best = 0.0
     witness = None
     for r in radii:
         kernel = (dist_sq <= r * r).astype(np.float64)
-        mass, center = _peak(_irfftn(values_hat * _rfftn(kernel), grid.shape))
+        mass, center = _peak(sp.inverse(values_hat * sp.forward(kernel)))
         value = weight(mass, r)
         if value > best:
             best, witness = value, (center, r)
@@ -260,9 +259,8 @@ def _riesz_potential(density: ScalarField) -> np.ndarray:
 
 
 def _bessel_potential(density: ScalarField) -> np.ndarray:
-    grid = density.grid
-    symbol = _half(_bessel_half_symbol(grid))
-    return _irfftn(_rfftn(density.values.real) * symbol, grid.shape)
+    sp = _Spectral(density.grid)
+    return sp.inverse(sp.forward(density.values.real) * sp.view(_bessel_half_symbol(sp.grid)))
 
 
 def default_ball_sample(

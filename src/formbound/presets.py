@@ -21,7 +21,7 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
-    _ifftn,
+    _Spectral,
     _on_axes,
     grad,
     mat_div,
@@ -125,7 +125,7 @@ def _band_limited(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     hats = np.zeros(grid.shape, dtype=np.complex128)
     hats[band] = draw[band]
     hats.flat[0] = 0.0
-    vals = _ifftn(hats).real
+    vals = _Spectral(grid, real=False).inverse(hats).real
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 

@@ -27,30 +27,31 @@ one array of shape (dim, *grid) and a matrix field one of shape
 write through a view reaches the field.  Every field is built through one
 constructor, which rejects NaN and infinite samples.
 
-Transforms.  Every transform in the package goes through ``_fftn`` /
-``_ifftn`` (complex) or ``_rfftn`` / ``_irfftn`` (real) here.  Given the
-grid's ``dim`` they transform the last ``dim`` axes and treat the leading
-axes as a batch; each component's result has the same bits as its own
-transform.  An input vector or matrix field goes forward in one call
-(``mat_div`` takes one row per call).  The outputs of ``grad``, ``curl``,
-``mat_div`` and the Hodge splits come back one component at a time
-through ``_Spectral.stream``, so that one output spectrum is alive at a
-time; a multiplier transforms its batch back in one call.  The calculus
-below (``grad``, ``div``, ``curl``, ``mat_div`` and the multipliers) and
-the Hodge splits pick their path through ``_Spectral``: a real field takes
-the half spectrum (the last axis keeps modes 0..n//2) and reads every
-symbol through ``_half``, a ``[..., :n//2 + 1]`` view of the cached table;
-a complex field takes the full spectrum and the whole tables.  The measure
-potentials, the nonlinear ascent and the form operator (for real
-coefficients) call the real pair directly.  Only the preset draw still
-transforms real data as complex.  ``_PrunedFFT`` runs scipy's rfftn, irfftn or ifftn
-as its 1-D passes, in scipy's order, and skips each pass over a line with
-no nonzero input or no output that is read; the capacity solver's Green
-operator and its band-limited gauge probes use it, and every value it
-computes has the bits of the full transform.  Every Fourier symbol table
-is a function of the ``Grid`` under ``lru_cache``: the grid is a frozen
-dataclass and hashes by value, so a table is built once per grid, and
-every reader calls ``table(grid)``.
+Transforms.  Every transform in the package is a call of ``_Spectral``,
+which is keyed by a grid and a path: the real path takes the half spectrum
+(the last axis keeps modes 0..n//2) and reads every symbol through
+``_half``, a ``[..., :n//2 + 1]`` view of the cached table; the complex
+path takes the full spectrum and the whole tables.  Real data takes the
+real path (the calculus, the Hodge splits, the measure potentials and ball
+scans, the capacity potentials, the nonlinear ascent and the form operator
+on real coefficients); complex fields, the gauge probes' twisted spectra
+and the two draws that build real data from a complex spectrum (the
+``random`` presets and the ascent's starts) take the complex one.  The
+core transforms the last ``dim`` axes and treats the leading axes as a
+batch; each component's result has the same bits as its own transform.
+An input vector or matrix field goes forward in one call (``mat_div``
+takes one row per call).  The outputs of ``grad``, ``curl``, ``mat_div`` and the Hodge
+splits come back one component at a time through ``_Spectral.stream``, so
+that one output spectrum is alive at a time; a multiplier transforms its
+batch back in one call.  The only other caller of scipy.fft is
+``_PrunedFFT``, which runs scipy's rfftn, irfftn or ifftn as its 1-D
+passes, in scipy's order, and skips each pass over a line with no nonzero
+input or no output that is read; the capacity solver's Green operator and
+its band-limited gauge probes use it, and every value it computes has the
+bits of the full transform.  Every Fourier symbol table is a function of
+the ``Grid`` under ``lru_cache``: the grid is a frozen dataclass and
+hashes by value, so a table is built once per grid, and every reader calls
+``table(grid)``.
 
 Derivatives of real fields are real.  A real field's unpaired Nyquist mode
 carries no direction of travel, so the real path differentiates with
@@ -137,36 +138,8 @@ def fft_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _axes(dim: int | None) -> tuple[int, ...] | None:
-    return None if dim is None else tuple(range(-dim, 0))
-
-
-def _fftn(values: np.ndarray, dim: int | None = None,
-          overwrite: bool = False) -> np.ndarray:
-    """Transform over the last ``dim`` axes (every axis when None).
-
-    With ``overwrite`` a complex input is transformed in place.
-    """
-    return _sfft.fftn(values, axes=_axes(dim), overwrite_x=overwrite,
-                      workers=fft_workers())
-
-
-def _ifftn(values: np.ndarray, dim: int | None = None,
-           overwrite: bool = False) -> np.ndarray:
-    return _sfft.ifftn(values, axes=_axes(dim), overwrite_x=overwrite,
-                       workers=fft_workers())
-
-
-def _rfftn(values: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Half spectrum of a real array over the last ``dim`` axes (every axis
-    when None): the last of them keeps modes 0..n//2."""
-    return _sfft.rfftn(values, axes=_axes(dim), workers=fft_workers())
-
-
-def _irfftn(values: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Real samples of shape ``shape`` from half spectra over the last
-    ``len(shape)`` axes; leading axes are a batch."""
-    return _sfft.irfftn(values, s=shape, workers=fft_workers())
+def _axes(dim: int) -> tuple[int, ...]:
+    return tuple(range(-dim, 0))
 
 
 def _half(table: np.ndarray) -> np.ndarray:
@@ -597,21 +570,22 @@ def _pairs(d: int) -> list[tuple[int, int]]:
 
 
 class _Spectral:
-    """The transform pair and the symbol views for one field's samples.
+    """The transform pair and the symbol views of one grid and path: every
+    transform in the package but ``_PrunedFFT``'s runs here.
 
-    Real samples take the real path: ``rfftn`` over the grid axes, symbols
-    read through ``_half``, then ``irfftn``.  Complex samples take
-    ``fftn`` / ``ifftn`` and the whole tables.  Both differentiate with the
-    Nyquist-zeroed wavenumbers of ``_deriv_kappas``.  An input's components
-    go forward in one batched call; outputs come back through ``stream``,
-    one component at a time.
+    The real path (``real``) takes ``rfftn`` over the grid axes, reads
+    symbols through ``_half`` and comes back through ``irfftn``.  The
+    complex path takes ``fftn`` / ``ifftn`` and the whole tables.  Both
+    differentiate with the Nyquist-zeroed wavenumbers of ``_deriv_kappas``.
+    Leading axes are a batch, so an input's components go forward in one
+    call; outputs can come back through ``stream``, one component at a
+    time.
     """
 
-    def __init__(self, field: _Field):
-        g = field.grid
-        self.grid = g
-        self.real = field.is_real
-        self.shape = g.shape[:-1] + (g.points_per_axis // 2 + 1,) if self.real else g.shape
+    def __init__(self, grid: Grid, real: bool = True):
+        self.grid = grid
+        self.real = real
+        self.shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,) if real else grid.shape
 
     def view(self, table: np.ndarray) -> np.ndarray:
         return _half(table) if self.real else table
@@ -619,8 +593,19 @@ class _Spectral:
     def kappas(self) -> tuple[np.ndarray, ...]:
         return tuple(self.view(k) for k in _deriv_kappas(self.grid)[0])
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        return (_rfftn if self.real else _fftn)(values, self.grid.dim)
+    def band(self, kmax: int) -> tuple[np.ndarray, ...]:
+        """``grid.band(kmax)``, on the real path its modes 0..kmax of the
+        last axis, the part of the band a half spectrum holds."""
+        band = self.grid.band(kmax)
+        return band[:-1] + (band[-1][..., kmax:],) if self.real else band
+
+    def forward(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Spectra of ``values``; with ``overwrite`` the complex path may
+        transform the input in place."""
+        axes = _axes(self.grid.dim)
+        if self.real:
+            return _sfft.rfftn(values, axes=axes, workers=fft_workers())
+        return _sfft.fftn(values, axes=axes, overwrite_x=overwrite, workers=fft_workers())
 
     def div_hat(self, values: np.ndarray) -> np.ndarray:
         """Spectrum of the divergence of the vector whose components
@@ -631,10 +616,12 @@ class _Spectral:
         return acc
 
     def inverse(self, spec: np.ndarray) -> np.ndarray:
-        """Samples of ``spec``, a buffer the caller gives up."""
+        """Samples of ``spec``, a buffer the caller gives up: the complex
+        path transforms it in place."""
         if self.real:
-            return _irfftn(spec, self.grid.shape)
-        return _ifftn(spec, self.grid.dim, overwrite=True)
+            return _sfft.irfftn(spec, s=self.grid.shape, workers=fft_workers())
+        return _sfft.ifftn(spec, axes=_axes(self.grid.dim), overwrite_x=True,
+                           workers=fft_workers())
 
     def stream(self, parts, lead: tuple[int, ...], rows=None) -> np.ndarray:
         """Samples of shape ``lead`` + grid: each spectrum that ``parts``
@@ -677,7 +664,7 @@ def grad(f: ScalarField) -> VectorField:
     if not isinstance(f, ScalarField):
         raise RankError("grad expects a scalar field")
     g = f.grid
-    sp = _Spectral(f)
+    sp = _Spectral(g, f.is_real)
     fhat = sp.forward(f.values)
     return VectorField.from_array(g, sp.stream((1j * kap * fhat for kap in sp.kappas()),
                                                (g.dim,)))
@@ -687,7 +674,7 @@ def div(v: VectorField) -> ScalarField:
     """Spectral divergence of a vector field."""
     if not isinstance(v, VectorField):
         raise RankError("div expects a vector field")
-    sp = _Spectral(v)
+    sp = _Spectral(v.grid, v.is_real)
     return ScalarField(v.grid, sp.inverse(sp.div_hat(v.values)))
 
 
@@ -699,7 +686,7 @@ def curl(v: VectorField) -> MatrixField:
     """
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")
-    sp = _Spectral(v)
+    sp = _Spectral(v.grid, v.is_real)
     kaps = sp.kappas()
     hats = sp.forward(v.values)
     return _skew_field(sp, (1j * (kaps[j] * hats[i] - kaps[i] * hats[j])
@@ -713,7 +700,7 @@ def mat_div(m: MatrixField) -> VectorField:
     if not isinstance(m, MatrixField):
         raise RankError("mat_div expects a matrix field")
     g = m.grid
-    sp = _Spectral(m)
+    sp = _Spectral(g, m.is_real)
     return VectorField.from_array(g, sp.stream((sp.div_hat(row) for row in m.values),
                                                (g.dim,)))
 
@@ -737,7 +724,7 @@ def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
                     "homogeneous multiplier on a field with nonzero mean "
                     f"(|mean| = {abs(m):.3e}); pass annihilate_mean=True to project it out"
                 )
-    sp = _Spectral(field)
+    sp = _Spectral(field.grid, field.is_real)
     hat = sp.forward(field.values)
     hat *= sp.view(symbol_of(g))
     return field.from_array(g, sp.inverse(hat))
@@ -838,7 +825,7 @@ def dirichlet_norm(field: Field) -> float:
     Green operator inverts; for a field with Nyquist energy it exceeds
     ||grad u||, since ``grad`` drops those modes."""
     _check_field(field)
-    sp = _Spectral(field)
+    sp = _Spectral(field.grid, field.is_real)
     return float(np.sqrt(_dirichlet_sq_from_hat(field.grid, sp.forward(field.values))))
 
 

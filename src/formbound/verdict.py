@@ -431,6 +431,10 @@ def assess_infinitesimal(
     h = grid.spacing
     if deltas[-1] < 2.0 * h * (1.0 - 1e-12):
         raise ValueError(f"delta {deltas[-1]} below resolution (needs >= 2h = {2*h})")
+    # a cube of side delta > L would wrap onto itself: it gets the whole
+    # torus's value but counts halvings that never happen
+    if deltas[0] > grid.period * (1.0 + 1e-12):
+        raise ValueError(f"delta {deltas[0]} above the period {grid.period}")
 
     # the stream part F of the Bessel split of b: q's split is not read
     _, F = _fused_split(b0, homogeneous=False)

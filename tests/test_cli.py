@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import struct
 import subprocess
 import sys
 
@@ -251,6 +252,12 @@ def test_infinitesimal_default_deltas_above_resolution(tmp_path):
     assert rep["profiles"]["delta"] == [0.125, 0.0625]
 
 
+def test_infinitesimal_delta_above_the_period_exit_1(capsys):
+    argv = ["infinitesimal", "--dim", "2", "--grid", "32", "--preset", "stream"]
+    assert main(argv + ["--deltas", "4,0.5,0.25"]) == 1
+    assert "above the period" in capsys.readouterr().err
+
+
 def test_infinitesimal_default_deltas_unresolved_exit_1(capsys):
     # at 16 points only L/8 = 2h remains, and a profile needs two
     assert main(["infinitesimal", "--grid", "16"]) == 1
@@ -447,6 +454,26 @@ def test_flags_that_match_the_file_are_accepted(stream64, tmp_path):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b), "--dim", "2", "--grid", "64"]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_input_file_longer_than_its_header_exit_1(tmp_path, capsys):
+    # a 2-D 32 file whose header says 16 was read as its first 256
+    # samples and certified unbounded
+    path = tmp_path / "long.fbf"
+    fbf.write_field(path, presets.make_field("stream", Grid(2, 32, 1.0)))
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<II", 16, 16)
+    path.write_bytes(bytes(raw))
+    assert main(["verdict", "--input", str(path)]) == 1
+    assert "header declares" in capsys.readouterr().err
+
+
+def test_input_file_cut_inside_its_header_exit_1(tmp_path, capsys):
+    path = tmp_path / "cut.fbf"
+    fbf.write_field(path, presets.make_field("stream", Grid(2, 32, 1.0)))
+    path.write_bytes(path.read_bytes()[:18])
+    assert main(["verdict", "--input", str(path)]) == 1
+    assert "inside its header" in capsys.readouterr().err
 
 
 def test_input_file_below_the_floor_exit_1(tmp_path, capsys):

@@ -84,6 +84,31 @@ def test_truncated_payload(tmp_path, grid2, noise):
         fbf.read_field(path)
 
 
+def test_payload_longer_than_header_declares(tmp_path, noise):
+    # a 32^2 file whose header says 16^2 must not read as its first 256
+    # samples, nor may one trailing byte pass
+    path = tmp_path / "long.fbf"
+    fbf.write_field(path, noise(Grid(2, 32, 1.0), seed=7, kind="scalar"))
+    raw = path.read_bytes()
+    relabelled = bytearray(raw)
+    relabelled[12:20] = struct.pack("<II", 16, 16)
+    for bad in (bytes(relabelled), raw + b"\x00"):
+        path.write_bytes(bad)
+        with pytest.raises(fbf.FormatError, match="header declares"):
+            fbf.read_field(path)
+
+
+@pytest.mark.parametrize("cut", [4, 6, 12, 18, 27])
+def test_file_cut_inside_its_header(tmp_path, grid2, noise, cut):
+    # every cut after the magic, in the version, dim, size, component
+    # count or dtype words
+    path = tmp_path / "h.fbf"
+    fbf.write_field(path, noise(grid2, seed=8, kind="scalar"))
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(fbf.FormatError, match="inside its header"):
+        fbf.read_field(path)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_sample_rejected(tmp_path, grid2, noise, bad):
     f = noise(grid2, seed=6, kind="scalar")

@@ -2,8 +2,11 @@
 module never uses (in ``src/`` and ``tests/``), no module-level private
 name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
 ``src/`` that names nothing the module binds, no dataclass field in
-``src/`` that nothing reads, and no import of ``scipy.sparse`` or
-``scipy.linalg`` in ``src/`` (checked in a verdict run as well)."""
+``src/`` that nothing reads, no import of ``scipy.sparse`` or
+``scipy.linalg`` in ``src/`` (checked in a verdict run as well), and no
+transform outside the spectral core: only ``torus`` imports ``scipy.fft``
+or names ``_half``, and inside it only ``_Spectral`` and ``_PrunedFFT``
+call it."""
 
 import ast
 import os
@@ -185,3 +188,42 @@ def test_verdict_run_loads_neither_scipy_sparse_nor_linalg():
                           capture_output=True, text=True)
     loaded = done.stdout.strip().splitlines()[-1].split(",")
     assert [m for m in loaded if _banned(m)] == []
+
+
+# every transform goes through torus._Spectral (or the capacity solver's
+# torus._PrunedFFT), so the choice of real or complex path and the scipy
+# arguments that fix every bit are made in one place
+TORUS = ROOT / "src" / "formbound" / "torus.py"
+
+
+def _fft_aliases(tree: ast.Module) -> set[str]:
+    """The names a module binds ``scipy.fft`` to."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            out.update(alias.asname or alias.name for alias in node.names
+                       if alias.name == "fft")
+        elif isinstance(node, ast.Import):
+            out.update(alias.asname for alias in node.names
+                       if alias.name == "scipy.fft" and alias.asname)
+    return out
+
+
+@pytest.mark.parametrize("path", [p for p in SRC if p != TORUS],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_transform_outside_torus(path):
+    tree = _tree(path)
+    fft = sorted(m for m in _imported_modules(tree)
+                 if m == "scipy.fft" or m.startswith("scipy.fft."))
+    assert fft == []
+    assert "_half" not in _references(tree)
+
+
+def test_only_the_spectral_core_calls_scipy_fft():
+    tree = _tree(TORUS)
+    aliases = _fft_aliases(tree)
+    assert aliases
+    callers = {getattr(node, "name", f"line {node.lineno}") for node in tree.body
+               if not isinstance(node, (ast.Import, ast.ImportFrom))
+               and any(isinstance(n, ast.Name) and n.id in aliases for n in ast.walk(node))}
+    assert callers == {"_Spectral", "_PrunedFFT"}

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.fft
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -28,10 +29,7 @@ from formbound.torus import (  # noqa: E402
     ScalarField,
     VectorField,
     _dirichlet_sq_from_hat,
-    _fftn,
-    _ifftn,
-    _irfftn,
-    _rfftn,
+    _Spectral,
     lp_norm,
     mean,
 )
@@ -70,7 +68,7 @@ def test_parseval(grid, seed, rank, complex_):
         vals = vals + 1j * rng.standard_normal(shape)
     field = ScalarField(grid, vals) if rank == 0 else VectorField.from_array(grid, vals)
     spectral = (grid.period / grid.points_per_axis**2) ** grid.dim \
-        * float(np.sum(np.abs(_fftn(field.values, grid.dim)) ** 2))
+        * float(np.sum(np.abs(scipy.fft.fftn(field.values, axes=range(-grid.dim, 0))) ** 2))
     direct = lp_norm(field) ** 2
     assert abs(spectral - direct) <= 1e-12 * direct
 
@@ -80,8 +78,9 @@ def test_parseval(grid, seed, rank, complex_):
 def test_dirichlet_norm_from_half_spectrum(grid, seed, rank):
     # white noise: the columns 0 and n/2 of the half spectrum carry energy
     vals = np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape)
-    full = _dirichlet_sq_from_hat(grid, _fftn(vals, grid.dim))
-    half = _dirichlet_sq_from_hat(grid, _rfftn(vals, grid.dim))
+    axes = range(-grid.dim, 0)
+    full = _dirichlet_sq_from_hat(grid, scipy.fft.fftn(vals, axes=axes))
+    half = _dirichlet_sq_from_hat(grid, scipy.fft.rfftn(vals, axes=axes))
     assert abs(half - full) <= 1e-12 * full
 
 
@@ -114,16 +113,13 @@ def test_batched_transform_equals_per_component(grid, seed, batch, complex_, wor
     saved = os.environ.get("FORMBOUND_THREADS")
     os.environ["FORMBOUND_THREADS"] = workers
     try:
-        hat = _fftn(vals, grid.dim)
-        assert np.array_equal(hat, np.stack([_fftn(v) for v in vals]))
-        back = _ifftn(hat, grid.dim)
-        assert np.array_equal(back, np.stack([_ifftn(h) for h in hat]))
-        assert np.array_equal(_ifftn(hat.copy(), grid.dim, overwrite=True), back)
-        if not complex_:
-            half = _rfftn(vals, grid.dim)
-            assert np.array_equal(half, np.stack([_rfftn(v) for v in vals]))
-            assert np.array_equal(_irfftn(half, grid.shape),
-                                  np.stack([_irfftn(h, grid.shape) for h in half]))
+        for sp in [_Spectral(grid, False)] + ([] if complex_ else [_Spectral(grid)]):
+            hat = sp.forward(vals)
+            assert np.array_equal(hat, np.stack([sp.forward(v) for v in vals]))
+            assert np.array_equal(sp.forward(vals.copy(), overwrite=True), hat)
+            # the complex inverse overwrites its input, so each call gets a copy
+            back = sp.inverse(hat.copy())
+            assert np.array_equal(back, np.stack([sp.inverse(h.copy()) for h in hat]))
     finally:
         if saved is None:
             del os.environ["FORMBOUND_THREADS"]

@@ -222,6 +222,12 @@ def test_infinitesimal_delta_validation():
         assess_infinitesimal(b, None, [0.25])
     with pytest.raises(ValueError, match="below resolution"):
         assess_infinitesimal(b, None, [0.25, g.spacing / 4])
+    # a delta of 4 periods took the whole-torus value and counted two
+    # halvings that never happen; the period itself is a valid delta
+    with pytest.raises(ValueError, match="above the period"):
+        assess_infinitesimal(b, None, [4.0, 0.5, 0.25])
+    vd = assess_infinitesimal(b, None, [1.0, 0.5, 0.25])
+    assert vd.profiles["delta"] == [1.0, 0.5, 0.25]
 
 
 def test_verdict_dict_shape():
