@@ -20,9 +20,9 @@ energy, the charge mass on the set, and the reported value coincide up
 to solver tolerance.
 
 Charges and potentials are real, so the Green operator is one real
-transform pair (rfftn/irfftn) against a half view of a cached symbol.  The
-charges sit on the active cells and only those cells are read back, so
-the pair skips every 1-D pass over a line with no charge or no active
+transform pair (rfftn/irfftn) against a symbol of the real path's core,
+a table of the half spectrum's shape.  The charges sit on the active
+cells and only those cells are read back, so the pair skips every 1-D pass over a line with no charge or no active
 cell (torus._PrunedFFT); the values it computes have the bits of the
 full-grid pair.  The potential of a round prunes only its forward
 transform, and a gauge probe's inverse transform runs only the passes
@@ -62,10 +62,7 @@ from .torus import (
     ScalarField,
     _PrunedFFT,
     _Spectral,
-    _bessel_inv_symbol,
-    _dirichlet_sq_from_hat,
     _dot,
-    _inv_lap_symbol,
     _norm,
     dirichlet_norm,
 )
@@ -203,9 +200,8 @@ class _ChargeSystem:
         row, self._col = np.divmod(flat_idx, grid.points_per_axis)
         self._row = np.searchsorted(self._forward.rows, row)
         # (1 - Lap)^-1, or the grounded Lap^-1 with the charges negated
-        table = _bessel_inv_symbol if inhomogeneous else _inv_lap_symbol
         self._sp = _Spectral(grid)
-        self._symbol = self._sp.view(table(grid))
+        self._symbol = self._sp.bessel_inv if inhomogeneous else self._sp.inv_lap
         self._nb = _neighbours(grid, flat_idx)
         # charges plus one trailing zero that unlisted neighbours read
         self._padded = np.zeros(flat_idx.size + 1)
@@ -407,10 +403,12 @@ def _probe_band(grid: Grid):
 class _Probes:
     """The gauge probes' kept buffers: one full spectrum, zeroed once, whose
     band each draw refills; a copy of it that the pruned inverse runs on;
-    and one real buffer for the Dirichlet densities."""
+    and one real buffer for the Dirichlet densities.  ``sp`` is the
+    complex core that their spectra belong to."""
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.sp = _Spectral(grid, real=False)
         self._sub, self._inverse = _probe_band(grid)
         self.hats = np.zeros(grid.shape, dtype=np.complex128)
         self._work = np.empty_like(self.hats)
@@ -428,7 +426,7 @@ class _Probes:
 
     def norm(self, fhat: np.ndarray) -> float:
         """Dirichlet norm of the full spectrum ``fhat``."""
-        return float(np.sqrt(_dirichlet_sq_from_hat(self.grid, fhat, self._dens)))
+        return float(np.sqrt(self.sp.dirichlet_sq(fhat, self._dens)))
 
 
 def gauge_bounds(tau: float) -> tuple[float, float]:
@@ -459,6 +457,8 @@ def gauge_check(
     """
     if not 0.5 < tau < 1.5:
         raise ValueError("tau must lie in (1/2, 3/2)")
+    if nprobe < 1:
+        raise ValueError(f"nprobe must be at least 1, got {nprobe}")
     if result is None:
         result = capacity(e, "homogeneous")
     elif result.flavor != "homogeneous":
@@ -477,13 +477,12 @@ def gauge_check(
     hi = 0.0
     lo = np.inf
     probes = _Probes(grid)
-    sp = _Spectral(grid, real=False)
     for _ in range(nprobe):
         probe, hats = probes.draw(rng)
         base = probes.norm(hats)
         # the probe's buffer is the next draw's: twist and transform in place
         np.multiply(phase, probe, out=probe)
-        twisted = probes.norm(sp.forward(probe, overwrite=True))
+        twisted = probes.norm(probes.sp.forward(probe, overwrite=True))
         ratio = twisted / base
         hi = max(hi, ratio)
         lo = min(lo, ratio)

@@ -17,13 +17,14 @@ vectors kept at each restart, ARPACK's stopping rule, and every
 reduction a numpy one, so no BLAS pool moves a digit.  Both
 run on one operator: a trace is the form operator with q = rho, applied
 once (S rho S is symmetric), a form norm is R*R.  It differentiates with
-the Nyquist-free wavenumbers of ``_deriv_kappas``, as the rest of the
-package does.  Every transform here is a ``torus._Spectral`` call: the
-operator holds the core of its grid and path, and its witnesses, the
-masked traces, the coarse restriction and the nonlinear ascent transform
-through it or through a core of their own.  Real or absent coefficients
-run the operator on the real path, the half spectra of real fields,
-about N real unknowns (see ``_Operator``).  Complex coefficients take the
+the Nyquist-free wavenumbers of its core, as the rest of the package
+does.  Every transform and every symbol here comes from a
+``torus._Spectral`` core: the operator holds the core of its grid and
+path and takes S from it, and its witnesses, the masked traces, the
+coarse restriction and the nonlinear ascent transform through it or
+through a core of their own.  Real or absent coefficients run the
+operator on the real path, the half spectra of real fields, about N
+real unknowns (see ``_Operator``).  Complex coefficients take the
 complex path and act on N complex Fourier coefficients, read as 2N real
 unknowns: for Hermitian H that real-linear map is symmetric, has the
 spectrum of H with every eigenvalue doubled, and its real Rayleigh
@@ -61,13 +62,8 @@ from .torus import (
     ScalarField,
     VectorField,
     _Spectral,
-    _bessel_half_symbol,
-    _dirichlet_sq_from_hat,
     _dot,
-    _inv_lap_symbol,
     _norm,
-    _riesz_half_symbol,
-    kappa_sq,
     shared_grid,
 )
 
@@ -110,13 +106,6 @@ class FormEstimate:
     residual: float
     witness: object = None
     coarse_iterations: int = 0
-
-
-def _sqrt_inv_symbol(grid: Grid, flavor: str) -> np.ndarray:
-    """S: (-Lap)^(-1/2) without the zero mode, or (1 - Lap)^(-1/2)."""
-    if flavor == "inhomogeneous":
-        return _bessel_half_symbol(grid)
-    return _riesz_half_symbol(grid)
 
 
 def _check_flavor(flavor: str) -> None:
@@ -223,8 +212,7 @@ def trace_constant(
         raise ValueError(f"mask shape {np.shape(mask)} does not match grid {grid.shape}")
     if measure.total <= 0.0:
         return FormEstimate(0.0, 0, 0.0)
-    op = _Operator(grid, None, None, measure.cell_mass / grid.cell_volume,
-                   _sqrt_inv_symbol(grid, flavor))
+    op = _Operator(grid, None, None, measure.cell_mass / grid.cell_volume, flavor)
     if mask is None:
         apply_op, spectrum, start = op.apply, op.spectrum, _start_vector(op.size, seed)
     else:
@@ -254,12 +242,14 @@ class _Operator:
         L u  = sum_i d_i(sum_j A_ij d_j u) + sum_i b_i d_i u + q u,
         L* v = sum_i d_i(sum_j conj(A_ji) d_j v) - sum_i d_i(conj(b_i) v) + conj(q) v,
 
-    with d_i the Nyquist-free derivative of ``_deriv_kappas``.  A plan's
+    with d_i the Nyquist-free derivative of the core.  A plan's
     spatial rows each sum coefficient x source (an axis derivative of S u,
     or S u) and name the multiplier of their spectrum: i kappa_i for a
     flux, -i kappa_i for an adjoint drift term, None for the point row,
     which comes last.  Adding an exact 0 changes no value, so a zero drift
-    component or potential gets no term.
+    component or potential gets no term.  S is the core's (-Lap)^(-1/2),
+    zero mode dropped, or (1 - Lap)^(-1/2) for the inhomogeneous
+    ``flavor``; with ``kmax`` it is kept on the modes |k_i| <= kmax only.
 
     With A, b and q real or absent, R maps real fields to real fields and
     the operator runs on the real path of its core ``sp``, on half
@@ -273,17 +263,20 @@ class _Operator:
     """
 
     def __init__(self, grid: Grid, A: np.ndarray | None, b: np.ndarray | None,
-                 q: np.ndarray | None, sym: np.ndarray):
+                 q: np.ndarray | None, flavor: str, kmax: int | None = None):
         self.grid = grid
         self.A = A
         self.b = b
         self.q = None if q is None or not q.any() else q
         real = not any(np.iscomplexobj(c) for c in (A, b, q) if c is not None)
-        self.sp = _Spectral(grid, real)
-        self.sym = self.sp.view(sym)
-        self.shape = self.sp.shape
+        self.sp = sp = _Spectral(grid, real)
+        self.shape = sp.shape
+        self.sym = sym = sp.bessel_half if flavor == "inhomogeneous" else sp.riesz_half
+        if kmax is not None:
+            self.sym = np.zeros(self.shape)
+            self.sym[sp.band(kmax)] = sym[sp.band(kmax)]
         self.size = 2 * self.sym.size
-        self.ikappa = ik = tuple(1j * k for k in self.sp.kappas())
+        self.ikappa = ik = tuple(1j * k for k in sp.kappas)
         # the first and last multipliers of an application on the unknowns
         self.weight, self._into, self._back = 1.0, self.sym, self.sym
         if real:
@@ -431,10 +424,7 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
         return _start_vector(op.size, seed), 0
     coarse = Grid(d, n // 2, grid.period)
     coefs = [None if v is None else _restrict(v, grid, coarse) for v in (op.A, op.b, op.q)]
-    band = coarse.band(n // 8 - 1)
-    sym = np.zeros(coarse.shape)
-    sym[band] = _sqrt_inv_symbol(coarse, flavor)[band]
-    small = _Operator(coarse, *coefs, sym)
+    small = _Operator(coarse, *coefs, flavor, kmax=n // 8 - 1)
     band = small.sp.band(n // 8 - 1)
     start = np.zeros(small.shape, dtype=np.complex128)
     start[band] = _start_vector(small.size, seed).view(np.complex128).reshape(small.shape)[band]
@@ -462,8 +452,7 @@ def form_norm(
     """
     _check_flavor(flavor)
     grid = shared_grid(A, b, q)
-    op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)),
-                   _sqrt_inv_symbol(grid, flavor))
+    op = _Operator(grid, *(None if f is None else f.values for f in (A, b, q)), flavor)
     start, coarse_iters = _lanczos_start(op, flavor, seed)
     value, vec, iters, residual = _top_eigenpair(op.normal, start)
     hats = op.spectrum(vec)
@@ -503,14 +492,12 @@ def nonlinear_form_constant(
     vol = grid.cell_volume
     sp = _Spectral(grid)
     # Nyquist-zeroed wavenumbers: the real part of the full derivative
-    kaps = sp.kappas()
-    ks = sp.view(kappa_sq(grid))
-    inv_ks = -sp.view(_inv_lap_symbol(grid))
+    kaps, ks, inv_ks = sp.kappas, sp.ksq, -sp.inv_lap
 
     def evaluate(hat):
         """The objective at ``hat`` scaled to unit Dirichlet norm, and what the
         gradient reads: (hat, u, b.grad u, |b.grad u|, |u|), smoothed."""
-        hat = hat / np.sqrt(_dirichlet_sq_from_hat(grid, hat))
+        hat = hat / np.sqrt(sp.dirichlet_sq(hat))
         u, *grads = sp.inverse(np.stack([hat] + [1j * k * hat for k in kaps]))
         bg = sum(bv[i] * grads[i] for i in range(dim))
         mag_bg = np.sqrt(bg**2 + smooth**2)
@@ -544,7 +531,7 @@ def nonlinear_form_constant(
                 div_flux, lap_u = sp.inverse(np.stack([flux_hat, ks * hat]))
                 grad_vals = -div_flux + mag_bg * (u / mag_u) - 2.0 * lap_u * value
                 g_hat = sp.forward(grad_vals) * inv_ks   # H^1 preconditioning
-                gnorm = np.sqrt(_dirichlet_sq_from_hat(grid, g_hat))
+                gnorm = np.sqrt(sp.dirichlet_sq(g_hat))
                 if gnorm == 0.0:
                     break
                 # unit ascent direction keeps the trajectory invariant under

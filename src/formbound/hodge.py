@@ -15,12 +15,12 @@ spectrum is built and inverse-transformed on its own, straight into the
 part that holds it.  So the reconstruction residual is pure rounding, and
 one output spectrum is alive at a time.  A real field takes the real path
 (half spectra, ``rfftn`` / ``irfftn``) and a complex one the full
-spectra; both read the symbols of the torus table (``_deriv_kappas``,
-whose own-axis Nyquist entries are zero), the real path through
-``[..., :n//2 + 1]`` views.  b_h costs no transform: it is b's mean over
-each parity class of cells, and a zero q costs the Bessel split none
-either.  Every input,
-white noise included, is reconstructed to machine precision.  The splits
+spectra; both read the wavenumbers and the split symbols of their
+core (``kappas``, whose own-axis Nyquist entries are zero, and
+``split``), each at the shape of that path's spectra.  b_h costs no
+transform: it is b's mean over each parity class of cells, and a zero q
+costs the Bessel split none either.  Every input, white noise included,
+is reconstructed to machine precision.  The splits
 return their parts only: the residual is the diagnostic of the
 ``decompose`` command, which rebuilds b from them.
 """
@@ -37,7 +37,6 @@ from .torus import (
     ScalarField,
     VectorField,
     _Spectral,
-    _deriv_kappas,
     _pairs,
     _skew_field,
     mat_div,
@@ -90,12 +89,6 @@ def harmonic_part(b: VectorField) -> np.ndarray:
     return split.mean(axis=tuple(range(1, 2 * g.dim, 2)))
 
 
-def _split_symbols(sp):
-    """(kaps, grounded |kaps|^2, Bessel factor) as ``sp`` reads them."""
-    kaps, ks, bessel = _deriv_kappas(sp.grid)
-    return tuple(sp.view(k) for k in kaps), sp.view(ks), sp.view(bessel)
-
-
 def _fused_split(b: VectorField, homogeneous: bool):
     """(c, F) of the homogeneous or the Bessel split of b, from one
     batched forward transform; each output component streams back on its
@@ -103,7 +96,7 @@ def _fused_split(b: VectorField, homogeneous: bool):
     g = b.grid
     d = g.dim
     sp = _Spectral(b.grid, b.is_real)
-    kaps, ks, bessel = _split_symbols(sp)
+    kaps, (ks, bessel) = sp.kappas, sp.split
     hats = sp.forward(b.values)
     if homogeneous:
         for h in hats:
@@ -187,7 +180,7 @@ def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResu
         gamma = ScalarField(g, np.zeros_like(q.values))
     else:
         sp = _Spectral(q.grid, q.is_real)
-        kaps, _, bessel = _split_symbols(sp)
+        kaps, (_, bessel) = sp.kappas, sp.split
         qhat = sp.forward(q.values)
         h = VectorField.from_array(g, sp.stream((-1j * kaps[i] * bessel * qhat
                                                  for i in range(d)), (d,)))

@@ -46,7 +46,6 @@ from .torus import (
     Grid,
     ScalarField,
     _Spectral,
-    _bessel_half_symbol,
     _peak,
     riesz_half,
 )
@@ -260,7 +259,7 @@ def _riesz_potential(density: ScalarField) -> np.ndarray:
 
 def _bessel_potential(density: ScalarField) -> np.ndarray:
     sp = _Spectral(density.grid)
-    return sp.inverse(sp.forward(density.values.real) * sp.view(_bessel_half_symbol(sp.grid)))
+    return sp.inverse(sp.forward(density.values.real) * sp.bessel_half)
 
 
 def default_ball_sample(

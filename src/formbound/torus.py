@@ -27,46 +27,47 @@ one array of shape (dim, *grid) and a matrix field one of shape
 write through a view reaches the field.  Every field is built through one
 constructor, which rejects NaN and infinite samples.
 
-Transforms.  Every transform in the package is a call of ``_Spectral``,
-which is keyed by a grid and a path: the real path takes the half spectrum
-(the last axis keeps modes 0..n//2) and reads every symbol through
-``_half``, a ``[..., :n//2 + 1]`` view of the cached table; the complex
-path takes the full spectrum and the whole tables.  Real data takes the
-real path (the calculus, the Hodge splits, the measure potentials and ball
-scans, the capacity potentials, the nonlinear ascent and the form operator
-on real coefficients); complex fields, the gauge probes' twisted spectra
-and the two draws that build real data from a complex spectrum (the
-``random`` presets and the ascent's starts) take the complex one.  The
-core transforms the last ``dim`` axes and treats the leading axes as a
-batch; each component's result has the same bits as its own transform.
-An input vector or matrix field goes forward in one call (``mat_div``
-takes one row per call).  The outputs of ``grad``, ``curl``, ``mat_div`` and the Hodge
-splits come back one component at a time through ``_Spectral.stream``, so
-that one output spectrum is alive at a time; a multiplier transforms its
-batch back in one call.  The only other caller of scipy.fft is
-``_PrunedFFT``, which runs scipy's rfftn, irfftn or ifftn as its 1-D
-passes, in scipy's order, and skips each pass over a line with no nonzero
-input or no output that is read; the capacity solver's Green operator and
-its band-limited gauge probes use it, and every value it computes has the
-bits of the full transform.  Every Fourier symbol table is a function of
-the ``Grid`` under ``lru_cache``: the grid is a frozen dataclass and
-hashes by value, so a table is built once per grid, and every reader calls
-``table(grid)``.
+Transforms and symbols.  Every transform in the package is a call of
+``_Spectral``, and every Fourier symbol is a table of it.  A core is keyed
+by a grid and a path and is interned: ``_Spectral(grid, real)`` returns the
+one core of that pair, which builds each table on its first read and keeps
+it.  The real path takes the half spectrum, and its tables have the half
+spectrum's shape: the last axis holds modes 0..n//2, with wavenumbers from
+the same ``fftfreq`` values as the full grid, so each entry has the bits of
+the full table's.  The complex path takes the full spectrum and full-grid
+tables.  Real data takes the real path (the calculus, the Hodge splits, the
+measure potentials and ball scans, the capacity potentials, the nonlinear
+ascent and the form operator on real coefficients); complex fields, the
+gauge probes' twisted spectra and the two draws that build real data from
+a complex spectrum (the ``random`` presets and the ascent's starts) take
+the complex one.  The core transforms the last ``dim`` axes and treats the
+leading axes as a batch; each component's result has the same bits as its
+own transform.  An input vector or matrix field goes forward in one call
+(``mat_div`` takes one row per call).  The outputs of ``grad``, ``curl``,
+``mat_div`` and the Hodge splits come back one component at a time through
+``_Spectral.stream``, so that one output spectrum is alive at a time; a
+multiplier transforms its batch back in one call.  The only other caller
+of scipy.fft is ``_PrunedFFT``, which runs scipy's rfftn, irfftn or ifftn
+as its 1-D passes, in scipy's order, and skips each pass over a line with
+no nonzero input or no output that is read; the capacity solver's Green
+operator and its band-limited gauge probes use it, and every value it
+computes has the bits of the full transform.
 
 Derivatives of real fields are real.  A real field's unpaired Nyquist mode
-carries no direction of travel, so the real path differentiates with
-``_deriv_kappas``, whose own-axis Nyquist entries are zero.  This gives
-the values the real part of the full complex derivative gives (the odd
+carries no direction of travel, so the core differentiates with
+``kappas``, whose own-axis Nyquist entries are zero.  This gives the
+values the real part of the full complex derivative gives (the odd
 multiplier's Nyquist contribution is purely imaginary), which is the usual
-spectral-derivative convention.  Complex fields read the same table, so a
-field's derivatives, and every certificate built on them, do not depend on
-whether its samples are stored as real or complex; a complex field with no
-energy on the Nyquist planes differentiates as it would with the Nyquist
-entries kept.  The form operator reads the same table, for real and
-complex coefficients alike; ``kappa_axes``, the table with the Nyquist
-entries, only builds ``kappa_sq`` and this one.  Composite identities that must hold to
-machine precision (Hodge reconstruction and friends) are assembled in
-frequency space in one pass, see hodge.py.
+spectral-derivative convention.  The complex path reads the same
+wavenumbers, so a field's derivatives, and every certificate built on
+them, do not depend on whether its samples are stored as real or complex;
+a complex field with no energy on the Nyquist planes differentiates as it
+would with the Nyquist entries kept.  The form operator and the Hodge
+splits (``split``) read the same wavenumbers; ``ksq``, |kappa|^2 with the
+Nyquist entries, and the multipliers built from it (``inv_lap``,
+``riesz_half``, ``bessel_half``, ``bessel_inv``) keep them.  Composite
+identities that must hold to machine precision (Hodge reconstruction and
+friends) are assembled in frequency space in one pass, see hodge.py.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as _sfft
@@ -140,12 +141,6 @@ def fft_workers() -> int:
 
 def _axes(dim: int) -> tuple[int, ...]:
     return tuple(range(-dim, 0))
-
-
-def _half(table: np.ndarray) -> np.ndarray:
-    """The real path's view of a symbol table: modes 0..n//2 of the last
-    axis (a table of length 1 there, which broadcasts, stays whole)."""
-    return table[..., : table.shape[-1] // 2 + 1]
 
 
 def _blocks(lines: np.ndarray, axis: int) -> list[tuple[slice, ...]]:
@@ -341,84 +336,6 @@ def _on_axes(*lines: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the symbol table: every Fourier symbol, built once per grid
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=64)
-def kappa_axes(grid: Grid) -> tuple[np.ndarray, ...]:
-    """Angular wavenumbers 2*pi*k/L per axis, shaped for broadcasting."""
-    n = grid.points_per_axis
-    return tuple(_on_axes(*[2.0 * np.pi * np.fft.fftfreq(n, d=grid.period / n)] * grid.dim))
-
-
-@lru_cache(maxsize=64)
-def kappa_sq(grid: Grid) -> np.ndarray:
-    """|2*pi*k/L|^2 on the full frequency lattice."""
-    out = np.zeros(grid.shape)
-    for a in kappa_axes(grid):
-        out = out + a**2
-    return out
-
-
-@lru_cache(maxsize=64)
-def _inv_lap_symbol(grid: Grid) -> np.ndarray:
-    ks = kappa_sq(grid).copy()
-    ks.flat[0] = 1.0
-    sym = -1.0 / ks
-    sym.flat[0] = 0.0
-    return sym
-
-
-@lru_cache(maxsize=64)
-def _riesz_half_symbol(grid: Grid) -> np.ndarray:
-    """(-Lap)^(-1/2), zero mode dropped."""
-    ks = kappa_sq(grid).copy()
-    ks.flat[0] = 1.0
-    sym = 1.0 / np.sqrt(ks)
-    sym.flat[0] = 0.0
-    return sym
-
-
-@lru_cache(maxsize=64)
-def _bessel_half_symbol(grid: Grid) -> np.ndarray:
-    """(1 - Lap)^(-1/2)."""
-    return 1.0 / np.sqrt(1.0 + kappa_sq(grid))
-
-
-@lru_cache(maxsize=64)
-def _bessel_inv_symbol(grid: Grid) -> np.ndarray:
-    return 1.0 / (1.0 + kappa_sq(grid))
-
-
-@lru_cache(maxsize=64)
-def _deriv_kappas(grid: Grid):
-    """Wavenumbers with the own-axis Nyquist entry zeroed, for the fused
-    Hodge splits and the real path's derivatives: (kaps, grounded
-    |kaps|^2, 1 / (1 + |kaps|^2)).
-
-    A real field's unpaired Nyquist mode carries no direction of travel,
-    and the real part of the full spectral derivative treats it as zero.
-    Building the projections from the same convention keeps each mode's
-    multiplier partner-symmetric, so the spectra of a real field's parts
-    stay Hermitian and P and Q stay exactly idempotent on real input.
-    The grounded square has its zeros (the mean and the Nyquist-only
-    modes) replaced by 1; the Bessel factor is taken from the
-    Nyquist-zeroed square, so it differs from ``_bessel_inv_symbol`` on
-    the Nyquist planes.
-    """
-    kaps = []
-    for kap in kappa_axes(grid):
-        k = kap.copy()
-        k.flat[grid.points_per_axis // 2] = 0.0
-        kaps.append(k)
-    ks = kaps[0] ** 2
-    for k in kaps[1:]:
-        ks = ks + k**2
-    return tuple(kaps), np.where(ks > 0.0, ks, 1.0), 1.0 / (1.0 + ks)
-
-
-# ---------------------------------------------------------------------------
 # fields
 # ---------------------------------------------------------------------------
 
@@ -570,28 +487,88 @@ def _pairs(d: int) -> list[tuple[int, int]]:
 
 
 class _Spectral:
-    """The transform pair and the symbol views of one grid and path: every
-    transform in the package but ``_PrunedFFT``'s runs here.
+    """The transform pair and the Fourier symbols of one grid and path:
+    every transform in the package but ``_PrunedFFT``'s runs here, and
+    every symbol table is built here.
 
-    The real path (``real``) takes ``rfftn`` over the grid axes, reads
-    symbols through ``_half`` and comes back through ``irfftn``.  The
-    complex path takes ``fftn`` / ``ifftn`` and the whole tables.  Both
-    differentiate with the Nyquist-zeroed wavenumbers of ``_deriv_kappas``.
-    Leading axes are a batch, so an input's components go forward in one
-    call; outputs can come back through ``stream``, one component at a
-    time.
+    The real path (``real``) takes ``rfftn`` over the grid axes and comes
+    back through ``irfftn``; its tables have the half spectrum's shape.
+    The complex path takes ``fftn`` / ``ifftn`` and full-grid tables.
+    ``_Spectral(grid, real)`` returns the one core of its grid and path,
+    and a table is built on its first read and kept.  Leading axes are a
+    batch, so an input's components go forward in one call; outputs can
+    come back through ``stream``, one component at a time.
     """
 
-    def __init__(self, grid: Grid, real: bool = True):
-        self.grid = grid
-        self.real = real
-        self.shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,) if real else grid.shape
+    def __new__(cls, grid: Grid, real: bool = True) -> "_Spectral":
+        return _core(grid, bool(real))
 
-    def view(self, table: np.ndarray) -> np.ndarray:
-        return _half(table) if self.real else table
+    def _wavenumbers(self) -> list[np.ndarray]:
+        """2*pi*k/L per axis, the Nyquist entries kept, laid along the axes."""
+        n = self.grid.points_per_axis
+        line = 2.0 * np.pi * np.fft.fftfreq(n, d=self.grid.period / n)
+        lines = [line] * self.grid.dim
+        if self.real:
+            lines[-1] = line[: n // 2 + 1]
+        return _on_axes(*lines)
 
+    @cached_property
     def kappas(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.view(k) for k in _deriv_kappas(self.grid)[0])
+        """The wavenumbers with the own-axis Nyquist entry zeroed, which
+        every derivative in the package multiplies by."""
+        kaps = self._wavenumbers()
+        for k in kaps:
+            k.flat[self.grid.points_per_axis // 2] = 0.0
+        return tuple(kaps)
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        """|kappa|^2, the Nyquist entries included."""
+        return sum(k**2 for k in self._wavenumbers())
+
+    def _grounded_ksq(self) -> np.ndarray:
+        ks = self.ksq.copy()
+        ks.flat[0] = 1.0
+        return ks
+
+    @cached_property
+    def inv_lap(self) -> np.ndarray:
+        """-1/|kappa|^2, zero mode dropped."""
+        sym = -1.0 / self._grounded_ksq()
+        sym.flat[0] = 0.0
+        return sym
+
+    @cached_property
+    def riesz_half(self) -> np.ndarray:
+        """(-Lap)^(-1/2), zero mode dropped."""
+        sym = 1.0 / np.sqrt(self._grounded_ksq())
+        sym.flat[0] = 0.0
+        return sym
+
+    @cached_property
+    def bessel_half(self) -> np.ndarray:
+        """(1 - Lap)^(-1/2)."""
+        return 1.0 / np.sqrt(1.0 + self.ksq)
+
+    @cached_property
+    def bessel_inv(self) -> np.ndarray:
+        """(1 - Lap)^(-1)."""
+        return 1.0 / (1.0 + self.ksq)
+
+    @cached_property
+    def split(self) -> tuple[np.ndarray, np.ndarray]:
+        """The symbols of the Hodge splits, from ``kappas``: (grounded
+        |kappas|^2, 1 / (1 + |kappas|^2)).
+
+        Building the projections from the derivative's convention keeps
+        each mode's multiplier partner-symmetric, so the spectra of a real
+        field's parts stay Hermitian and P and Q stay exactly idempotent on
+        real input.  The grounded square has its zeros (the mean and the
+        Nyquist-only modes) replaced by 1; the Bessel factor differs from
+        ``bessel_inv`` on the Nyquist planes.
+        """
+        ks = sum(k**2 for k in self.kappas)
+        return np.where(ks > 0.0, ks, 1.0), 1.0 / (1.0 + ks)
 
     def band(self, kmax: int) -> tuple[np.ndarray, ...]:
         """``grid.band(kmax)``, on the real path its modes 0..kmax of the
@@ -611,7 +588,7 @@ class _Spectral:
         """Spectrum of the divergence of the vector whose components
         ``values`` holds: sum_j i kappa_j hat_j."""
         acc = np.zeros(self.shape, dtype=np.complex128)
-        for kap, hat in zip(self.kappas(), self.forward(values)):
+        for kap, hat in zip(self.kappas, self.forward(values)):
             acc += 1j * kap * hat
         return acc
 
@@ -635,6 +612,32 @@ class _Spectral:
         for row, part in zip(range(lead[0]) if rows is None else rows, parts):
             out[row] = self.inverse(part)
         return out
+
+    def dirichlet_sq(self, fhat: np.ndarray, dens: np.ndarray | None = None) -> float:
+        """Squared Dirichlet norm by Parseval from this path's spectra; on
+        the real path the interior columns of the last axis stand for their
+        conjugate partners too.  Leading axes index components.  The
+        complex path writes its densities |kappa|^2 |fhat|^2 into ``dens``,
+        a real buffer of fhat's shape, when one is given."""
+        g = self.grid
+        scale = g.period**g.dim / g.npoints**2
+        if not self.real:
+            dens = np.abs(fhat, out=dens)
+            np.square(dens, out=dens)
+            np.multiply(self.ksq, dens, out=dens)
+            return float(np.sum(dens) * scale)
+        dens = self.ksq * np.abs(fhat) ** 2
+        edges = np.sum(dens[..., 0]) + np.sum(dens[..., -1])
+        return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * scale)
+
+
+@lru_cache(maxsize=64)
+def _core(grid: Grid, real: bool) -> _Spectral:
+    """The one core of a grid and path, which keeps its tables."""
+    sp = object.__new__(_Spectral)
+    sp.grid, sp.real = grid, real
+    sp.shape = grid.shape[:-1] + (grid.points_per_axis // 2 + 1,) if real else grid.shape
+    return sp
 
 
 def _skew_field(sp: _Spectral, upper) -> MatrixField:
@@ -666,7 +669,7 @@ def grad(f: ScalarField) -> VectorField:
     g = f.grid
     sp = _Spectral(g, f.is_real)
     fhat = sp.forward(f.values)
-    return VectorField.from_array(g, sp.stream((1j * kap * fhat for kap in sp.kappas()),
+    return VectorField.from_array(g, sp.stream((1j * kap * fhat for kap in sp.kappas),
                                                (g.dim,)))
 
 
@@ -687,7 +690,7 @@ def curl(v: VectorField) -> MatrixField:
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")
     sp = _Spectral(v.grid, v.is_real)
-    kaps = sp.kappas()
+    kaps = sp.kappas
     hats = sp.forward(v.values)
     return _skew_field(sp, (1j * (kaps[j] * hats[i] - kaps[i] * hats[j])
                             for i, j in _pairs(v.grid.dim)))
@@ -710,9 +713,9 @@ def mat_div(m: MatrixField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
-def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
+def _apply_multiplier(field: Field, symbol: str, homogeneous: bool,
                       annihilate_mean: bool) -> Field:
-    """Multiply every component's spectrum by the cached ``symbol_of`` table."""
+    """Multiply every component's spectrum by the core's ``symbol`` table."""
     _check_field(field)
     g = field.grid
     if homogeneous and not annihilate_mean:
@@ -726,23 +729,23 @@ def _apply_multiplier(field: Field, symbol_of, homogeneous: bool,
                 )
     sp = _Spectral(field.grid, field.is_real)
     hat = sp.forward(field.values)
-    hat *= sp.view(symbol_of(g))
+    hat *= getattr(sp, symbol)
     return field.from_array(g, sp.inverse(hat))
 
 
 def inv_laplacian(field: Field, annihilate_mean: bool = False) -> Field:
     """Inverse Laplacian: multiply mode k by -1/|2 pi k / L|^2, zero mode -> 0."""
-    return _apply_multiplier(field, _inv_lap_symbol, True, annihilate_mean)
+    return _apply_multiplier(field, "inv_lap", True, annihilate_mean)
 
 
 def riesz_half(field: Field, annihilate_mean: bool = False) -> Field:
     """Half-order Riesz smoothing (-Delta)^(-1/2); zero mode dropped."""
-    return _apply_multiplier(field, _riesz_half_symbol, True, annihilate_mean)
+    return _apply_multiplier(field, "riesz_half", True, annihilate_mean)
 
 
 def bessel_inv(field: Field) -> Field:
     """(1 - Delta)^(-1); acts on every mode including the mean."""
-    return _apply_multiplier(field, _bessel_inv_symbol, False, False)
+    return _apply_multiplier(field, "bessel_inv", False, False)
 
 
 # ---------------------------------------------------------------------------
@@ -801,24 +804,6 @@ def _peak(values: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return float(values.flat[flat]), tuple(int(i) for i in np.unravel_index(flat, values.shape))
 
 
-def _dirichlet_sq_from_hat(g: Grid, fhat: np.ndarray,
-                           dens: np.ndarray | None = None) -> float:
-    """Squared Dirichlet norm by Parseval from full spectra, or from the half
-    spectra of real fields, whose interior columns of the last axis stand
-    for their conjugate partners too; leading axes index components.  The
-    full path writes its densities |kappa|^2 |fhat|^2 into ``dens``, a
-    real buffer of fhat's shape, when one is given."""
-    scale = g.period**g.dim / g.npoints**2
-    if fhat.shape[-1] == g.points_per_axis:
-        dens = np.abs(fhat, out=dens)
-        np.square(dens, out=dens)
-        np.multiply(kappa_sq(g), dens, out=dens)
-        return float(np.sum(dens) * scale)
-    dens = _half(kappa_sq(g)) * np.abs(fhat) ** 2
-    edges = np.sum(dens[..., 0]) + np.sum(dens[..., -1])
-    return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * scale)
-
-
 def dirichlet_norm(field: Field) -> float:
     """<-Lap u, u>^(1/2) by Parseval: every mode weighted by |kappa|^2,
     the Nyquist modes included.  It is the energy that the capacity
@@ -826,7 +811,7 @@ def dirichlet_norm(field: Field) -> float:
     ||grad u||, since ``grad`` drops those modes."""
     _check_field(field)
     sp = _Spectral(field.grid, field.is_real)
-    return float(np.sqrt(_dirichlet_sq_from_hat(field.grid, sp.forward(field.values))))
+    return float(np.sqrt(sp.dirichlet_sq(sp.forward(field.values))))
 
 
 def zero_mean(field: Field) -> Field:

@@ -22,12 +22,9 @@ from formbound.capacity import (
 from formbound.torus import (
     Grid,
     ScalarField,
-    _bessel_inv_symbol,
-    _dirichlet_sq_from_hat,
-    _inv_lap_symbol,
     _PrunedFFT,
+    _Spectral,
     dirichlet_norm,
-    kappa_sq,
 )
 
 
@@ -220,15 +217,24 @@ def test_gauge_twisted_norm_in_place_matches_field_path(cube_result):
     ratios = []
     for _ in range(nprobe):
         probe, hats = _band_limited_probe(g, rng)
-        base = float(np.sqrt(_dirichlet_sq_from_hat(g, hats)))
+        base = float(np.sqrt(_Spectral(g, False).dirichlet_sq(hats)))
         twisted = dirichlet_norm(ScalarField(g, phase * probe))
-        in_place = np.sqrt(_dirichlet_sq_from_hat(
-            g, scipy.fft.fftn(phase * probe, overwrite_x=True)))
+        in_place = np.sqrt(_Spectral(g, False).dirichlet_sq(
+            scipy.fft.fftn(phase * probe, overwrite_x=True)))
         assert in_place == twisted
         ratios.append(twisted / base)
     rep = gauge_check(e, tau=tau, nprobe=nprobe, seed=seed, result=res)
     assert rep.gauge_ratio == max(ratios)
     assert rep.gauge_ratio_min == min(ratios)
+
+
+@pytest.mark.parametrize("nprobe", [0, -1])
+def test_gauge_check_needs_a_probe(nprobe):
+    # with no probe the ratios kept their start values (0 and inf), and
+    # the check passed without measuring anything
+    e = ball_set(Grid(3, 16), CENTER3, 0.125)
+    with pytest.raises(ValueError, match="nprobe"):
+        gauge_check(e, 1.0, nprobe=nprobe)
 
 
 def test_gauge_validation(cube_result):
@@ -269,7 +275,7 @@ def test_flavor_validation():
 
 def _complex_green_apply(grid, values, inhomogeneous):
     """The full-spectrum complex-transform formula, as an oracle."""
-    ks = kappa_sq(grid)
+    ks = _Spectral(grid, False).ksq
     if inhomogeneous:
         symbol = 1.0 / (1.0 + ks)
     else:
@@ -379,9 +385,10 @@ def test_pruned_transforms_match_full_transforms_bitwise(monkeypatch, threads,
 
         idx = rng.permutation(np.flatnonzero(cells.reshape(-1)))
         for inhomogeneous in (False, True):
-            # the Green symbol as its own half-spectrum array
-            symbol = (_bessel_inv_symbol(g) if inhomogeneous
-                      else -_inv_lap_symbol(g))[..., :n // 2 + 1]
+            # the Green symbol cut from the complex path's full-grid table
+            full = _Spectral(g, False)
+            symbol = (full.bessel_inv if inhomogeneous
+                      else -full.inv_lap)[..., :n // 2 + 1]
 
             def green(charges):
                 grid_values = np.zeros(g.npoints)
@@ -457,7 +464,7 @@ def test_gauge_base_norm_from_probe_spectrum():
     rng = np.random.default_rng(4)
     for _ in range(3):
         probe, hats = _band_limited_probe(g, rng)
-        spectral = np.sqrt(_dirichlet_sq_from_hat(g, hats))
+        spectral = np.sqrt(_Spectral(g, False).dirichlet_sq(hats))
         direct = dirichlet_norm(ScalarField(g, probe))
         assert abs(spectral - direct) <= 1e-13 * direct
 

@@ -19,9 +19,7 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
-    _deriv_kappas,
     dirichlet_norm,
-    kappa_sq,
     l2_inner,
 )
 from formbound.verdict import _form_record
@@ -40,8 +38,8 @@ def _dense_operator(grid, apply_fn):
 def _dense_compression(grid, A, b, q, flavor):
     """S L S as an explicit matrix on the samples, with the Nyquist-free
     derivative."""
-    kaps = _deriv_kappas(grid)[0]
-    ks = kappa_sq(grid)
+    sp = torus._Spectral(grid, False)
+    kaps, ks = sp.kappas, sp.ksq
     d = grid.dim
     D = [
         _dense_operator(grid, lambda f, j=j: np.fft.ifftn(1j * kaps[j] * np.fft.fftn(f)))
@@ -243,7 +241,7 @@ def test_vortex_value_and_witness():
     assert u.grid == g and v.grid == g
     uhat = np.fft.fftn(u.values)
     lu = ScalarField(g, sum(b[i].values * np.fft.ifftn(1j * k * uhat)
-                            for i, k in enumerate(_deriv_kappas(g)[0])))
+                            for i, k in enumerate(torus._Spectral(g, False).kappas)))
     attained = abs(l2_inner(lu, v)) / (dirichlet_norm(u) * dirichlet_norm(v))
     assert abs(attained - est.value) <= 1e-10 * est.value
 
@@ -420,7 +418,7 @@ def test_small_mask_trace(cells):
     if cells <= formnorm._NCV:
         assert est.iterations <= cells + 1
     # oracle: S rho S between the masked cells, with S applied by numpy.fft
-    sym = formnorm._sqrt_inv_symbol(g, "homogeneous")
+    sym = torus._Spectral(g, False).riesz_half
     cols = []
     for i in flat:
         e = np.zeros(g.shape)
@@ -500,8 +498,7 @@ def test_planned_halves_match_dense_operator(dim, a_kind, drift, q_kind, flavor)
     b = None if drift == "none" else white[b_kind][1]
     if drift == "one":
         b = VectorField.from_array(g, np.concatenate([b.values[:1], 0.0 * b.values[1:]]))
-    op = formnorm._Operator(g, *(None if f is None else f.values for f in (A, b, q)),
-                            formnorm._sqrt_inv_symbol(g, flavor))
+    op = formnorm._Operator(g, *(None if f is None else f.values for f in (A, b, q)), flavor)
     # real coefficients run on the half spectra of real samples
     assert op.sp.real == (b_kind == "real" and q_kind != "complex" and a_kind != "complex")
     rng = np.random.default_rng(5)
@@ -557,8 +554,7 @@ def test_coarse_start_is_galerkin_projection(dim, n, flavor, monkeypatch):
                   for f in (A, b, q)]
         _, (shifted, _) = _forced_coarse_runs(monkeypatch, *rolled, flavor)
         assert abs(shifted[0] - coarse) <= 1e-12 * coarse
-    op = formnorm._Operator(g, A.values, b.values, q.values,
-                            formnorm._sqrt_inv_symbol(g, flavor))
+    op = formnorm._Operator(g, A.values, b.values, q.values, flavor)
     # the unknowns of a real operator: half spectra with Parseval's weights
     hats = op.spectrum(start)
     band = _band(g)[..., :op.shape[-1]]

@@ -4,9 +4,10 @@ name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
 ``src/`` that names nothing the module binds, no dataclass field in
 ``src/`` that nothing reads, no import of ``scipy.sparse`` or
 ``scipy.linalg`` in ``src/`` (checked in a verdict run as well), and no
-transform outside the spectral core: only ``torus`` imports ``scipy.fft``
-or names ``_half``, and inside it only ``_Spectral`` and ``_PrunedFFT``
-call it."""
+transform outside the spectral core: only ``torus`` imports ``scipy.fft``,
+and inside it only ``_Spectral`` and ``_PrunedFFT`` call it, and the cache
+that interns the cores is its only cache, so every Fourier symbol is a
+table of a core."""
 
 import ast
 import os
@@ -216,7 +217,6 @@ def test_no_transform_outside_torus(path):
     fft = sorted(m for m in _imported_modules(tree)
                  if m == "scipy.fft" or m.startswith("scipy.fft."))
     assert fft == []
-    assert "_half" not in _references(tree)
 
 
 def test_only_the_spectral_core_calls_scipy_fft():
@@ -227,3 +227,26 @@ def test_only_the_spectral_core_calls_scipy_fft():
                if not isinstance(node, (ast.Import, ast.ImportFrom))
                and any(isinstance(n, ast.Name) and n.id in aliases for n in ast.walk(node))}
     assert callers == {"_Spectral", "_PrunedFFT"}
+
+
+def _cached_names(tree: ast.Module) -> set[str]:
+    """The names a module binds to functions wrapped in functools'
+    ``lru_cache`` or ``cache``."""
+    def caches(node):
+        return any(isinstance(n, ast.Name) and n.id in ("lru_cache", "cache")
+                   or isinstance(n, ast.Attribute) and n.attr in ("lru_cache", "cache")
+                   for n in ast.walk(node))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and any(caches(d) for d in node.decorator_list):
+            out.add(node.name)
+        elif isinstance(node, ast.Assign) and caches(node.value):
+            out.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return out
+
+
+def test_the_core_cache_is_the_only_cache_in_torus():
+    # every Fourier symbol is a table of an interned core, built at its
+    # path's shape: no module-level table cache beside the cores' own
+    assert _cached_names(_tree(TORUS)) == {"_core"}

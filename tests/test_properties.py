@@ -28,7 +28,6 @@ from formbound.torus import (  # noqa: E402
     Grid,
     ScalarField,
     VectorField,
-    _dirichlet_sq_from_hat,
     _Spectral,
     lp_norm,
     mean,
@@ -79,8 +78,8 @@ def test_dirichlet_norm_from_half_spectrum(grid, seed, rank):
     # white noise: the columns 0 and n/2 of the half spectrum carry energy
     vals = np.random.default_rng(seed).standard_normal((grid.dim,) * rank + grid.shape)
     axes = range(-grid.dim, 0)
-    full = _dirichlet_sq_from_hat(grid, scipy.fft.fftn(vals, axes=axes))
-    half = _dirichlet_sq_from_hat(grid, scipy.fft.rfftn(vals, axes=axes))
+    full = _Spectral(grid, False).dirichlet_sq(scipy.fft.fftn(vals, axes=axes))
+    half = _Spectral(grid).dirichlet_sq(scipy.fft.rfftn(vals, axes=axes))
     assert abs(half - full) <= 1e-12 * full
 
 

@@ -7,13 +7,14 @@ the full complex computation gives.  Complex input must keep the bits of
 the full computation with the cached tables, and differentiate with the
 real path's wavenumbers, so that a field's dtype changes no certificate."""
 
+import gc
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from formbound import hodge, measures, torus, verdict
+from formbound import hodge, measures, presets, torus, verdict
 from formbound.torus import Grid, MatrixField, ScalarField, VectorField
 
 GRIDS = [Grid(2, 16, 1.0), Grid(3, 8, 2.5)]
@@ -157,6 +158,66 @@ def test_real_measure_potentials_match_complex_oracle(grid):
 
 
 # ---------------------------------------------------------------------------
+# the symbol tables: each path builds its own, at its own shape
+# ---------------------------------------------------------------------------
+
+
+def _symbol_oracles(grid):
+    """Every table of a core, on the full grid, from numpy's fftfreq."""
+    full = np.zeros(grid.shape)
+    ks = _ksq(_kaps(grid, nyquist=True)) + full
+    kaps = [k + full for k in _kaps(grid, nyquist=False)]
+    ks0 = _ksq(kaps)
+    grounded = np.where(ks > 0.0, ks, 1.0)
+    return {
+        "kappas": kaps,
+        "ksq": [ks],
+        "inv_lap": [np.where(ks > 0.0, -1.0 / grounded, 0.0)],
+        "riesz_half": [np.where(ks > 0.0, 1.0 / np.sqrt(grounded), 0.0)],
+        "bessel_half": [1.0 / np.sqrt(1.0 + ks)],
+        "bessel_inv": [1.0 / (1.0 + ks)],
+        "split": [np.where(ks0 > 0.0, ks0, 1.0), 1.0 / (1.0 + ks0)],
+    }
+
+
+def _tables(sp):
+    """Every table a core has built, by name, each as a list of arrays."""
+    return {name: list(value) if isinstance(value, tuple) else [value]
+            for name, value in vars(sp).items()
+            if isinstance(value, np.ndarray)
+            or isinstance(value, tuple) and isinstance(value[0], np.ndarray)}
+
+
+@pytest.mark.parametrize("grid", [Grid(2, 16, 0.75), Grid(3, 8, 2.5)], ids=str)
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_core_tables_equal_fftfreq_oracle(grid, real):
+    # the real path's tables are the first n//2 + 1 columns of the full
+    # ones, bit for bit, and nothing but those
+    sp = torus._Spectral(grid, real)
+    want = _symbol_oracles(grid)
+    for name in want:
+        getattr(sp, name)
+    got = _tables(sp)
+    assert set(got) == set(want)
+    cols = grid.points_per_axis // 2 + 1 if real else grid.points_per_axis
+    for name, tables in want.items():
+        assert len(got[name]) == len(tables), name
+        for table, oracle in zip(got[name], tables):
+            assert np.array_equal(np.broadcast_to(table, sp.shape), oracle[..., :cols]), name
+
+
+def test_real_verdict_holds_no_full_table():
+    grid = Grid(3, 16, 1.0)
+    verdict.assess_homogeneous(None, presets.make_field("vortex", grid), None)
+    cores = [o for o in gc.get_objects() if isinstance(o, torus._Spectral) and o.real]
+    assert torus._Spectral(grid) in cores
+    assert _tables(torus._Spectral(grid))
+    for sp in cores:
+        for name, tables in _tables(sp).items():
+            assert all(t.shape[-1] != sp.grid.points_per_axis for t in tables), (sp.grid, name)
+
+
+# ---------------------------------------------------------------------------
 # complex input: the full transforms with the cached tables, bit for bit
 # ---------------------------------------------------------------------------
 
@@ -172,7 +233,8 @@ def _back(values, d):
 @pytest.mark.parametrize("grid", GRIDS, ids=str)
 def test_complex_input_keeps_full_transform_bits(grid):
     d = grid.dim
-    kaps = torus._deriv_kappas(grid)[0]
+    sp = torus._Spectral(grid, False)
+    kaps = sp.kappas
     f = ScalarField(grid, _noise(grid, (), 7, complex_=True))
     v = VectorField.from_array(grid, _noise(grid, (d,), 8, complex_=True))
     m = MatrixField.from_array(grid, _noise(grid, (d, d), 9, complex_=True))
@@ -195,9 +257,9 @@ def test_complex_input_keeps_full_transform_bits(grid):
             out += 1j * k * h
     assert np.array_equal(torus.mat_div(m).values, _back(rows, d))
     assert np.array_equal(torus.bessel_inv(m).values,
-                          _back(mh * torus._bessel_inv_symbol(grid), d))
+                          _back(mh * sp.bessel_inv, d))
 
-    dk, ks, _ = torus._deriv_kappas(grid)
+    dk, (ks, _) = sp.kappas, sp.split
     hats = vh.copy()
     for h in hats:
         h.flat[0] = 0.0
@@ -278,8 +340,7 @@ def _skew(grid, upper):
 def test_streamed_outputs_equal_batched_inverse(grid, complex_):
     d = grid.dim
     sp = torus._Spectral(grid, not complex_)
-    dk, ks, bessel = torus._deriv_kappas(grid)
-    kaps, ks, bessel = [sp.view(k) for k in dk], sp.view(ks), sp.view(bessel)
+    kaps, (ks, bessel) = sp.kappas, sp.split
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     f = _noise(grid, (), 13, complex_)
     v = _noise(grid, (d,), 14, complex_)
