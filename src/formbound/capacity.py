@@ -22,11 +22,14 @@ to solver tolerance.
 Charges and potentials are real, so the Green operator is one real
 transform pair (rfftn/irfftn) against a symbol of the real path's core,
 a table of the half spectrum's shape.  The charges sit on the active
-cells and only those cells are read back, so the pair skips every 1-D pass over a line with no charge or no active
-cell (torus._PrunedFFT); the values it computes have the bits of the
-full-grid pair.  The potential of a round prunes only its forward
-transform, and a gauge probe's inverse transform runs only the passes
-over lines inside its band.  The CG preconditioner is local: the
+cells and only those cells are read back, so the pair skips every 1-D
+pass over a line with no charge or no active cell (torus._PrunedFFT);
+the values it computes have the bits of the full-grid pair.  The
+potential of a round prunes only its forward transform.  The gauge
+probes are band-limited draws (torus._BandDraw), whose inverse runs only
+the passes over lines inside the band; a probe's Dirichlet norm is read
+from its block of modes, and only the twisted probe is transformed over
+the full grid, on the complex path.  The CG preconditioner is local: the
 2d-neighbour finite-difference Laplacian (plus the identity in the
 inhomogeneous flavor) restricted to the active cells, with periodic
 neighbours and cells off the active set read as 0.  Its symbol
@@ -52,7 +55,6 @@ ball is an equality constraint and stays active throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,6 +62,7 @@ from .measures import DiscreteMeasure
 from .torus import (
     Grid,
     ScalarField,
+    _BandDraw,
     _PrunedFFT,
     _Spectral,
     _dot,
@@ -390,45 +393,6 @@ class GaugeReport:
     cap_value: float
 
 
-@lru_cache(maxsize=16)
-def _probe_band(grid: Grid):
-    """Index of the probe modes |k_i| <= max(n/16, 2), and the inverse
-    transform that runs only the passes over lines holding one of them."""
-    sub = grid.band(max(grid.points_per_axis // 16, 2))
-    support = np.zeros(grid.shape, dtype=bool)
-    support[sub] = True
-    return sub, _PrunedFFT("ifftn", grid.shape, nonzero=support)
-
-
-class _Probes:
-    """The gauge probes' kept buffers: one full spectrum, zeroed once, whose
-    band each draw refills; a copy of it that the pruned inverse runs on;
-    and one real buffer for the Dirichlet densities.  ``sp`` is the
-    complex core that their spectra belong to."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.sp = _Spectral(grid, real=False)
-        self._sub, self._inverse = _probe_band(grid)
-        self.hats = np.zeros(grid.shape, dtype=np.complex128)
-        self._work = np.empty_like(self.hats)
-        self._dens = np.empty(grid.shape)
-
-    def draw(self, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Random complex probe with modes |k_i| <= kmax, and its spectrum;
-        both are overwritten by the next draw."""
-        size = tuple(modes.size for modes in self._sub)
-        block = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        self.hats[self._sub] = block
-        self.hats.flat[0] = 0.0
-        np.copyto(self._work, self.hats)
-        return self._inverse(self._work).reshape(self.grid.shape), self.hats
-
-    def norm(self, fhat: np.ndarray) -> float:
-        """Dirichlet norm of the full spectrum ``fhat``."""
-        return float(np.sqrt(self.sp.dirichlet_sq(fhat, self._dens)))
-
-
 def gauge_bounds(tau: float) -> tuple[float, float]:
     """(upper, lower): the gauge distortion ratios at ``tau`` must stay
     at or below 1.1 (1 + 2 tau) and at or above 0.9 / (1 + 2 tau)."""
@@ -476,13 +440,15 @@ def gauge_check(
     rng = np.random.default_rng(seed)
     hi = 0.0
     lo = np.inf
-    probes = _Probes(grid)
+    draw = _BandDraw(grid, max(grid.points_per_axis // 16, 2))
+    sp = _Spectral(grid, real=False)
     for _ in range(nprobe):
-        probe, hats = probes.draw(rng)
-        base = probes.norm(hats)
+        block = rng.standard_normal(draw.size) + 1j * rng.standard_normal(draw.size)
+        base = np.sqrt(draw.dirichlet_sq(block))
         # the probe's buffer is the next draw's: twist and transform in place
+        probe = draw(block)
         np.multiply(phase, probe, out=probe)
-        twisted = probes.norm(probes.sp.forward(probe, overwrite=True))
+        twisted = np.sqrt(sp.dirichlet_sq(sp.forward(probe, overwrite=True)))
         ratio = twisted / base
         hi = max(hi, ratio)
         lo = min(lo, ratio)

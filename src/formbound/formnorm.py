@@ -45,7 +45,8 @@ vector, so it bounds the norm from below.
 The nonlinear constant of the pointwise inequality |b.grad u| |u|
 against ||grad u||^2 is a nonconvex supremum; it is estimated from
 below by preconditioned gradient ascent over several seeded restarts,
-on real half spectra at four real transform calls per step, and
+each from a band-limited draw (``torus._BandDraw``), on real half
+spectra at four real transform calls per step, and
 sandwiched against the trace route with the factor 2 sqrt(n).
 """
 
@@ -61,6 +62,7 @@ from .torus import (
     MatrixField,
     ScalarField,
     VectorField,
+    _BandDraw,
     _Spectral,
     _dot,
     _norm,
@@ -509,13 +511,10 @@ def nonlinear_form_constant(
     best_witness = None
     total_steps = 0
     last_rel = 0.0
-    band = grid.band(max(grid.points_per_axis // 8, 2))
-    size = tuple(modes.size for modes in band)
+    draw = _BandDraw(grid, max(grid.points_per_axis // 8, 2))
     for _ in range(restarts):
-        hats0 = np.zeros(grid.shape, np.complex128)
-        hats0[band] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        hats0.flat[0] = 0.0
-        value, state = evaluate(sp.forward(_Spectral(grid, real=False).inverse(hats0).real))
+        block = rng.standard_normal(draw.size) + 1j * rng.standard_normal(draw.size)
+        value, state = evaluate(sp.forward(draw(block).real))
 
         step = 0.5
         direction = None

@@ -21,7 +21,7 @@ from formbound.torus import (
     MatrixField,
     ScalarField,
     VectorField,
-    _Spectral,
+    _BandDraw,
     _on_axes,
     grad,
     mat_div,
@@ -119,13 +119,11 @@ def _skew_12(grid: Grid, f: np.ndarray) -> MatrixField:
 
 def _band_limited(grid: Grid, rng: np.random.Generator) -> np.ndarray:
     """Real field whose spectrum is confined to |k_i| <= max(2, n/8) per axis,
-    scaled to unit sup norm."""
-    band = grid.band(max(2, grid.points_per_axis // 8))
-    draw = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    hats = np.zeros(grid.shape, dtype=np.complex128)
-    hats[band] = draw[band]
-    hats.flat[0] = 0.0
-    vals = _Spectral(grid, real=False).inverse(hats).real
+    scaled to unit sup norm.  The normals are drawn over the full grid and
+    cut to the band, which keeps each seed's values."""
+    draw = _BandDraw(grid, max(2, grid.points_per_axis // 8))
+    full = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    vals = draw(full[draw.band]).real
     peak = np.abs(vals).max()
     return vals / peak if peak > 0 else vals
 

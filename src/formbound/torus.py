@@ -16,8 +16,8 @@ read it from there rather than rebuild it: the sample coordinates
 (``coordinates``), the squared minimum-image distance from a cell
 (``dist_sq``: the balls of the measure tests and of the capacity sets, and
 the radial presets), the index of the modes |k_i| <= kmax in signed
-ascending order (``band``: the seeded spectral draws, the gauge probes and
-the coarse Galerkin start), and the mask of a periodic cube from its corner
+ascending order (``band``: the band-limited draws of ``_BandDraw`` and the
+coarse Galerkin start), and the mask of a periodic cube from its corner
 cell (``cube``).  Every per-axis array, the wavenumbers included, is laid
 along its axis by ``_on_axes``.
 
@@ -37,10 +37,9 @@ the same ``fftfreq`` values as the full grid, so each entry has the bits of
 the full table's.  The complex path takes the full spectrum and full-grid
 tables.  Real data takes the real path (the calculus, the Hodge splits, the
 measure potentials and ball scans, the capacity potentials, the nonlinear
-ascent and the form operator on real coefficients); complex fields, the
-gauge probes' twisted spectra and the two draws that build real data from
-a complex spectrum (the ``random`` presets and the ascent's starts) take
-the complex one.  The core transforms the last ``dim`` axes and treats the
+ascent and the form operator on real coefficients); complex fields,
+complex coefficients and the gauge probes' twisted spectra take the
+complex one.  The core transforms the last ``dim`` axes and treats the
 leading axes as a batch; each component's result has the same bits as its
 own transform.  An input vector or matrix field goes forward in one call
 (``mat_div`` takes one row per call).  The outputs of ``grad``, ``curl``,
@@ -49,9 +48,11 @@ own transform.  An input vector or matrix field goes forward in one call
 multiplier transforms its batch back in one call.  The only other caller
 of scipy.fft is ``_PrunedFFT``, which runs scipy's rfftn, irfftn or ifftn
 as its 1-D passes, in scipy's order, and skips each pass over a line with
-no nonzero input or no output that is read; the capacity solver's Green
-operator and its band-limited gauge probes use it, and every value it
-computes has the bits of the full transform.
+no nonzero input or no output that is read; every value it computes has
+the bits of the full transform.  The capacity solver's Green operator runs
+on it, and so does ``_BandDraw``, which turns a block of modes on
+``grid.band(kmax)`` into samples: the ``random`` presets, the starts of the
+nonlinear ascent and the gauge probes are its calls.
 
 Derivatives of real fields are real.  A real field's unpaired Nyquist mode
 carries no direction of travel, so the core differentiates with
@@ -247,6 +248,39 @@ class _PrunedFFT:
         if self.kind == "irfftn":
             return _sfft.irfft(lines, n=self.shape[-1], axis=-1, workers=workers)
         return _sfft.ifft(lines, axis=-1, overwrite_x=True, workers=workers)
+
+
+class _BandDraw:
+    """Samples of band-limited fields: called with a complex block of
+    ``size``, it returns the complex samples of the field whose spectrum is
+    that block on ``grid.band(kmax)``, the mean dropped.
+
+    One pruned ``ifftn`` runs only the passes over lines that hold a band
+    mode, in place in one kept buffer, so the next call overwrites the
+    samples; every sample has the bits of the full ``ifftn``.
+    """
+
+    def __init__(self, grid: Grid, kmax: int):
+        self.grid = grid
+        self.band = grid.band(kmax)
+        self.size = tuple(modes.size for modes in self.band)
+        self._work = np.zeros(grid.shape, dtype=np.complex128)
+        support = np.zeros(grid.shape, dtype=bool)
+        support[self.band] = True
+        self._inverse = _PrunedFFT("ifftn", grid.shape, nonzero=support)
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        work = self._work
+        work.fill(0.0)
+        work[self.band] = block
+        work.flat[0] = 0.0
+        return self._inverse(work).reshape(work.shape)
+
+    def dirichlet_sq(self, block: np.ndarray) -> float:
+        """Squared Dirichlet norm of the field of ``block``, read from the
+        block: the mean's weight |kappa|^2 is 0."""
+        sp = _Spectral(self.grid, real=False)
+        return float(np.sum(sp.ksq[self.band] * np.abs(block) ** 2) * sp.parseval)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -613,22 +647,22 @@ class _Spectral:
             out[row] = self.inverse(part)
         return out
 
-    def dirichlet_sq(self, fhat: np.ndarray, dens: np.ndarray | None = None) -> float:
+    @property
+    def parseval(self) -> float:
+        """L^dim / N^2, the Parseval factor of the squared Dirichlet norm."""
+        return self.grid.period**self.grid.dim / self.grid.npoints**2
+
+    def dirichlet_sq(self, fhat: np.ndarray) -> float:
         """Squared Dirichlet norm by Parseval from this path's spectra; on
         the real path the interior columns of the last axis stand for their
-        conjugate partners too.  Leading axes index components.  The
-        complex path writes its densities |kappa|^2 |fhat|^2 into ``dens``,
-        a real buffer of fhat's shape, when one is given."""
-        g = self.grid
-        scale = g.period**g.dim / g.npoints**2
+        conjugate partners too.  Leading axes index components."""
+        dens = np.abs(fhat)
+        np.square(dens, out=dens)
+        dens *= self.ksq
         if not self.real:
-            dens = np.abs(fhat, out=dens)
-            np.square(dens, out=dens)
-            np.multiply(self.ksq, dens, out=dens)
-            return float(np.sum(dens) * scale)
-        dens = self.ksq * np.abs(fhat) ** 2
+            return float(np.sum(dens) * self.parseval)
         edges = np.sum(dens[..., 0]) + np.sum(dens[..., -1])
-        return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * scale)
+        return float((2.0 * np.sum(dens[..., 1:-1]) + edges) * self.parseval)
 
 
 @lru_cache(maxsize=64)

@@ -11,7 +11,6 @@ from formbound import capacity as capacity_module
 from formbound.capacity import (
     CompactSet,
     _ChargeSystem,
-    _Probes,
     _ground_for,
     _start_cells,
     ball_set,
@@ -22,6 +21,7 @@ from formbound.capacity import (
 from formbound.torus import (
     Grid,
     ScalarField,
+    _BandDraw,
     _PrunedFFT,
     _Spectral,
     dirichlet_norm,
@@ -32,8 +32,19 @@ CENTER3 = (0.5, 0.5, 0.5)
 
 
 def _band_limited_probe(grid, rng):
-    """A gauge probe and its spectrum, in buffers of their own."""
-    return _Probes(grid).draw(rng)
+    """A gauge probe in a buffer of its own, its block on the probe band,
+    and the draw that made it."""
+    draw = _BandDraw(grid, max(grid.points_per_axis // 16, 2))
+    block = rng.standard_normal(draw.size) + 1j * rng.standard_normal(draw.size)
+    return draw(block), block, draw
+
+
+def _band_spectrum(grid, kmax, block):
+    """The full spectrum that holds ``block`` on ``grid.band(kmax)``, mean 0."""
+    hats = np.zeros(grid.shape, dtype=np.complex128)
+    hats[grid.band(kmax)] = block
+    hats.flat[0] = 0.0
+    return hats
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +227,8 @@ def test_gauge_twisted_norm_in_place_matches_field_path(cube_result):
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(nprobe):
-        probe, hats = _band_limited_probe(g, rng)
-        base = float(np.sqrt(_Spectral(g, False).dirichlet_sq(hats)))
+        probe, block, draw = _band_limited_probe(g, rng)
+        base = np.sqrt(draw.dirichlet_sq(block))
         twisted = dirichlet_norm(ScalarField(g, phase * probe))
         in_place = np.sqrt(_Spectral(g, False).dirichlet_sq(
             scipy.fft.fftn(phase * probe, overwrite_x=True)))
@@ -408,14 +419,33 @@ def test_pruned_transforms_match_full_transforms_bitwise(monkeypatch, threads,
             got = system.potential(sigma, np.ones(idx.size))
             assert np.array_equal(got, want), name
 
+    kmax = max(n // 16, 2)
     for _ in range(3):
-        probe, hats = _band_limited_probe(g, rng)
-        assert np.array_equal(probe, scipy.fft.ifftn(hats))
+        size = (2 * kmax + 1,) * dim
+        hats = _band_spectrum(g, kmax, rng.standard_normal(size)
+                              + 1j * rng.standard_normal(size))
         band = hats != 0.0
         cells = _pruning_sets(g)["ball and ground"]
         inverse = _PrunedFFT("ifftn", g.shape, nonzero=band, read=cells)
         want = scipy.fft.ifftn(hats).reshape(-1, n)[inverse.rows]
         assert np.array_equal(inverse(hats.copy()), want)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("kmax", [2, "n//8"])
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_band_draw_matches_full_ifftn(monkeypatch, threads, kmax, dim, n):
+    # every call gives the full inverse of its own block's spectrum: the
+    # second block catches a buffer left dirty by the in-place passes
+    monkeypatch.setenv("FORMBOUND_THREADS", threads)
+    g = Grid(dim, n, 2.0)
+    kmax = n // 8 if kmax == "n//8" else kmax
+    draw = _BandDraw(g, kmax)
+    rng = np.random.default_rng(n + kmax)
+    for _ in range(2):
+        block = rng.standard_normal(draw.size) + 1j * rng.standard_normal(draw.size)
+        want = scipy.fft.ifftn(_band_spectrum(g, kmax, block))
+        assert np.array_equal(draw(block), want)
 
 
 def test_results_identical_across_thread_counts(monkeypatch):
@@ -463,8 +493,8 @@ def test_gauge_base_norm_from_probe_spectrum():
     g = Grid(3, 32, 1.0)
     rng = np.random.default_rng(4)
     for _ in range(3):
-        probe, hats = _band_limited_probe(g, rng)
-        spectral = np.sqrt(_Spectral(g, False).dirichlet_sq(hats))
+        probe, block, draw = _band_limited_probe(g, rng)
+        spectral = np.sqrt(draw.dirichlet_sq(block))
         direct = dirichlet_norm(ScalarField(g, probe))
         assert abs(spectral - direct) <= 1e-13 * direct
 

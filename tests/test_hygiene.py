@@ -6,8 +6,8 @@ name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
 ``scipy.linalg`` in ``src/`` (checked in a verdict run as well), and no
 transform outside the spectral core: only ``torus`` imports ``scipy.fft``,
 and inside it only ``_Spectral`` and ``_PrunedFFT`` call it, and the cache
-that interns the cores is its only cache, so every Fourier symbol is a
-table of a core."""
+that interns the cores is the only cache in ``src/``, so every Fourier
+symbol is a table of a core."""
 
 import ast
 import os
@@ -191,8 +191,8 @@ def test_verdict_run_loads_neither_scipy_sparse_nor_linalg():
     assert [m for m in loaded if _banned(m)] == []
 
 
-# every transform goes through torus._Spectral (or the capacity solver's
-# torus._PrunedFFT), so the choice of real or complex path and the scipy
+# every transform goes through torus._Spectral (or torus._PrunedFFT, which
+# the capacity solver and the band draw run), so the choice of path and the scipy
 # arguments that fix every bit are made in one place
 TORUS = ROOT / "src" / "formbound" / "torus.py"
 
@@ -246,7 +246,9 @@ def _cached_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_the_core_cache_is_the_only_cache_in_torus():
+def test_the_core_cache_is_the_only_cache_in_src():
     # every Fourier symbol is a table of an interned core, built at its
-    # path's shape: no module-level table cache beside the cores' own
-    assert _cached_names(_tree(TORUS)) == {"_core"}
+    # path's shape, and every transform plan is built by its caller: no
+    # module keeps a cache beside the cores' own
+    cached = {f"{path.stem}.{name}" for path in SRC for name in _cached_names(_tree(path))}
+    assert cached == {"torus._core"}
