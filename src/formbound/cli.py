@@ -271,8 +271,7 @@ def _cmd_decompose(args):
                  "h_l2": lp_norm(dec.h), "gamma_l2": lp_norm(dec.gamma)}
     records = [
         Record("reconstruction_residual", residual, 1e-8),
-        Record("stream_max_abs", max(float(np.abs(e.values).max())
-                                     for row in dec.F.entries for e in row),
+        Record("stream_max_abs", max(float(np.abs(e).max()) for e in dec.F.values),
                note="max |F_ij| over entries"),
         Record("gradient_l2", lp_norm(dec.c)),
     ]

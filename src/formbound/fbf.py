@@ -3,14 +3,16 @@
 Layout: 4-byte magic ``FBF1``, then little-endian uint32 words
 [version, dim, n_1, ..., n_dim, component_count, dtype_code], then the raw
 samples, component-major, C order, and nothing after them.  dtype_code 0 is float64, 1 is
-complex128.  The physical period is run configuration, not file payload.
+complex128.  The physical period is run configuration, not file payload.  A
+skew matrix field is written as its dense d x d matrix and read back as a
+``MatrixField``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .torus import Grid, MatrixField, ScalarField, VectorField
+from .torus import Grid, MatrixField, ScalarField, SkewField, VectorField
 
 MAGIC = b"FBF1"
 VERSION = 1
@@ -24,6 +26,8 @@ class FormatError(ValueError):
 
 def write_field(path, field) -> None:
     """Serialize a scalar, vector, or matrix field."""
+    if isinstance(field, SkewField):
+        field = field.dense()
     if not isinstance(field, (ScalarField, VectorField, MatrixField)):
         raise TypeError(f"not a field: {type(field)!r}")
     grid = field.grid

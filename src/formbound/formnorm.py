@@ -119,9 +119,10 @@ def _start_vector(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _top_eigenpair(apply_op, start: np.ndarray):
+def _top_eigenpair(apply_op, start: list[np.ndarray]):
     """Top eigenpair of a real symmetric positive semidefinite operator,
-    by thick-restart Lanczos from the given start vector.
+    by thick-restart Lanczos from the start vector that the one-item list
+    ``start`` holds; the run takes it out (see ``_lanczos``).
 
     Returns (value, unit vector, matvecs, relative eigen-residual).  The
     zero operator gives 0.0.
@@ -134,9 +135,13 @@ def _top_eigenpair(apply_op, start: np.ndarray):
     return value, x, matvecs + 1, _norm(y - value * x) / max(value, 1e-300)
 
 
-def _lanczos(apply_op, start: np.ndarray) -> tuple[np.ndarray, int]:
+def _lanczos(apply_op, start: list[np.ndarray]) -> tuple[np.ndarray, int]:
     """The top Ritz vector of thick-restart Lanczos (Wu and Simon, 2000)
     and the matvecs it took.
+
+    The run takes the start vector out of the one-item list ``start``, so
+    that once it is copied into the basis nothing holds it (callers keep
+    no other reference).
 
     The rows of ``basis`` are the orthonormal Lanczos vectors, then the
     normalized residual; ``T`` is the operator projected onto the vectors.
@@ -147,8 +152,10 @@ def _lanczos(apply_op, start: np.ndarray) -> tuple[np.ndarray, int]:
     invariant Krylov space (beta = 0) is converged outright, and a problem
     on at most ``_NCV`` unknowns ends within that many matvecs.
     """
-    basis = np.empty((_NCV + 1, start.size))
-    np.divide(start, _norm(start), out=basis[0])
+    vec = start.pop()
+    basis = np.empty((_NCV + 1, vec.size))
+    np.divide(vec, _norm(vec), out=basis[0])
+    del vec
     T = np.zeros((_NCV, _NCV))
     floor = np.finfo(float).eps ** (2.0 / 3.0)
     kept = matvecs = 0
@@ -216,12 +223,12 @@ def trace_constant(
         return FormEstimate(0.0, 0, 0.0)
     op = _Operator(grid, None, None, measure.cell_mass / grid.cell_volume, flavor)
     if mask is None:
-        apply_op, spectrum, start = op.apply, op.spectrum, _start_vector(op.size, seed)
+        apply_op, spectrum, start = op.apply, op.spectrum, [_start_vector(op.size, seed)]
     else:
         cells = np.flatnonzero(mask)
-        start = _start_vector(grid.npoints, seed)[cells]
-        if start.size == 0:
+        if cells.size == 0:
             return FormEstimate(0.0, 0, 0.0)
+        start = [_start_vector(grid.npoints, seed)[cells]]
 
         def spectrum(x):
             u = np.zeros(grid.npoints)
@@ -404,9 +411,9 @@ def _restrict(values: np.ndarray, grid: Grid, coarse: Grid) -> np.ndarray:
     return out
 
 
-def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, int]:
-    """The start vector of the form-norm Lanczos, and the coarse matvecs
-    it took.
+def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[list[np.ndarray], int]:
+    """The start vector of the form-norm Lanczos, as the one-item list the
+    run takes it out of, and the coarse matvecs it took.
 
     From ``_COARSE_FROM`` points per axis up it is the top eigenvector of
     (P R P)*(P R P), P the projection onto the modes |k_i| < N/8, solved
@@ -423,19 +430,20 @@ def _lanczos_start(op: _Operator, flavor: str, seed: int) -> tuple[np.ndarray, i
     grid = op.grid
     n, d = grid.points_per_axis, grid.dim
     if n < _COARSE_FROM:
-        return _start_vector(op.size, seed), 0
+        return [_start_vector(op.size, seed)], 0
     coarse = Grid(d, n // 2, grid.period)
     coefs = [None if v is None else _restrict(v, grid, coarse) for v in (op.A, op.b, op.q)]
     small = _Operator(coarse, *coefs, flavor, kmax=n // 8 - 1)
     band = small.sp.band(n // 8 - 1)
     start = np.zeros(small.shape, dtype=np.complex128)
     start[band] = _start_vector(small.size, seed).view(np.complex128).reshape(small.shape)[band]
-    value, vec, iters, _ = _top_eigenpair(small.normal, start.reshape(-1).view(np.float64))
+    start = [start.reshape(-1).view(np.float64)]
+    value, vec, iters, _ = _top_eigenpair(small.normal, start)
     if value == 0.0:
-        return _start_vector(op.size, seed), iters
+        return [_start_vector(op.size, seed)], iters
     lifted = np.zeros(op.shape, dtype=np.complex128)
     lifted[op.sp.band(n // 8 - 1)] = vec.view(np.complex128).reshape(small.shape)[band]
-    return lifted.reshape(-1).view(np.float64), iters
+    return [lifted.reshape(-1).view(np.float64)], iters
 
 
 def form_norm(

@@ -13,7 +13,8 @@ compositions are fused in frequency space, all through torus: one batched
 forward transform of the input field, then each output component's
 spectrum is built and inverse-transformed on its own, straight into the
 part that holds it.  So the reconstruction residual is pure rounding, and
-one output spectrum is alive at a time.  A real field takes the real path
+one output spectrum is alive at a time.  F is a ``SkewField``, which holds
+its d(d-1)/2 upper entries only.  A real field takes the real path
 (half spectra, ``rfftn`` / ``irfftn``) and a complex one the full
 spectra; both read the wavenumbers and the split symbols of their
 core (``kappas``, whose own-axis Nyquist entries are zero, and
@@ -35,6 +36,7 @@ from .torus import (
     MatrixField,
     RankError,
     ScalarField,
+    SkewField,
     VectorField,
     _Spectral,
     _pairs,
@@ -67,7 +69,7 @@ class DecompositionResult:
 
     harmonic: np.ndarray
     c: VectorField
-    F: MatrixField
+    F: SkewField
     h: VectorField | None = None
     gamma: ScalarField | None = None
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import MatrixField, RankError, ScalarField, _peak
+from .torus import MatrixField, RankError, ScalarField, SkewField, _pairs, _peak
 
 __all__ = [
     "Cube",
@@ -164,16 +164,17 @@ def _first_max(pairs):
     return max(pairs, key=lambda pair: pair[0])
 
 
-def _reduced_entries(field: MatrixField) -> list[tuple[int, int]]:
+def _reduced_entries(field: MatrixField | SkewField) -> list[tuple[int, int]]:
     """Entries whose oscillation sup is the whole matrix's.
 
-    A skew field (read from its samples) needs only its upper triangle:
-    the diagonal is zero and each lower entry is a negated upper one, whose
-    oscillation and r-means are bit for bit the same.
+    A skew field needs only its upper triangle: the diagonal is zero and
+    each lower entry is a negated upper one, whose oscillation and r-means
+    are bit for bit the same.  A ``SkewField`` stores just those entries;
+    a dense field's skewness is read from its samples.
     """
     d = field.grid.dim
     if field.is_skew():
-        return [(i, j) for i in range(d) for j in range(i + 1, d)]
+        return _pairs(d)
     return [(i, j) for i in range(d) for j in range(d)]
 
 
@@ -183,7 +184,7 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1) -> BmoReport:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if r not in (1, 2):
         raise ValueError(f"r must be 1 or 2, got {r}")
-    if isinstance(field, MatrixField):
+    if isinstance(field, (MatrixField, SkewField)):
         best = None
         for i, j in _reduced_entries(field):
             rep = bmo_norm(field[i, j], flavor=flavor, r=r)
@@ -213,7 +214,7 @@ def vmo_profile(field, deltas) -> list[tuple[float, float]]:
     nondecreasing in delta because the sides are nested.  One walk up to
     the largest side serves every delta.
     """
-    if isinstance(field, MatrixField):
+    if isinstance(field, (MatrixField, SkewField)):
         per_entry = [
             vmo_profile(field[i, j], deltas) for i, j in _reduced_entries(field)
         ]

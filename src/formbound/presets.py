@@ -18,11 +18,12 @@ import numpy as np
 from formbound.measures import DiscreteMeasure
 from formbound.torus import (
     Grid,
-    MatrixField,
     ScalarField,
+    SkewField,
     VectorField,
     _BandDraw,
     _on_axes,
+    _pairs,
     grad,
     mat_div,
 )
@@ -108,13 +109,11 @@ def coulomb_gauge(grid: Grid) -> VectorField:
     return mat_div(_skew_12(grid, f))
 
 
-def _skew_12(grid: Grid, f: np.ndarray) -> MatrixField:
+def _skew_12(grid: Grid, f: np.ndarray) -> SkewField:
     """The skew matrix field with F_12 = f = -F_21 and no other entries."""
-    d = grid.dim
-    F0 = np.zeros((d, d) + grid.shape)
-    F0[0, 1] = f
-    F0[1, 0] = -f
-    return MatrixField.from_array(grid, F0)
+    upper = np.zeros((len(_pairs(grid.dim)),) + grid.shape)
+    upper[0] = f
+    return SkewField.from_array(grid, upper)
 
 
 def _band_limited(grid: Grid, rng: np.random.Generator) -> np.ndarray:

@@ -24,7 +24,11 @@ along its axis by ``_on_axes``.
 Fields.  A scalar field holds one array of the grid's shape; a vector field
 one array of shape (dim, *grid) and a matrix field one of shape
 (dim, dim, *grid).  Components and entries are views of that array, so a
-write through a view reaches the field.  Every field is built through one
+write through a view reaches the field.  A skew matrix field (``SkewField``,
+what ``curl`` and the Hodge splits return) holds only its d(d-1)/2 upper
+entries, one array of shape (d(d-1)/2, *grid) in ``_pairs`` order: an entry
+above the diagonal is a view, one below it a negated copy, and ``dense()``
+gives the full matrix field.  Every field is built through one
 constructor, which rejects NaN and infinite samples.
 
 Transforms and symbols.  Every transform in the package is a call of
@@ -42,8 +46,9 @@ complex coefficients and the gauge probes' twisted spectra take the
 complex one.  The core transforms the last ``dim`` axes and treats the
 leading axes as a batch; each component's result has the same bits as its
 own transform.  An input vector or matrix field goes forward in one call
-(``mat_div`` takes one row per call).  The outputs of ``grad``, ``curl``,
-``mat_div`` and the Hodge splits come back one component at a time through
+(``mat_div`` takes a skew field's upper entries in one call and a dense
+field's rows one per call).  The outputs of ``grad``, ``curl``, ``mat_div``
+and the Hodge splits come back one component at a time through
 ``_Spectral.stream``, so that one output spectrum is alive at a time; a
 multiplier transforms its batch back in one call.  The only other caller
 of scipy.fft is ``_PrunedFFT``, which runs scipy's rfftn, irfftn or ifftn
@@ -86,6 +91,7 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "MatrixField",
+    "SkewField",
     "GridMismatchError",
     "MeanModeError",
     "RankError",
@@ -409,7 +415,11 @@ class _Field:
     rank = 0
 
     def __post_init__(self) -> None:
-        self.values = _coerce(self.grid, self.values, (self.grid.dim,) * self.rank)
+        self.values = _coerce(self.grid, self.values, self._lead())
+
+    def _lead(self) -> tuple[int, ...]:
+        """The shape of the leading axes of ``values``."""
+        return (self.grid.dim,) * self.rank
 
     @classmethod
     def from_array(cls, grid: Grid, stacked: np.ndarray):
@@ -512,12 +522,55 @@ class MatrixField(_Field):
                    for i in range(d) for j in range(i, d))
 
 
-Field = ScalarField | VectorField | MatrixField
-
-
 def _pairs(d: int) -> list[tuple[int, int]]:
     """Upper-triangle index pairs (i < j), row by row."""
     return [(i, j) for i in range(d) for j in range(i + 1, d)]
+
+
+@dataclass
+class SkewField(_Field):
+    """Skew matrix field held by its d(d-1)/2 upper entries: ``values`` has
+    shape (d(d-1)/2, *grid), one entry per pair of ``_pairs``.  ``m[i, j]``
+    is a view of the stored entry above the diagonal, its negated copy
+    below it and zeros on it; ``dense()`` is the d x d matrix field."""
+
+    rank = 2
+
+    def _lead(self) -> tuple[int, ...]:
+        return (len(_pairs(self.grid.dim)),)
+
+    def __getitem__(self, ij: tuple[int, int]) -> ScalarField:
+        i, j = ij
+        d = self.grid.dim
+        if not (0 <= i < d and 0 <= j < d):
+            raise IndexError(f"entry {ij} outside a {d}x{d} matrix")
+        if i == j:
+            return _view(self.grid, np.zeros_like(self.values[0]))
+        if i < j:
+            return _view(self.grid, self.values[_pairs(d).index((i, j))])
+        return _view(self.grid, np.negative(self.values[_pairs(d).index((j, i))]))
+
+    @property
+    def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
+        d = self.grid.dim
+        return tuple(tuple(self[i, j] for j in range(d)) for i in range(d))
+
+    def is_skew(self) -> bool:
+        """True: the lower entries and the diagonal are not stored."""
+        return True
+
+    def dense(self) -> MatrixField:
+        """The d x d matrix field, each lower entry the negation of its
+        upper one."""
+        d = self.grid.dim
+        out = np.zeros((d, d) + self.grid.shape, dtype=self.values.dtype)
+        for upper, (i, j) in zip(self.values, _pairs(d)):
+            out[i, j] = upper
+            np.negative(upper, out=out[j, i])
+        return MatrixField.from_array(self.grid, out)
+
+
+Field = ScalarField | VectorField | MatrixField | SkewField
 
 
 class _Spectral:
@@ -674,16 +727,10 @@ def _core(grid: Grid, real: bool) -> _Spectral:
     return sp
 
 
-def _skew_field(sp: _Spectral, upper) -> MatrixField:
+def _skew_field(sp: _Spectral, upper) -> SkewField:
     """Skew matrix field from the spectra of its upper entries, yielded in
-    ``_pairs`` order: each is streamed into its entry, and the lower entry
-    is its negative."""
-    d = sp.grid.dim
-    pairs = _pairs(d)
-    out = sp.stream(upper, (d, d), pairs)
-    for i, j in pairs:
-        np.negative(out[i, j], out=out[j, i])
-    return MatrixField.from_array(sp.grid, out)
+    ``_pairs`` order: each is streamed into its entry."""
+    return SkewField.from_array(sp.grid, sp.stream(upper, (len(_pairs(sp.grid.dim)),)))
 
 
 def _check_field(field) -> None:
@@ -715,7 +762,7 @@ def div(v: VectorField) -> ScalarField:
     return ScalarField(v.grid, sp.inverse(sp.div_hat(v.values)))
 
 
-def curl(v: VectorField) -> MatrixField:
+def curl(v: VectorField) -> SkewField:
     """Matrix curl, (curl b)_{ij} = d_j b_i - d_i b_j.
 
     The sign convention is the one that makes the two-part reconstruction
@@ -730,16 +777,37 @@ def curl(v: VectorField) -> MatrixField:
                             for i, j in _pairs(v.grid.dim)))
 
 
-def mat_div(m: MatrixField) -> VectorField:
+def mat_div(m: MatrixField | SkewField) -> VectorField:
     """Row-wise divergence of a matrix field, (Div F)_i = sum_j d_j F_ij.
-    Each row goes forward on its own, so one row's spectra are alive at a
-    time."""
-    if not isinstance(m, MatrixField):
+
+    A dense field's rows go forward one at a time, so one row's spectra are
+    alive at a time.  A skew field's upper entries go forward in one call,
+    and each row adds its off-diagonal terms in the dense order, a lower
+    entry's as the subtraction of its upper one's: a negated entry
+    transforms to the exact negation, and a sum that starts at +0 is left
+    as it is by the diagonal's zero terms, so every bit is the dense
+    field's."""
+    if not isinstance(m, (MatrixField, SkewField)):
         raise RankError("mat_div expects a matrix field")
     g = m.grid
     sp = _Spectral(g, m.is_real)
-    return VectorField.from_array(g, sp.stream((sp.div_hat(row) for row in m.values),
-                                               (g.dim,)))
+    if isinstance(m, MatrixField):
+        rows = (sp.div_hat(row) for row in m.values)
+        return VectorField.from_array(g, sp.stream(rows, (g.dim,)))
+    hats = sp.forward(m.values)
+    slot = {pair: k for k, pair in enumerate(_pairs(g.dim))}
+
+    def rows():
+        for i in range(g.dim):
+            acc = np.zeros(sp.shape, dtype=np.complex128)
+            for j, kap in enumerate(sp.kappas):
+                if i < j:
+                    acc += 1j * kap * hats[slot[i, j]]
+                elif j < i:
+                    acc -= 1j * kap * hats[slot[j, i]]
+            yield acc
+
+    return VectorField.from_array(g, sp.stream(rows(), (g.dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +857,8 @@ def bessel_inv(field: Field) -> Field:
 
 def _pointwise_magnitude(field: Field) -> np.ndarray:
     _check_field(field)
+    if isinstance(field, SkewField):
+        field = field.dense()
     if field.rank == 0:
         return np.abs(field.values)
     return np.sqrt(np.sum(np.abs(field.values) ** 2, axis=tuple(range(field.rank))))
@@ -819,7 +889,8 @@ def lp_norm(field: Field, p: float = 2.0) -> float:
 
 
 def mean(field: Field):
-    """Average over sample points; vector/matrix means keep their shape."""
+    """Average over sample points; vector/matrix means keep their shape,
+    and a skew field's are those of its upper entries."""
     _check_field(field)
     if field.rank:
         return field.values.mean(axis=_axes(field.grid.dim))

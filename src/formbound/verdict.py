@@ -302,6 +302,7 @@ def assess_homogeneous(
     # in two dimensions the skew part of A was folded into b1, so the
     # rotation potential of b1 already carries the - (A - A^T)/2 correction
     records += _homogeneous_battery("homogeneous", b1, q0, thr)
+    del q0  # the zero q of an absent potential: the estimate does not read it
     if grid.dim == 3:
         records.append(_form_record("form_norm", lambda: form_norm(A, b, q, seed=seed)))
     elif not _obstructed(records):
@@ -326,6 +327,7 @@ def assess_inhomogeneous(
     b1, records = _fold_principal(A, b0)
 
     dec = inhomogeneous_decompose(b1, q0)
+    del q0  # the split has read it
     bmo_rep = bmo_norm(dec.F, flavor="BMO_sharp")
     records.append(_bmo_record("stream_bmo_sharp", bmo_rep, thr.bmo, b1))
 
@@ -334,6 +336,7 @@ def assess_inhomogeneous(
     rho = rho + np.abs(dec.gamma.values)
     del dec  # free the split's fields before the estimates that peak in memory
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
+    del rho
 
     variants = inhomogeneous_variants(mu, thresholds={
         "carleson": thr.carleson,
@@ -342,18 +345,18 @@ def assess_inhomogeneous(
     })
     records.extend(variants.values())  # carleson, ball_energy, pointwise
 
+    # each measure lives until its trace has read it
+    records.append(_form_record(
+        "trace", lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed), thr.trace))
+    del mu
     strong_mu = _strengthened_measure(b1)
-    records.extend([
-        _form_record("trace",
-                     lambda: trace_constant(mu, flavor="inhomogeneous", seed=seed),
-                     thr.trace),
-        _form_record("strengthened_drift",
-                     lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed),
-                     thr.trace),
-        _form_record("form_norm",
-                     lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed),
-                     thr.trace),
-    ])
+    records.append(_form_record(
+        "strengthened_drift",
+        lambda: trace_constant(strong_mu, flavor="inhomogeneous", seed=seed), thr.trace))
+    del strong_mu
+    records.append(_form_record(
+        "form_norm", lambda: form_norm(A, b, q, flavor="inhomogeneous", seed=seed),
+        thr.trace))
 
     prov = _provenance(grid, thr, seed=seed, flavor="inhomogeneous")
     return Verdict("inhomogeneous", tuple(records), _outcome(records), prov)
@@ -381,6 +384,7 @@ def assess_magnetic(
 
     asq = sum(c.values**2 for c in a.components)
     q_eff = ScalarField(grid, q0.values + asq)
+    del q0
     records = _homogeneous_battery("magnetic", a, q_eff, thr)
     if grid.dim == 3:
         a_arg = None if float(np.abs(asq).max()) == 0.0 else a
@@ -441,6 +445,7 @@ def assess_infinitesimal(
     vmo = vmo_profile(F, deltas)
 
     dens = sum(np.abs(c.values) ** 2 for c in b0.components) + np.abs(q0.values)
+    del q0
     mu = DiscreteMeasure.from_density(ScalarField(grid, dens))
 
     n = grid.points_per_axis

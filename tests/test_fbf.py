@@ -5,7 +5,7 @@ import pytest
 
 from formbound import fbf
 from formbound.hodge import hodge_decompose
-from formbound.torus import Grid, MatrixField, ScalarField, VectorField
+from formbound.torus import Grid, MatrixField, ScalarField, SkewField, VectorField
 
 
 def test_scalar_round_trip(tmp_path, grid2, noise):
@@ -33,9 +33,7 @@ def test_matrix_round_trip(tmp_path, grid2, noise):
     fbf.write_field(path, F)
     back = fbf.read_field(path)
     assert isinstance(back, MatrixField)
-    for i in range(2):
-        for j in range(2):
-            assert np.array_equal(back.entries[i][j].values, F.entries[i][j].values)
+    assert np.array_equal(back.values, F.dense().values)
 
 
 def test_complex_round_trip(tmp_path, grid2):
@@ -117,3 +115,28 @@ def test_nonfinite_sample_rejected(tmp_path, grid2, noise, bad):
     fbf.write_field(path, f)
     with pytest.raises(fbf.FormatError, match="non-finite"):
         fbf.read_field(path)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_skew_field_writes_the_full_layout(tmp_path, complex_):
+    # a skew field is written entry by entry as a d x d matrix, the lower
+    # entries negated, and reads back as that matrix
+    for grid in (Grid(2, 16, 1.0), Grid(3, 8, 2.5)):
+        d = grid.dim
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        rng = np.random.default_rng(4)
+        upper = rng.standard_normal((len(pairs),) + grid.shape)
+        if complex_:
+            upper = upper + 1j * rng.standard_normal(upper.shape)
+        full = np.zeros((d, d) + grid.shape, upper.dtype)
+        for ent, (i, j) in zip(upper, pairs):
+            full[i, j] = ent
+            full[j, i] = -ent
+        header = np.array([1, d, *grid.shape, d * d, int(complex_)], dtype="<u4")
+        want = b"FBF1" + header.tobytes() + full.tobytes()
+        fbf.write_field(tmp_path / "F.fbf", SkewField.from_array(grid, upper))
+        assert (tmp_path / "F.fbf").read_bytes() == want
+        back = fbf.read_field(tmp_path / "F.fbf", period=grid.period)
+        assert isinstance(back, MatrixField) and np.array_equal(back.values, full)
+        fbf.write_field(tmp_path / "G.fbf", back)
+        assert (tmp_path / "G.fbf").read_bytes() == want

@@ -194,7 +194,7 @@ def test_lanczos_finds_the_top_eigenvalue(n, seed, rank, cluster, gap, scale):
     M = scale * (basis * lam) @ basis.T
     M = (M + M.T) / 2.0
     top = np.linalg.eigvalsh(M)[-1]
-    value, x, _, residual = _top_eigenpair(lambda v: M @ v, rng.standard_normal(n))
+    value, x, _, residual = _top_eigenpair(lambda v: M @ v, [rng.standard_normal(n)])
     assert abs(value - top) <= 1e-10 * top
     assert value <= top * (1.0 + 1e-13)
     assert abs(np.linalg.norm(x) - 1.0) <= 1e-13

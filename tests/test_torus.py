@@ -139,7 +139,7 @@ def test_div_grad_is_laplacian(grid2):
 def test_curl_of_gradient_vanishes(grid3, noise):
     f = noise(grid3, seed=1, kind="scalar")
     F = curl(grad(f))
-    worst = max(max_abs(F.entries[i][j]) for i in range(3) for j in range(3))
+    worst = float(np.abs(F.values).max())  # the upper entries
     assert worst <= 1e-10 * max(max_abs(f), 1.0)
 
 
@@ -265,6 +265,7 @@ def test_matrix_field_structure(grid2, noise):
     b = noise(grid2, seed=10)
     F = curl(b)
     assert max_abs(F.entries[0][1] + F.entries[1][0]) <= 1e-12
+    F = F.dense()
     Ft = F.transpose()
     assert max_abs(Ft.entries[0][1] - F.entries[1][0]) == 0.0
     with pytest.raises(RankError):
@@ -313,16 +314,17 @@ def test_components_are_views_of_one_array(grid3, noise):
     b[1].values[0, 0, 0] = 7.0
     assert b.values[1, 0, 0, 0] == 7.0
     F = curl(b)
-    assert F.values.shape == (3, 3) + grid3.shape
+    assert F.values.shape == (3,) + grid3.shape
     F[0, 2].values[1, 1, 1] = -3.0
     assert F.entries[0][2].values[1, 1, 1] == -3.0
+    assert F.dense().values[2, 0, 1, 1, 1] == 3.0
     rebuilt = VectorField(b.components)
     assert np.array_equal(rebuilt.values, b.values)
     assert not np.shares_memory(rebuilt.values, b.values)
 
 
 def test_skewness_read_from_samples(grid3, noise):
-    F = curl(noise(grid3, seed=32))
+    F = curl(noise(grid3, seed=32)).dense()
     assert F.is_skew()
     assert (F * 2.0).is_skew() and F.transpose().is_skew()
     vals = F.values.copy()
