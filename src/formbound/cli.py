@@ -275,7 +275,11 @@ def _cmd_decompose(args):
                note="max |F_ij| over entries"),
         Record("gradient_l2", lp_norm(dec.c)),
     ]
-    details = {"mean_part": [float(m) for m in np.atleast_1d(dec.mean_part)]}
+    mean = np.atleast_1d(dec.mean_part)
+    # a complex drift's mean keeps its imaginary part: one [real, imag] pair
+    # per component
+    details = {"mean_part": [[float(m.real), float(m.imag)] for m in mean]
+               if np.iscomplexobj(mean) else [float(m) for m in mean]}
     for key, val in extra.items():
         details[key] = float(val)
     # the split's records are diagnostics: they never set the exit code

@@ -20,11 +20,11 @@ once (S rho S is symmetric), a form norm is R*R.  It differentiates with
 the Nyquist-free wavenumbers of its core, as the rest of the package
 does.  Every transform and every symbol here comes from a
 ``torus._Spectral`` core: the operator holds the core of its grid and
-path and takes S from it, and its witnesses, the masked traces, the
-coarse restriction and the nonlinear ascent transform through it or
-through a core of their own.  Real or absent coefficients run the
-operator on the real path, the half spectra of real fields, about N
-real unknowns (see ``_Operator``).  Complex coefficients take the
+path and takes S from it, and its witnesses, the coarse restriction and
+the nonlinear ascent transform through it or through a core of their
+own.  Real or absent coefficients run the operator on the real path,
+the half spectra of real fields, about N real unknowns (see
+``_Operator``).  Complex coefficients take the
 complex path and act on N complex Fourier coefficients, read as 2N real
 unknowns: for Hermitian H that real-linear map is symmetric, has the
 spectrum of H with every eigenvalue doubled, and its real Rayleigh
@@ -33,8 +33,7 @@ value through either path.
 The form operator plans each half, R = S L S and R* = S L* S, once when
 it is built; a drift component or a potential that is identically zero
 gets no term, so a planar drift in 3-D costs 6 component transforms per
-R*R application instead of 8.  A masked trace keeps the masked cells as
-its unknowns.
+R*R application instead of 8.
 From 64 points per axis up, a form estimate starts from the top
 eigenvector of the Galerkin projection P R P onto the modes |k_i| < N/8,
 solved by the same solver on the N/2 grid and zero-padded; its
@@ -203,44 +202,27 @@ def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> tuple[float, float]:
 def trace_constant(
     measure: DiscreteMeasure,
     flavor: str = "homogeneous",
-    mask: np.ndarray | None = None,
     seed: int = 0,
 ) -> FormEstimate:
-    """Best C in  int |u|^2 dmu <= C ||u||^2  for the flavor's norm.
+    """C(mu), the best C in  int |u|^2 dmu <= C ||u||^2  for the flavor's
+    norm.
 
     Computed as the top eigenvalue of S rho S with rho the cell density of
     mu: the form operator with q = rho, applied once, on the unknowns of a
-    real field's half spectrum.  With a boolean mask, trials are confined
-    to the masked cells and the eigenproblem is posed on those cells alone,
-    giving the localized constant used by the shrinking-neighborhood
-    profile.
+    real field's half spectrum.  A local trace is C(mu|_Q), the constant of
+    the measure restricted to a cube Q (its cell masses times the cube's
+    mask): the trial u ranges over the whole torus and only the mass in Q
+    is weighed.  That is the paper's localization of the infinitesimal
+    criterion (Maz'ya and Verbitsky, Invent. Math. 2005), and it is
+    monotone in Q.
     """
     _check_flavor(flavor)
     grid = measure.grid
-    if mask is not None and np.shape(mask) != grid.shape:
-        raise ValueError(f"mask shape {np.shape(mask)} does not match grid {grid.shape}")
     if measure.total <= 0.0:
         return FormEstimate(0.0, 0, 0.0)
     op = _Operator(grid, None, None, measure.cell_mass / grid.cell_volume, flavor)
-    if mask is None:
-        apply_op, spectrum, start = op.apply, op.spectrum, [_start_vector(op.size, seed)]
-    else:
-        cells = np.flatnonzero(mask)
-        if cells.size == 0:
-            return FormEstimate(0.0, 0, 0.0)
-        start = [_start_vector(grid.npoints, seed)[cells]]
-
-        def spectrum(x):
-            u = np.zeros(grid.npoints)
-            u[cells] = x
-            return op.sp.forward(u.reshape(grid.shape))
-
-        def apply_op(x):
-            hats = spectrum(x)
-            return op.sp.inverse(op.compressed(hats, False, hats)).reshape(-1)[cells]
-
-    value, vec, iters, residual = _top_eigenpair(apply_op, start)
-    witness = ScalarField(grid, op.sp.inverse(spectrum(vec) * op.sym))
+    value, vec, iters, residual = _top_eigenpair(op.apply, [_start_vector(op.size, seed)])
+    witness = ScalarField(grid, op.sp.inverse(op.spectrum(vec) * op.sym))
     return FormEstimate(value, iters, residual, witness)
 
 

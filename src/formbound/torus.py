@@ -687,16 +687,15 @@ class _Spectral:
         return _sfft.ifftn(spec, axes=_axes(self.grid.dim), overwrite_x=True,
                            workers=fft_workers())
 
-    def stream(self, parts, lead: tuple[int, ...], rows=None) -> np.ndarray:
+    def stream(self, parts, lead: tuple[int, ...]) -> np.ndarray:
         """Samples of shape ``lead`` + grid: each spectrum that ``parts``
-        yields is inverse-transformed into the next of ``rows`` (indices
-        into ``lead``; by default its first axis in order), and every other
-        entry is zero.  Only one output spectrum is alive at a time, and
-        each row has the bits of a batched inverse, which transforms every
-        component on its own."""
+        yields is inverse-transformed into the next row of the first axis
+        of ``lead``, and every other entry is zero.  Only one output
+        spectrum is alive at a time, and each row has the bits of a
+        batched inverse, which transforms every component on its own."""
         out = np.zeros(lead + self.grid.shape,
                        dtype=np.float64 if self.real else np.complex128)
-        for row, part in zip(range(lead[0]) if rows is None else rows, parts):
+        for row, part in zip(range(lead[0]), parts):
             out[row] = self.inverse(part)
         return out
 

@@ -420,8 +420,10 @@ def assess_infinitesimal(
     """Small-scale pipeline: does the form constant vanish with the scale?
 
     Reports the oscillation profile of the stream part over cubes of side
-    <= delta and the localized trace constants of (|b|^2 + |q|) dx over a
-    delta-graded cube family, with per-halving decay flags.
+    <= delta and the local trace constants of mu = (|b|^2 + |q|) dx: at
+    each delta, the largest C(mu|_Q) of mu restricted to cubes Q of side
+    delta at three anchors (the peak cell, the centre and the origin),
+    with per-halving decay flags.
     """
     thr = thresholds or Thresholds()
     grid, b0, q0 = _coefficients(None, b, q)
@@ -455,8 +457,8 @@ def assess_infinitesimal(
         side = max(1, int(round(delta / h)))
         best = 0.0
         for corner in anchors:
-            mask = grid.cube(corner, side)
-            best = max(best, trace_constant(mu, mask=mask, seed=seed).value)
+            local_mu = DiscreteMeasure(grid, mu.cell_mass * grid.cube(corner, side))
+            best = max(best, trace_constant(local_mu, seed=seed).value)
         return best
 
     local = [(d, _local(d)) for d in deltas]

@@ -384,6 +384,21 @@ def test_homogeneous_decompose_rebuilds_vortex(tmp_path):
     assert recs["reconstruction_residual"]["passed"]
 
 
+def test_decompose_keeps_the_imaginary_mean(tmp_path, recwarn):
+    # a complex drift's mean is reported as one [real, imag] pair per
+    # component; a real cast would drop 0.5j and warn
+    b = presets.make_field("vortex", Grid(3, 16))
+    src = tmp_path / "c.fbf"
+    fbf.write_field(src, type(b).from_array(b.grid, b.values.astype(complex) + 0.5j))
+    out = tmp_path / "rep.json"
+    assert main(["decompose", "--input", str(src), "--flavor", "homogeneous",
+                 "--out", str(out)]) == 0
+    assert not [w for w in recwarn if "discards the imaginary part" in str(w.message)]
+    mean = np.array(json.loads(out.read_text())["details"]["mean_part"])
+    assert mean.shape == (3, 2)
+    assert np.allclose(mean, [[0.0, 0.5]] * 3, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("q_flag", [["--q-const", "1.0"], ["--q-preset", "trig"]])
 def test_homogeneous_decompose_rejects_q(q_flag, capsys):
     # the homogeneous split has no q part, so a given q would go unread

@@ -2,7 +2,8 @@
 half and full spectra, the Hodge projections, batched complex and real
 transforms against one transform per component),
 of the measure tests (dyadic mass conservation, invariance under torus
-shifts), of the compressed norms (linear scaling in the drift) and of
+shifts), of the compressed norms (linear scaling in the drift, local
+traces monotone in the cube) and of
 the Lanczos solver behind them (the top eigenvalue of small dense
 symmetric matrices)."""
 
@@ -16,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from formbound import presets  # noqa: E402
-from formbound.formnorm import _TOL, _top_eigenpair, form_norm  # noqa: E402
+from formbound.formnorm import _TOL, _top_eigenpair, form_norm, trace_constant  # noqa: E402
 from formbound.hodge import project  # noqa: E402
 from formbound.measures import (  # noqa: E402
     DiscreteMeasure,
@@ -172,6 +173,33 @@ def test_compressed_norms_scale_linearly_in_drift(grid, preset, flavor, alpha):
     base = form_norm(None, b, None, flavor=flavor).value
     scaled = form_norm(None, alpha * b, None, flavor=flavor).value
     assert abs(scaled - abs(alpha) * base) <= 1e-12 * abs(alpha) * base
+
+
+@settings(max_examples=20, deadline=None)
+@given(grid=grids, seed=seeds, flavor=st.sampled_from(["homogeneous", "inhomogeneous"]),
+       data=st.data())
+def test_local_trace_monotone_in_the_cube(grid, seed, flavor, data):
+    # Q inside Q' gives C(mu|_Q) <= C(mu|_Q'), since mu|_Q <= mu|_Q'.  The
+    # estimate for Q is a Rayleigh quotient, at most its top eigenvalue;
+    # the one for Q' stops with a residual of at most _TOL times its
+    # value, which places an eigenvalue (the top one, once the run has
+    # found it) within that distance.  So the estimates keep the order up
+    # to a relative _TOL
+    n = grid.points_per_axis
+    rng = np.random.default_rng(seed)
+    mass = rng.uniform(0.0, 1.0, grid.shape) * (rng.uniform(size=grid.shape) < 0.7)
+    mu = DiscreteMeasure(grid, mass * grid.cell_volume)
+    side = data.draw(st.integers(1, n - 1))
+    outer = data.draw(st.integers(side, n))
+    corner = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=grid.dim,
+                                      max_size=grid.dim)))
+    shift = data.draw(st.lists(st.integers(0, outer - side), min_size=grid.dim,
+                               max_size=grid.dim))
+    around = tuple((c - s) % n for c, s in zip(corner, shift))
+    small, large = (trace_constant(DiscreteMeasure(grid, mu.cell_mass * grid.cube(c, k)),
+                                   flavor, seed=seed).value
+                    for c, k in ((corner, side), (around, outer)))
+    assert small <= large * (1.0 + _TOL)
 
 
 @settings(max_examples=60, deadline=None)

@@ -186,6 +186,33 @@ def test_infinitesimal_profile():
     assert all(y < x for x, y in zip(vd.profiles["vmo"], vd.profiles["vmo"][1:]))
 
 
+def test_local_trace_is_the_trace_of_the_restricted_measure():
+    # each profile entry is the largest C(mu|_Q) over cubes Q of side delta
+    # at the peak cell, the centre and the origin, mu = (|b|^2 + |q|) dx;
+    # the cubes at one corner are nested, so the profile cannot grow as
+    # delta shrinks
+    from formbound.formnorm import trace_constant
+    from formbound.measures import DiscreteMeasure
+
+    g = Grid(2, 64, 1.0)
+    b = presets.make_field("stream", g)
+    q = presets.make_scalar("trig", g)
+    deltas = [1 / 8, 1 / 16, 1 / 32]
+    vd = assess_infinitesimal(b, q, deltas)
+    dens = sum(np.abs(c.values) ** 2 for c in b.components) + np.abs(q.values)
+    mu = DiscreteMeasure.from_density(ScalarField(g, dens))
+    peak = tuple(int(i) for i in np.unravel_index(np.argmax(mu.cell_mass), g.shape))
+
+    def local(delta):
+        side = round(delta / g.spacing)
+        return max(trace_constant(DiscreteMeasure(g, mu.cell_mass * g.cube(c, side))).value
+                   for c in (peak, (32, 32), (0, 0)))
+
+    want = [local(d) for d in deltas]
+    assert vd.profiles["local_trace"] == want
+    assert all(y <= x for x, y in zip(want, want[1:]))
+
+
 def test_infinitesimal_reads_only_the_drift_split(monkeypatch):
     # the profile needs F alone: the Bessel split of b gives it bit for bit,
     # without q's split
