@@ -41,7 +41,7 @@ of two and the preconditioner costs O(active cells).  Inner products are
 numpy reductions, so no BLAS thread count moves the result.
 Each active-set round warm-starts CG from the previous round's charges on
 the cells it keeps (newly grown cells start at zero); the stopping bound
-rtol * ||rhs|| is the same absolute bound a cold start would use.
+_CG_RTOL * ||rhs|| is the same absolute bound a cold start would use.
 
 The first active set is the set's boundary shell, its cells with a face
 neighbour outside it, because the equilibrium charge of a set sits on its
@@ -86,6 +86,7 @@ FLAVORS = ("homogeneous", "inhomogeneous")
 
 _MAX_ROUNDS = 30  # active-set rounds
 _TOL = 1e-8  # on the KKT residual: the potential on the set, the charge signs
+_CG_RTOL = 1e-12  # on the CG residual, relative to the right-hand side
 _GAUGE_FLOOR = 1e-8  # under the potential in the gauge's logarithm
 
 
@@ -166,18 +167,15 @@ def _neighbours(grid: Grid, flat_idx: np.ndarray) -> np.ndarray:
     Row 2 axis + k holds the neighbour one step down (k = 0) or up (k = 1)
     along axis; a neighbour that is not listed gets flat_idx.size.
     """
-    order = np.argsort(flat_idx)
-    listed = flat_idx[order]
+    pos = np.full(grid.npoints, flat_idx.size, dtype=np.intp)
+    pos[flat_idx] = np.arange(flat_idx.size)
     coords = np.unravel_index(flat_idx, grid.shape)
     out = np.empty((2 * grid.dim, flat_idx.size), dtype=np.intp)
     for axis in range(grid.dim):
         for k, step in enumerate((-1, 1)):
             moved = list(coords)
             moved[axis] = (coords[axis] + step) % grid.points_per_axis
-            nb = np.ravel_multi_index(moved, grid.shape)
-            pos = np.minimum(np.searchsorted(listed, nb), listed.size - 1)
-            out[2 * axis + k] = np.where(listed[pos] == nb, order[pos],
-                                         flat_idx.size)
+            out[2 * axis + k] = pos[np.ravel_multi_index(moved, grid.shape)]
     return out
 
 
@@ -235,8 +233,8 @@ class _ChargeSystem:
             out += v
         return self._project(out)
 
-    def solve(self, target: np.ndarray, rtol: float, max_iter: int,
-              start: np.ndarray | None = None):
+    def solve(self, target: np.ndarray, start: np.ndarray | None = None):
+        """CG to ||residual|| <= _CG_RTOL ||rhs|| in at most 10 n steps."""
         rhs = self._project(target)
         if start is None:
             sigma = np.zeros_like(rhs)
@@ -247,7 +245,8 @@ class _ChargeSystem:
         z = self.precond(r)
         p = z.copy()
         rz = _dot(r, z)
-        bound = rtol * max(_norm(rhs), 1e-300)
+        bound = _CG_RTOL * max(_norm(rhs), 1e-300)
+        max_iter = 10 * self.grid.points_per_axis
         iters = 0
         while _norm(r) > bound and iters < max_iter:
             Kp = self.matvec(p)
@@ -328,7 +327,6 @@ def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
     # the equilibrium charge sits on the boundary; the grow rule adds any
     # interior cell the KKT check still needs
     active = _start_cells(e.mask).reshape(-1)[e_idx_all]
-    max_cg = 10 * grid.points_per_axis
 
     sigma = u = None
     # previous round's charges on the full grid; zero off its active cells
@@ -342,8 +340,7 @@ def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
         system = _ChargeSystem(grid, idx, inhomogeneous,
                                zero_sum=not inhomogeneous)
         start = charges[idx] if rounds > 1 else None
-        sigma, iters = system.solve(target, rtol=1e-12, max_iter=max_cg,
-                                    start=start)
+        sigma, iters = system.solve(target, start=start)
         iterations += iters
         u = system.potential(sigma, target)
         charges[:] = 0.0

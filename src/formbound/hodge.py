@@ -4,11 +4,13 @@ coefficients.
 
 The homogeneous split of a field b is
 
-    b = b_h + grad(inv_laplacian(div b)) + mat_div(inv_laplacian(curl b)),
+    b = b_h + c + mat_div(F),   c = grad(G div b),   F = G curl b,
 
-exact mode by mode with the curl convention of torus.py, where the
-harmonic part b_h holds the modes that the Nyquist-zeroed derivative
-annihilates: the mean and the Nyquist-only modes.  All multiplier
+exact mode by mode with the curl convention of torus.py, where G is -1
+over the grounded |kappas|^2 (``inv_laplacian`` in its place keeps the
+Nyquist entries and misses), and the harmonic part b_h holds the modes
+that the Nyquist-zeroed derivative annihilates: the mean and the
+Nyquist-only modes.  All multiplier
 compositions are fused in frequency space, all through torus: one batched
 forward transform of the input field, then each output component's
 spectrum is built and inverse-transformed on its own, straight into the
@@ -129,10 +131,9 @@ def hodge_decompose(b: VectorField) -> DecompositionResult:
 def project(which: str, b: VectorField) -> VectorField:
     """Idempotent Hodge projections, read off the homogeneous split.
 
-    "P" keeps the gradient part grad(inv_laplacian(div .)), "Q" the rest
-    of the mean-free part: the divergence part mat_div(inv_laplacian(curl .))
-    and the Nyquist-only modes of b_h.  Both drop the mean and satisfy
-    P + Q = id - mean, P Q = Q P = 0 exactly.
+    "P" keeps the gradient part c, "Q" the rest of the mean-free part: the
+    divergence part mat_div(F) and the Nyquist-only modes of b_h.  Both
+    drop the mean and satisfy P + Q = id - mean, P Q = Q P = 0 exactly.
     """
     if which not in ("P", "Q"):
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")

@@ -19,9 +19,10 @@ scale profile: it gives, per side, the sup of the oscillation and the first
 cube attaining it (and, for the bmo flavor, the same for the r-mean of |f|
 from side n/2 up), and each flavor and each profile entry is a max over
 that table.  Ties keep the first cube in (side ascending, shift) order.
-Each layer is copied once into a contiguous array with one row of side**d
-samples per cube, so that every mean is a reduction along the last axis,
-and that copy is then reduced in place: the mean is subtracted from it and
+Each side wrap-pads the samples once by its half side, and each layer
+copies its slice of that into a contiguous array with one row of side**d
+samples per cube, so that every mean is a reduction along the last axis;
+that copy is then reduced in place: the mean is subtracted from it and
 its |.| (and, for r = 2, its square) overwrites it; complex samples write
 their |.| into one real buffer.  A field whose samples are all zero skips
 the walk: its table is the one the walk would build, every sup 0.0 and
@@ -75,43 +76,26 @@ def _r_mean(absvals: np.ndarray, r: int) -> np.ndarray:
     return np.sqrt(np.square(absvals, out=absvals).mean(axis=-1))
 
 
-def _pieces(nb: int, side: int, offset: int) -> list[tuple[tuple[slice, slice], ...]]:
-    """The (destination, source) index pairs that lay one axis of a layer
-    out in (block, offset-in-block) coordinates: cube b of the shifted
-    layer holds cells b * side + offset + t, t < side, wrapped.  The cells
-    past the block's end come from the next block, and the last block's
-    from the first."""
-    whole = (slice(None), slice(None))
-    if not offset:
-        return [(whole, whole)]
-    head, tail = slice(0, side - offset), slice(side - offset, side)
-    return [((slice(None), head), (slice(None), slice(offset, side))),
-            ((slice(0, nb - 1), tail), (slice(1, nb), slice(0, offset))),
-            ((slice(nb - 1, nb), tail), (slice(0, 1), slice(0, offset)))]
-
-
-def _block_reduce(vals: np.ndarray, side: int, shift: tuple[int, ...], r: int,
-                  mass: bool = False):
+def _block_reduce(ext: np.ndarray, n: int, side: int, shift: tuple[int, ...],
+                  r: int, mass: bool = False):
     """Per-cube oscillation of one (scale, shift) layer, and with ``mass``
     the r-mean of |f|; both shaped (n/side,)*d, or None for the mass.
 
-    The layer is copied once into a contiguous (n_blocks, side**d) array,
-    one row per cube: each axis of ``vals`` is split into (block, offset)
-    and the shift is applied by copying at most three slabs per axis (see
-    ``_pieces``) into the rows, viewed with the same split.  Every
-    reduction then runs along the contiguous last axis, instead of over d
-    strided axes of length side.  The rows are reduced in place, after the
-    r-mean of |f| has read them: each row loses its mean, and its |.|
-    overwrites it (complex rows write it into one real buffer).
+    ``ext`` is the n**d samples wrap-padded by at least the largest shift,
+    so the layer is the basic slice ext[shift : shift + n] per axis.  That
+    slice, each axis split into (block, offset), is copied once into a
+    contiguous (n_blocks, side**d) array, one row per cube, seen through the
+    same split; every reduction then runs along the contiguous last axis.
+    The rows are reduced in place, after the r-mean of |f| has read them:
+    each row loses its mean, and its |.| overwrites it (complex rows write
+    it into one real buffer); ``ext`` is only read.
     """
-    d = vals.ndim
-    nb = vals.shape[0] // side
-    rows = np.empty((nb,) * d + (side,) * d, dtype=vals.dtype)
+    d = ext.ndim
+    nb = n // side
+    rows = np.empty((nb,) * d + (side,) * d, dtype=ext.dtype)
     # the rows seen as (block_0, offset_0, block_1, offset_1, ...)
     dest = rows.transpose([a for axis in range(d) for a in (axis, d + axis)])
-    src = vals.reshape((nb, side) * d)
-    for pieces in itertools.product(*(_pieces(nb, side, o) for o in shift)):
-        dest[sum((to for to, _ in pieces), ())] = src[sum((of for _, of in pieces), ())]
+    dest[...] = ext[tuple(slice(o, o + n) for o in shift)].reshape((nb, side) * d)
     rows = rows.reshape(nb**d, side**d)
     massr = _r_mean(np.abs(rows), r).reshape((nb,) * d) if mass else None
     rows -= rows.mean(axis=-1, keepdims=True)
@@ -149,9 +133,11 @@ def _layer_sups(vals: np.ndarray, r: int, max_side: int, mass: bool = False):
     table = {}
     for side in sides:
         offsets = (0, side // 2) if 1 < side < n else (0,)
+        # the samples wrap-padded by the largest shift; unshifted sides read them as is
+        ext = np.pad(vals, (0, side // 2), mode="wrap") if offsets[-1] else vals
         osc_best = mass_best = (-1.0, None)
         for shift in itertools.product(offsets, repeat=d):
-            osc, massr = _block_reduce(vals, side, shift, r, mass=mass and side >= n // 2)
+            osc, massr = _block_reduce(ext, n, side, shift, r, mass=mass and side >= n // 2)
             osc_best = _sup(osc_best, osc, side, shift)
             if massr is not None:
                 mass_best = _sup(mass_best, massr, side, shift)

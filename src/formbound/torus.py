@@ -764,8 +764,10 @@ def div(v: VectorField) -> ScalarField:
 def curl(v: VectorField) -> SkewField:
     """Matrix curl, (curl b)_{ij} = d_j b_i - d_i b_j.
 
-    The sign convention is the one that makes the two-part reconstruction
-    b = grad(inv_laplacian(div b)) + mat_div(inv_laplacian(curl b)) exact.
+    With this sign the Hodge split rebuilds b exactly (see hodge.py), but
+    only with its grounded |kappas|^2: ``inv_laplacian`` keeps the Nyquist
+    entries of |kappa|^2, so grad(inv_laplacian(div b)) +
+    mat_div(inv_laplacian(curl b)) misses where b has Nyquist-plane content.
     """
     if not isinstance(v, VectorField):
         raise RankError("curl expects a vector field")

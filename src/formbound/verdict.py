@@ -34,7 +34,6 @@ import numpy as np
 from formbound.formnorm import ConvergenceError, form_norm, trace_constant
 from formbound.hodge import (
     _fused_split,
-    harmonic_part,
     hodge_decompose,
     inhomogeneous_decompose,
     reduce_principal,
@@ -55,7 +54,6 @@ from formbound.torus import (
     VectorField,
     _peak,
     bessel_inv,
-    curl,
     div,
     grad,
     inv_laplacian,
@@ -241,12 +239,12 @@ _N2_MASS = {
 def _homogeneous_battery(
     pipeline: str, b: VectorField, q: ScalarField, thr: Thresholds
 ) -> list[Record]:
-    """The Dirichlet-norm criterion on a drift b and potential q: in three
-    dimensions the harmonic part b_h of b bounded, the stream part of b in
-    BMO and |c|^2 + |grad inv_laplacian q~|^2 as an admissible measure, c
-    the gradient part of b; in two dimensions the masses of div b and q,
-    then b_h bounded and the rotation potential of b in BMO.  The battery
-    stops at a failed mass record."""
+    """The Dirichlet-norm criterion on a drift b and potential q, read off
+    the Hodge split b = b_h + c + Div F: in three dimensions the harmonic
+    part b_h bounded, F in BMO and |c|^2 + |grad inv_laplacian q~|^2 as an
+    admissible measure; in two dimensions the masses of div b and q, then
+    b_h bounded and F's one entry F_01, the stream function of b, in BMO.
+    The battery stops at a failed mass record, before the split."""
     grid = b.grid
     if grid.dim == 2:
         div_note, q_name, q_note = _N2_MASS[pipeline]
@@ -257,9 +255,10 @@ def _homogeneous_battery(
         ]
         if _obstructed(records):
             return records
-        pot = inv_laplacian(curl(b)[0, 1], annihilate_mean=True)
-        return records + [_harmonic_record(harmonic_part(b), b, thr),
-                          _bmo_record("rotation_bmo", bmo_norm(pot), thr.bmo, b)]
+        dec = hodge_decompose(b)
+        # F's one entry, the stream function of b, so the record names no entry
+        return records + [_harmonic_record(dec.harmonic, b, thr),
+                          _bmo_record("rotation_bmo", bmo_norm(dec.F[0, 1]), thr.bmo, b)]
 
     dec = hodge_decompose(b)
     harmonic = _harmonic_record(dec.harmonic, b, thr)
@@ -300,7 +299,7 @@ def assess_homogeneous(
     grid, b0, q0 = _coefficients(A, b, q)
     b1, records = _fold_principal(A, b0)
     # in two dimensions the skew part of A was folded into b1, so the
-    # rotation potential of b1 already carries the - (A - A^T)/2 correction
+    # stream function F of b1 already carries the - (A - A^T)/2 correction
     records += _homogeneous_battery("homogeneous", b1, q0, thr)
     del q0  # the zero q of an absent potential: the estimate does not read it
     if grid.dim == 3:

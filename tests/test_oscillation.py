@@ -142,7 +142,8 @@ def test_block_reduce_matches_cube_slices(dim, n, dtype, r):
     # every (side, shift) layer, every cube: the oscillation and the r-mean
     # of |f| against the cube's own slice of the field, and bit for bit
     # against the same reductions of rows laid out by np.roll and a
-    # transpose; the caller's samples are not written
+    # transpose; neither the caller's samples nor their padded copy (the
+    # walk's, by the side's half side) are written
     grid = Grid(dim, n, 1.0)
     rng = np.random.default_rng(27)
     vals = rng.standard_normal(grid.shape)
@@ -151,7 +152,10 @@ def test_block_reduce_matches_cube_slices(dim, n, dtype, r):
     kept = vals.copy()
     order = tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2))
     for side, shift in _layers(n, dim):
-        osc, massr = _block_reduce(vals, side, shift, r, mass=True)
+        ext = vals if side in (1, n) else np.pad(vals, (0, side // 2), mode="wrap")
+        padded = ext.copy()
+        osc, massr = _block_reduce(ext, n, side, shift, r, mass=True)
+        assert np.array_equal(ext, padded)
         assert osc.shape == massr.shape == (n // side,) * dim
         nb = n // side
         rows = np.roll(vals, tuple(-o for o in shift), axis=tuple(range(dim))) \
@@ -231,23 +235,32 @@ def test_walk_visits_each_layer_once_in_order(monkeypatch):
 
     n, dim = 16, 2
     f = ScalarField(Grid(dim, n, 1.0), np.random.default_rng(30).standard_normal((n, n)))
-    seen = []
+    seen, exts = [], {}
 
-    def recording(vals, side, shift, r, mass=False):
+    def recording(ext, n_, side, shift, r, mass=False):
+        # each side's layers slice one copy, padded by its half side, and
+        # sides 1 and n read the samples themselves
+        assert n_ == n
+        assert exts.setdefault(side, ext) is ext
+        assert (ext is f.values) == (side in (1, n))
+        assert ext.shape == (n + (side // 2 if 1 < side < n else 0),) * dim
         seen.append((side, shift, mass))
-        return _block_reduce(vals, side, shift, r, mass=mass)
+        return _block_reduce(ext, n_, side, shift, r, mass=mass)
 
     monkeypatch.setattr(osc, "_block_reduce", recording)
     every = list(_layers(n, dim))
     bmo_norm(f, flavor="BMO")
     assert seen == [(s, o, False) for s, o in every]
     seen.clear()
+    exts.clear()
     bmo_norm(f, flavor="bmo")
     assert seen == [(s, o, s >= n // 2) for s, o in every]
     seen.clear()
+    exts.clear()
     bmo_norm(f, flavor="BMO_sharp")
     assert seen == [(s, o, False) for s, o in every if s <= n // 2]
     seen.clear()
+    exts.clear()
     vmo_profile(f, [0.25, 0.125])
     assert seen == [(s, o, False) for s, o in _layers(n, dim, 4)]
 
@@ -347,8 +360,9 @@ def test_sharp_flavor_bounded_by_plain(grid2, noise):
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_samples_are_never_written(dim, n, dtype):
-    # the rows of side 1, and of side n unshifted, are views of the samples:
-    # reducing them in place must not reach the caller's field
+    # sides 1 and n slice the samples themselves, where a reshape could
+    # make the rows a view of them: reducing the rows in place, the r-mean
+    # of |f| included, must not reach the caller's field
     grid = Grid(dim, n, 1.0)
     rng = np.random.default_rng(31)
     vals = rng.standard_normal(grid.shape)
@@ -362,6 +376,12 @@ def test_samples_are_never_written(dim, n, dtype):
             assert f.values.tobytes() == before, (flavor, r)
     vmo_profile(f, [grid.spacing, 0.25, 0.5, 1.0])
     assert f.values.tobytes() == before
+    # the walk reduces the mass from side n/2 up only: side 1 with it
+    # is reached here
+    for side in (1, n):
+        for r in (1, 2):
+            _block_reduce(f.values, n, side, (0,) * dim, r, mass=True)
+            assert f.values.tobytes() == before, (side, r)
 
 
 def _walk_table(vals, r, max_side, mass):

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from formbound import presets
+from formbound.hodge import hodge_decompose
+from formbound.oscillation import bmo_norm
 from formbound.report import Record
-from formbound.torus import Grid, MatrixField, ScalarField, VectorField
+from formbound.torus import (Grid, MatrixField, ScalarField, SkewField, VectorField, curl,
+                             inv_laplacian, mat_div)
 from formbound.verdict import (
     Thresholds,
     Verdict,
@@ -75,7 +78,7 @@ def test_roundoff_density_carries_no_witness(name, roundoff):
 ])
 def test_roundoff_oscillation_carries_no_witness(dim, name, roundoff):
     # a gradient drift has a stream part and a harmonic part of pure
-    # rounding; the vortex's are real, as is the rotation potential of the
+    # rounding; the vortex's are real, as is the stream function of the
     # 2-D stream, whose harmonic part is rounding
     b = presets.make_field(name, Grid(dim, 16, 1.0))
     records = [r for vd in (assess_homogeneous(None, b, None), assess_inhomogeneous(None, b, None))
@@ -95,6 +98,25 @@ def test_two_dimensional_stream_certifies():
     assert vd.overall == "certified_bounded"
     assert abs(vd.record("rotation_bmo").constant - 0.534430139519) <= 1e-6
     assert abs(vd.record("form_norm").constant - 0.599390912417) <= 1e-4
+
+
+def test_two_dimensional_battery_reads_the_splits_stream_function():
+    # Div F of noise F is divergence-free and has Nyquist-plane content,
+    # where the split's grounded |kappas|^2 and inv_laplacian's |kappa|^2
+    # differ: rotation_bmo is the oscillation of the split's own F_01, bit
+    # for bit, in the homogeneous and in the magnetic battery
+    g = Grid(2, 16, 1.0)
+    noise = np.random.default_rng(38).standard_normal((1,) + g.shape)
+    b = mat_div(SkewField.from_array(g, noise))
+    want = bmo_norm(hodge_decompose(b).F[0, 1])
+    assert want.norm != bmo_norm(inv_laplacian(curl(b)[0, 1], annihilate_mean=True)).norm
+    q = ScalarField(g, -sum(c.values**2 for c in b.components))
+    for vd in (assess_homogeneous(None, b, None), assess_magnetic(b, q)):
+        assert vd.overall == "certified_bounded"
+        rec = vd.record("rotation_bmo")
+        assert rec.constant == want.norm
+        assert rec.witness == want.worst_cube
+        assert rec.note == ""
 
 
 def test_two_dimensional_potential_obstruction():
