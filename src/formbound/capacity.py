@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _check_flavor
 from .torus import (
     Grid,
     ScalarField,
@@ -81,8 +81,6 @@ __all__ = [
     "gauge_bounds",
     "gauge_check",
 ]
-
-FLAVORS = ("homogeneous", "inhomogeneous")
 
 _MAX_ROUNDS = 30  # active-set rounds
 _TOL = 1e-8  # on the KKT residual: the potential on the set, the charge signs
@@ -304,8 +302,7 @@ def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
     L2 term and needs no ground.  In two dimensions the homogeneous
     capacity is 0 by convention.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}")
+    _check_flavor(flavor)
     grid = e.grid
     if e.count == 0:
         raise ValueError("capacity of the empty set is undefined")

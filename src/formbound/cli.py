@@ -30,7 +30,7 @@ from formbound.formnorm import (
     trace_constant,
 )
 from formbound.hodge import hodge_decompose, inhomogeneous_decompose
-from formbound.measures import carleson_test, truncated_carleson_test
+from formbound.measures import FLAVORS, carleson_test
 from formbound.oscillation import bmo_norm
 from formbound.report import Record
 from formbound.torus import (Grid, ScalarField, VectorField, div, fft_workers, lp_norm,
@@ -63,6 +63,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A thread budget: a positive integer, so a bad one names its option."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
     sub.add_argument("--dim", type=int, choices=(2, 3),
                      help=f"default {dim_default}, or the --input file's")
@@ -75,7 +86,7 @@ def _common(sub: argparse.ArgumentParser, dim_default: int = 3) -> None:
     sub.add_argument("--out", help="write the JSON report here")
     sub.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the report")
-    sub.add_argument("--threads", type=int,
+    sub.add_argument("--threads", type=_positive_int,
                      help="cap worker threads (overrides FORMBOUND_THREADS)")
 
 
@@ -101,8 +112,7 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("decompose", help="drift field decomposition")
     _common(p, dim_default=2)
     _field_source(p, None)
-    p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
+    p.add_argument("--flavor", choices=FLAVORS, default="homogeneous")
     _q_source(p)
 
     p = subs.add_parser("bmo", help="oscillation norm of a scalar preset")
@@ -128,8 +138,7 @@ def _build_parser() -> _Parser:
                    default="ball")
     p.add_argument("--radius", type=float, help="ball radius (default L/8)")
     p.add_argument("--side", type=float, help="cube side (default L/8)")
-    p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
+    p.add_argument("--flavor", choices=FLAVORS, default="homogeneous")
     p.add_argument("--tau", type=float,
                    help="also run the gauge check at this tau")
 
@@ -137,16 +146,14 @@ def _build_parser() -> _Parser:
     _common(p)
     p.add_argument("--measure", default="lebesgue",
                    choices=sorted(presets.MEASURE_PRESETS))
-    p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
+    p.add_argument("--flavor", choices=FLAVORS, default="homogeneous")
     p.add_argument("--threshold", type=_finite)
 
     p = subs.add_parser("formnorm", help="compressed operator norm of a drift")
     _common(p)
     _field_source(p, "vortex")
     _q_source(p)
-    p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
+    p.add_argument("--flavor", choices=FLAVORS, default="homogeneous")
     p.add_argument("--nonlinear", action="store_true",
                    help="also estimate the nonlinear commutator constant")
     p.add_argument("--threshold", type=_finite)
@@ -155,8 +162,7 @@ def _build_parser() -> _Parser:
     _common(p)
     _field_source(p, "vortex")
     _q_source(p)
-    p.add_argument("--flavor", choices=("homogeneous", "inhomogeneous"),
-                   default="homogeneous")
+    p.add_argument("--flavor", choices=FLAVORS, default="homogeneous")
 
     p = subs.add_parser("magnetic", help="magnetic gauge assessment")
     _common(p)
@@ -300,8 +306,8 @@ def _cmd_bmo(args):
 def _cmd_carleson(args):
     grid, _, _ = _resolve(args)
     mu = presets.make_measure(args.measure, grid, seed=args.seed)
-    test = truncated_carleson_test if args.truncated else carleson_test
-    rep = test(mu, threshold=args.threshold)
+    flavor = "inhomogeneous" if args.truncated else "homogeneous"
+    rep = carleson_test(mu, threshold=args.threshold, flavor=flavor)
     cfg = _config_echo(args, grid, truncated=bool(args.truncated))
     return _report(args, cfg, [rep])
 

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure
+from .measures import DiscreteMeasure, _check_flavor
 from .torus import (
     Grid,
     MatrixField,
@@ -75,9 +75,6 @@ __all__ = [
     "nonlinear_form_constant",
     "trace_constant",
 ]
-
-FLAVORS = ("homogeneous", "inhomogeneous")
-
 
 # Lanczos settings: a basis of five vectors, of which each restart keeps
 # the top two Ritz vectors (keeping one in a basis of four did not
@@ -107,11 +104,6 @@ class FormEstimate:
     residual: float
     witness: object = None
     coarse_iterations: int = 0
-
-
-def _check_flavor(flavor: str) -> None:
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}")
 
 
 def _start_vector(n: int, seed: int) -> np.ndarray:

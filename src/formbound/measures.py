@@ -5,16 +5,20 @@ quantify how far the measure is from satisfying a trace inequality
 relative to the Dirichlet form:
 
 * ``carleson_test``     dyadic Carleson condition, constant c5
-* ``truncated_carleson_test``  the same with the tree cut at side L/2
 * ``ball_growth_test``  mass growth mu(B_r) <= c2 r^(n-2)
 * ``ball_energy_test``  energy of the Riesz potential of mu restricted
                         to a ball, constant c3
 * ``pointwise_test``    I1[(I1 mu)^2] <= c4 I1 mu pointwise
 * ``fefferman_phong_test``  integral growth of the measure's density
                         raised to the power 1 + eps
-* ``inhomogeneous_variants``  the same battery with the Bessel kernel
-                        (1 - Lap)^(-1/2) and the Carleson tree cut at
-                        side L/2, for the W^{1,2} setting
+
+The Carleson, ball energy and pointwise tests take a ``flavor``, one of
+``FLAVORS`` as in ``formnorm`` and ``capacity``.  The homogeneous flavor
+is the Dirichlet-norm condition above; the inhomogeneous one is its
+W^{1,2} variant: the Bessel kernel (1 - Lap)^(-1/2) in place of I1, the
+Carleson tree cut at side L/2, and record names ending in ``_w12``.  The
+Bessel kernel is bounded at frequency zero, so its ball energy and
+pointwise tests run in two and three dimensions.
 
 Conventions.  Balls are discrete: a cell belongs to B_r(x) iff its
 center lies within torus distance r of x.  The ball growth and
@@ -59,12 +63,22 @@ __all__ = [
     "default_ball_sample",
     "fefferman_phong_test",
     "geometric_radii",
-    "inhomogeneous_variants",
     "pointwise_test",
-    "truncated_carleson_test",
 ]
 
+FLAVORS = ("homogeneous", "inhomogeneous")
+
 _MASS_TOL = -1e-12
+
+
+def _check_flavor(flavor: str) -> None:
+    if flavor not in FLAVORS:
+        raise ValueError(f"flavor must be one of {FLAVORS}")
+
+
+def _name(test: str, flavor: str) -> str:
+    """A test's record name: the W^{1,2} flavor's ends in ``_w12``."""
+    return test if flavor == "homogeneous" else f"{test}_w12"
 
 
 @dataclass(frozen=True)
@@ -169,21 +183,17 @@ def _carleson_scan(tree: DyadicTree, first_level: int) -> tuple[float, Cube | No
 
 
 def carleson_test(
-    measure: DiscreteMeasure, threshold: float | None = None
+    measure: DiscreteMeasure,
+    threshold: float | None = None,
+    flavor: str = "homogeneous",
 ) -> Record:
-    """Least c5 with sum_{Q in P} [mu(Q)/|Q|^(1-1/n)]^2 |Q| <= c5 mu(P)."""
-    tree = DyadicTree(measure)
-    constant, witness = _carleson_scan(tree, 0)
-    return Record("carleson", constant, threshold, witness=witness)
-
-
-def truncated_carleson_test(
-    measure: DiscreteMeasure, threshold: float | None = None
-) -> Record:
-    """The Carleson constant over cubes of side <= L/2, the W^{1,2} variant."""
-    constant, witness = _carleson_scan(DyadicTree(measure), 1)
-    return Record("carleson_w12", constant, threshold, witness=witness,
-                  note="cubes of side <= L/2")
+    """Least c5 with sum_{Q in P} [mu(Q)/|Q|^(1-1/n)]^2 |Q| <= c5 mu(P),
+    over every dyadic cube P, or (inhomogeneous) over cubes of side <= L/2."""
+    _check_flavor(flavor)
+    truncated = flavor == "inhomogeneous"
+    constant, witness = _carleson_scan(DyadicTree(measure), 1 if truncated else 0)
+    return Record(_name("carleson", flavor), constant, threshold, witness=witness,
+                  note="cubes of side <= L/2" if truncated else "")
 
 
 def geometric_radii(grid: Grid) -> list[float]:
@@ -247,19 +257,23 @@ def ball_growth_test(
     return Record("ball_growth", best, threshold, witness=witness, note=note)
 
 
-def _riesz_potential(density: ScalarField) -> np.ndarray:
-    """I1 = (-Lap)^(-1/2) of a density, zero mode from the truncated kernel."""
-    grid = density.grid
-    if grid.dim != 3:
-        raise ValueError("homogeneous Riesz potential needs dim 3")
-    mean = float(np.mean(density.values.real))
-    spectral = riesz_half(density, annihilate_mean=True)
-    return spectral.values.real + mean * grid.period / np.pi
-
-
-def _bessel_potential(density: ScalarField) -> np.ndarray:
+def _potential(density: ScalarField, flavor: str) -> np.ndarray:
+    """The flavor's potential of a density: I1 = (-Lap)^(-1/2) with the
+    zero mode from the truncated kernel (three dimensions only), or the
+    Bessel potential (1 - Lap)^(-1/2)."""
+    if flavor == "homogeneous":
+        mean = float(np.mean(density.values.real))
+        spectral = riesz_half(density, annihilate_mean=True)
+        return spectral.values.real + mean * density.grid.period / np.pi
     sp = _Spectral(density.grid)
     return sp.inverse(sp.forward(density.values.real) * sp.bessel_half)
+
+
+def _check_potential(measure: DiscreteMeasure, flavor: str, test: str) -> None:
+    """The flavor, and for I1 the dimension its zero mode is written for."""
+    _check_flavor(flavor)
+    if flavor == "homogeneous" and measure.grid.dim != 3:
+        raise ValueError(f"{test} test needs dim 3")
 
 
 def default_ball_sample(
@@ -287,13 +301,15 @@ def default_ball_sample(
     return sample
 
 
-def _ball_energy(
+def ball_energy_test(
     measure: DiscreteMeasure,
-    ball_sample,
-    potential,
-    test_name: str,
-    threshold,
+    ball_sample: Sequence[tuple[tuple[int, ...], float]] | None = None,
+    threshold: float | None = None,
+    flavor: str = "homogeneous",
 ) -> Record:
+    """Least c3 with int_B (I1 mu_B)^2 dx <= c3 mu(B) over sampled balls,
+    I1 the flavor's potential."""
+    _check_potential(measure, flavor, "ball energy")
     grid = measure.grid
     if ball_sample is None:
         ball_sample = default_ball_sample(grid, measure)
@@ -310,45 +326,32 @@ def _ball_energy(
         if mass <= 0.0:
             continue
         inside = np.where(mask, measure.cell_mass, 0.0) / vol
-        pot = potential(ScalarField(grid, inside))
+        pot = _potential(ScalarField(grid, inside), flavor)
         energy = float((pot[mask] ** 2).sum() * vol)
         value = energy / mass
         if value > best:
             best = value
             witness = (tuple(center), radius)
-    return Record(test_name, best, threshold, witness=witness)
+    return Record(_name("ball_energy", flavor), best, threshold, witness=witness)
 
 
-def ball_energy_test(
+def pointwise_test(
     measure: DiscreteMeasure,
-    ball_sample: Sequence[tuple[tuple[int, ...], float]] | None = None,
     threshold: float | None = None,
+    flavor: str = "homogeneous",
 ) -> Record:
-    """Least c3 with int_B (I1 mu_B)^2 dx <= c3 mu(B) over sampled balls."""
-    if measure.grid.dim != 3:
-        raise ValueError("ball energy test needs dim 3")
-    return _ball_energy(measure, ball_sample, _riesz_potential, "ball_energy", threshold)
-
-
-def pointwise_test(measure: DiscreteMeasure, threshold: float | None = None) -> Record:
     """Least c4 with I1[(I1 mu)^2] <= c4 I1 mu at cells where I1 mu exceeds
-    1e-8 of its maximum."""
-    grid = measure.grid
-    if grid.dim != 3:
-        raise ValueError("pointwise test needs dim 3")
-    return _pointwise(measure, _riesz_potential, "pointwise", threshold)
-
-
-def _pointwise(measure, potential, test_name, threshold) -> Record:
-    grid = measure.grid
-    pot = potential(measure.density())
+    1e-8 of its maximum, I1 the flavor's potential."""
+    _check_potential(measure, flavor, "pointwise")
+    name = _name("pointwise", flavor)
+    pot = _potential(measure.density(), flavor)
     top = float(pot.max())
     if top <= 0.0:
-        return Record(test_name, 0.0, threshold)
-    squared = potential(ScalarField(grid, pot * pot))
+        return Record(name, 0.0, threshold)
+    squared = _potential(ScalarField(measure.grid, pot * pot), flavor)
     keep = pot > 1e-8 * top
     value, witness = _peak(np.where(keep, squared, 0.0) / np.where(keep, pot, 1.0))
-    return Record(test_name, value, threshold, witness=witness)
+    return Record(name, value, threshold, witness=witness)
 
 
 def fefferman_phong_test(
@@ -366,23 +369,3 @@ def fefferman_phong_test(
     best, witness = _ball_scan(grid, integrand, radii,
                                lambda mass, r: mass * r ** (2.0 * (1.0 + eps) - grid.dim))
     return Record("fefferman_phong", best, threshold, witness=witness)
-
-
-def inhomogeneous_variants(
-    measure: DiscreteMeasure, thresholds: dict[str, float] | None = None
-) -> dict[str, Record]:
-    """W^{1,2} variants: Bessel potential, Carleson tree cut at side L/2.
-
-    Returns records keyed 'carleson', 'ball_energy', 'pointwise'.  The
-    Bessel kernel is bounded at frequency zero, so these run in both
-    two and three dimensions.
-    """
-    thresholds = thresholds or {}
-    out = {"carleson": truncated_carleson_test(measure, thresholds.get("carleson"))}
-    out["ball_energy"] = _ball_energy(
-        measure, None, _bessel_potential, "ball_energy_w12",
-        thresholds.get("ball_energy"),
-    )
-    out["pointwise"] = _pointwise(
-        measure, _bessel_potential, "pointwise_w12", thresholds.get("pointwise"))
-    return out

@@ -40,10 +40,11 @@ from formbound.hodge import (
 )
 from formbound.measures import (
     DiscreteMeasure,
+    ball_energy_test,
     ball_growth_test,
     carleson_test,
     fefferman_phong_test,
-    inhomogeneous_variants,
+    pointwise_test,
 )
 from formbound.oscillation import BmoReport, bmo_norm, vmo_profile
 from formbound.report import OUTCOMES, Record
@@ -337,12 +338,11 @@ def assess_inhomogeneous(
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
     del rho
 
-    variants = inhomogeneous_variants(mu, thresholds={
-        "carleson": thr.carleson,
-        "ball_energy": thr.ball_growth,
-        "pointwise": thr.trace,
-    })
-    records.extend(variants.values())  # carleson, ball_energy, pointwise
+    records += [
+        carleson_test(mu, threshold=thr.carleson, flavor="inhomogeneous"),
+        ball_energy_test(mu, threshold=thr.ball_growth, flavor="inhomogeneous"),
+        pointwise_test(mu, threshold=thr.trace, flavor="inhomogeneous"),
+    ]
 
     # each measure lives until its trace has read it
     records.append(_form_record(

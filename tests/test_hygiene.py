@@ -3,7 +3,8 @@ module never uses (in ``src/`` and ``tests/``), no module-level private
 name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
 ``src/`` that names nothing the module binds, no dataclass field in
 ``src/`` that nothing reads, no import of ``scipy.sparse`` or
-``scipy.linalg`` in ``src/`` (checked in a verdict run as well), and no
+``scipy.linalg`` in ``src/`` (checked in a verdict run as well), one
+spelling of the flavor vocabulary in ``src/``, and no
 transform outside the spectral core: only ``torus`` imports ``scipy.fft``,
 and inside it only ``_Spectral`` and ``_PrunedFFT`` call it, and the cache
 that interns the cores is the only cache in ``src/``, so every Fourier
@@ -252,3 +253,14 @@ def test_the_core_cache_is_the_only_cache_in_src():
     # module keeps a cache beside the cores' own
     cached = {f"{path.stem}.{name}" for path in SRC for name in _cached_names(_tree(path))}
     assert cached == {"torus._core"}
+
+
+def test_one_flavor_vocabulary_in_src():
+    # measures.FLAVORS is the one tuple of norm flavors: formnorm, capacity
+    # and the CLI read it, so a new flavor cannot reach one and miss another
+    spelled = [f"{path.relative_to(ROOT)}:{node.lineno}"
+               for path in SRC for node in ast.walk(_tree(path))
+               if isinstance(node, (ast.Tuple, ast.List))
+               and [getattr(e, "value", None) for e in node.elts]
+               == ["homogeneous", "inhomogeneous"]]
+    assert len(spelled) == 1 and spelled[0].startswith("src/formbound/measures.py:"), spelled

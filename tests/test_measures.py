@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from formbound import presets
+from formbound.capacity import ball_set, capacity
+from formbound.formnorm import form_norm, trace_constant
 from formbound.measures import (
+    FLAVORS,
     DiscreteMeasure,
     ball_energy_test,
     ball_growth_test,
@@ -10,7 +13,6 @@ from formbound.measures import (
     default_ball_sample,
     fefferman_phong_test,
     geometric_radii,
-    inhomogeneous_variants,
     pointwise_test,
 )
 from formbound.torus import Grid, ScalarField
@@ -34,7 +36,7 @@ def test_carleson_lebesgue_closed_form(dim, n):
 def test_carleson_truncated_lebesgue():
     g = Grid(2, 64, 1.0)
     mu = presets.make_measure("lebesgue", g)
-    rep = inhomogeneous_variants(mu)["carleson"]
+    rep = carleson_test(mu, flavor="inhomogeneous")
     # cut at side L/2: levels j = 1..D of 4^(-j) relative to the top cube
     want = (1.0 - 4.0 ** (-6)) / 3.0
     assert abs(rep.constant - want) <= 1e-12
@@ -247,21 +249,44 @@ def test_fefferman_phong_validation():
         fefferman_phong_test(mu, 1.5)
 
 
-def test_inhomogeneous_variants_lebesgue():
+def test_inhomogeneous_flavor_lebesgue():
     g = Grid(3, 16, 1.0)
-    out = inhomogeneous_variants(presets.make_measure("lebesgue", g))
-    assert set(out) == {"carleson", "ball_energy", "pointwise"}
-    assert out["pointwise"].name == "pointwise_w12"
+    mu = presets.make_measure("lebesgue", g)
+    pointwise = pointwise_test(mu, flavor="inhomogeneous")
+    assert pointwise.name == "pointwise_w12"
     # Bessel potential of the unit density is 1, so the ratio is exactly 1
-    assert abs(out["pointwise"].constant - 1.0) <= 1e-12
-    assert out["ball_energy"].name == "ball_energy_w12"
-    assert out["ball_energy"].constant > 0.0
+    assert abs(pointwise.constant - 1.0) <= 1e-12
+    energy = ball_energy_test(mu, flavor="inhomogeneous")
+    assert energy.name == "ball_energy_w12"
+    assert energy.constant > 0.0
 
 
-def test_inhomogeneous_variants_dim2():
+def test_inhomogeneous_flavor_dim2():
+    # the Bessel kernel is bounded at frequency zero: no dim-3 check
     g = Grid(2, 32, 1.0)
-    out = inhomogeneous_variants(presets.make_measure("bump", g))
-    assert all(rep.constant >= 0.0 for rep in out.values())
+    mu = presets.make_measure("bump", g)
+    out = [test(mu, flavor="inhomogeneous")
+           for test in (carleson_test, ball_energy_test, pointwise_test)]
+    assert [rep.name for rep in out] == ["carleson_w12", "ball_energy_w12", "pointwise_w12"]
+    assert all(rep.constant >= 0.0 for rep in out)
+
+
+_FLAVORED = {
+    "carleson_test": lambda mu, flavor: carleson_test(mu, flavor=flavor),
+    "ball_energy_test": lambda mu, flavor: ball_energy_test(mu, flavor=flavor),
+    "pointwise_test": lambda mu, flavor: pointwise_test(mu, flavor=flavor),
+    "trace_constant": lambda mu, flavor: trace_constant(mu, flavor=flavor),
+    "form_norm": lambda mu, flavor: form_norm(None, None, mu.density(), flavor=flavor),
+    "capacity": lambda mu, flavor: capacity(ball_set(mu.grid, (0.5,) * 3, 0.125), flavor),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_FLAVORED))
+def test_every_flavored_entry_point_checks_one_vocabulary(entry):
+    mu = presets.make_measure("bump", Grid(3, 16, 1.0))
+    with pytest.raises(ValueError) as err:
+        _FLAVORED[entry](mu, "Homogeneous")
+    assert str(err.value) == f"flavor must be one of {FLAVORS}"
 
 
 def test_measure_validation():

@@ -150,8 +150,15 @@ def test_real_measure_potentials_match_complex_oracle(grid):
     assert abs(got - want) <= 1e-13 * want
 
     ks = _ksq(_kaps(grid, nyquist=True))
-    _close(measures._bessel_potential(rho),
-           np.fft.ifftn(np.fft.fftn(rho.values) / np.sqrt(1.0 + ks)).real)
+    hat = np.fft.fftn(rho.values)
+    _close(measures._potential(rho, "inhomogeneous"),
+           np.fft.ifftn(hat / np.sqrt(1.0 + ks)).real)
+    if grid.dim == 3:
+        # I1 drops the mean mode and adds it back as mean * L / pi
+        hat.flat[0] = 0.0
+        riesz = np.fft.ifftn(hat / np.sqrt(np.where(ks > 0.0, ks, 1.0))).real
+        _close(measures._potential(rho, "homogeneous"),
+               riesz + rho.values.mean() * grid.period / np.pi)
 
 
 # ---------------------------------------------------------------------------

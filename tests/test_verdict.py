@@ -153,6 +153,19 @@ def test_inhomogeneous_unit_potential():
     assert abs(vd.record("carleson_w12").constant - 0.33203125) <= 1e-10
 
 
+def test_inhomogeneous_measure_tests_take_their_thresholds():
+    # the W^{1,2} Carleson, ball energy and pointwise records run in this
+    # order, held to the carleson, ball_growth and trace thresholds
+    g = Grid(3, 16, 1.0)
+    q = ScalarField(g, np.ones(g.shape))
+    thr = Thresholds(carleson=1.0, ball_growth=2.0, trace=3.0)
+    vd =assess_inhomogeneous(None, None, q, thresholds=thr)
+    names = [r.name for r in vd.records]
+    start = names.index("carleson_w12")
+    assert names[start:start + 3] == ["carleson_w12", "ball_energy_w12", "pointwise_w12"]
+    assert [r.threshold for r in vd.records[start:start + 3]] == [1.0, 2.0, 3.0]
+
+
 def test_inhomogeneous_singular_drift_is_inconclusive():
     g = Grid(3, 32, 1.0)
     b = presets.make_field("singular_gradient", g)
