@@ -184,12 +184,10 @@ class _ChargeSystem:
     an active cell: the Green transforms skip every other line.
     """
 
-    def __init__(self, grid: Grid, flat_idx: np.ndarray, inhomogeneous: bool,
-                 zero_sum: bool):
+    def __init__(self, grid: Grid, flat_idx: np.ndarray, inhomogeneous: bool):
         self.grid = grid
         self.idx = flat_idx
         self.inhomogeneous = inhomogeneous
-        self.zero_sum = zero_sum
         cells = np.zeros(grid.npoints, dtype=bool)
         cells[flat_idx] = True
         cells = cells.reshape(grid.shape)
@@ -206,7 +204,8 @@ class _ChargeSystem:
         self._padded = np.zeros(flat_idx.size + 1)
 
     def _project(self, vec: np.ndarray) -> np.ndarray:
-        return vec - vec.mean() if self.zero_sum else vec
+        """vec, made zero-sum in the homogeneous (grounded) system."""
+        return vec if self.inhomogeneous else vec - vec.mean()
 
     def _green_hat(self, vec: np.ndarray) -> np.ndarray:
         """Half spectrum of the potential of charges vec."""
@@ -265,7 +264,7 @@ class _ChargeSystem:
 
     def potential(self, sigma: np.ndarray, target: np.ndarray) -> np.ndarray:
         u = self._sp.inverse(self._green_hat(sigma)).reshape(-1)
-        if self.zero_sum:
+        if not self.inhomogeneous:
             # constant component of the grounded problem, fixed by the
             # residual mean on the active cells
             u = u + float((target - u[self.idx]).mean())
@@ -334,8 +333,7 @@ def capacity(e: CompactSet, flavor: str = "homogeneous") -> CapacityResult:
         idx = np.concatenate([e_idx, ground_idx])
         target = np.zeros(idx.size)
         target[: e_idx.size] = 1.0
-        system = _ChargeSystem(grid, idx, inhomogeneous,
-                               zero_sum=not inhomogeneous)
+        system = _ChargeSystem(grid, idx, inhomogeneous)
         start = charges[idx] if rounds > 1 else None
         sigma, iters = system.solve(target, start=start)
         iterations += iters

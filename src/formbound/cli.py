@@ -17,10 +17,11 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from formbound import fbf, presets, report
+from formbound import fbf, oscillation, presets, report
 from formbound.capacity import (SolverError, ball_set, capacity, cube_set, gauge_bounds,
                                  gauge_check)
 from formbound.formnorm import (
@@ -29,9 +30,8 @@ from formbound.formnorm import (
     nonlinear_form_constant,
     trace_constant,
 )
-from formbound.hodge import hodge_decompose, inhomogeneous_decompose
+from formbound.hodge import decompose
 from formbound.measures import FLAVORS, carleson_test
-from formbound.oscillation import bmo_norm
 from formbound.report import Record
 from formbound.torus import (Grid, ScalarField, VectorField, div, fft_workers, lp_norm,
                              mat_div, max_abs)
@@ -119,8 +119,7 @@ def _build_parser() -> _Parser:
     _common(p, dim_default=2)
     p.add_argument("--scalar-preset", default="log_singular",
                    choices=sorted(presets.SCALAR_PRESETS))
-    p.add_argument("--flavor", choices=("BMO", "bmo", "BMO_sharp"),
-                   default="BMO")
+    p.add_argument("--flavor", choices=oscillation.FLAVORS, default="BMO")
     p.add_argument("--r", type=int, choices=(1, 2), default=1)
     p.add_argument("--threshold", type=_finite)
 
@@ -256,13 +255,10 @@ def _verdict_report(args, grid: Grid, verdict, **extra_config):
 
 def _cmd_decompose(args):
     grid, b, q = _resolve(args)
-    if args.flavor == "homogeneous" and q is not None:
-        raise ValueError("the homogeneous split takes no q; drop --q-const/--q-preset "
-                         "or pass --flavor inhomogeneous")
+    dec = decompose(b, q, args.flavor)
     # the residuals rebuild b = b_h + c + Div F and q = div h + gamma from the
     # parts; b_h repeats its table of parity classes over the grid
     if args.flavor == "homogeneous":
-        dec = hodge_decompose(b)
         recon = (dec.c + mat_div(dec.F)).values
         reps = (grid.points_per_axis // 2,) * grid.dim
         residual = max(float(np.max(np.abs(b.values[i] - np.tile(dec.harmonic[i], reps)
@@ -271,7 +267,6 @@ def _cmd_decompose(args):
         extra = {}
     else:
         q0 = q if q is not None else ScalarField(grid, np.zeros(grid.shape))
-        dec = inhomogeneous_decompose(b, q0)
         residual = max_abs(b - (dec.c + mat_div(dec.F)))
         extra = {"q_residual": np.max(np.abs(q0.values - (div(dec.h) + dec.gamma).values)),
                  "h_l2": lp_norm(dec.h), "gamma_l2": lp_norm(dec.gamma)}
@@ -296,9 +291,8 @@ def _cmd_decompose(args):
 def _cmd_bmo(args):
     grid, _, _ = _resolve(args)
     f = presets.make_scalar(args.scalar_preset, grid)
-    rep = bmo_norm(f, flavor=args.flavor, r=args.r)
-    records = [Record("bmo_norm", rep.norm, args.threshold, witness=rep.worst_cube,
-                      note=f"flavor {rep.flavor}, r = {rep.r_exponent}")]
+    rec = oscillation.bmo_norm(f, flavor=args.flavor, r=args.r, threshold=args.threshold)
+    records = [replace(rec, note=f"flavor {args.flavor}, r = {args.r}")]
     cfg = _config_echo(args, grid, scalar_preset=args.scalar_preset, r=args.r)
     return _report(args, cfg, records)
 

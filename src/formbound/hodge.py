@@ -10,7 +10,8 @@ exact mode by mode with the curl convention of torus.py, where G is -1
 over the grounded |kappas|^2 (``inv_laplacian`` in its place keeps the
 Nyquist entries and misses), and the harmonic part b_h holds the modes
 that the Nyquist-zeroed derivative annihilates: the mean and the
-Nyquist-only modes.  All multiplier
+Nyquist-only modes.  ``decompose(b, q, flavor)`` is the one entry to it
+and to the Bessel split, which alone takes a q.  All multiplier
 compositions are fused in frequency space, all through torus: one batched
 forward transform of the input field, then each output component's
 spectrum is built and inverse-transformed on its own, straight into the
@@ -21,9 +22,9 @@ its d(d-1)/2 upper entries only.  A real field takes the real path
 spectra; both read the wavenumbers and the split symbols of their
 core (``kappas``, whose own-axis Nyquist entries are zero, and
 ``split``), each at the shape of that path's spectra.  b_h costs no
-transform: it is b's mean over each parity class of cells, and a zero q
-costs the Bessel split none either.  Every input, white noise included,
-is reconstructed to machine precision.  The splits
+transform: it is b's mean over each parity class of cells, and an absent
+or zero q costs the Bessel split none either.  Every input, white noise
+included, is reconstructed to machine precision.  The splits
 return their parts only: the residual is the diagnostic of the
 ``decompose`` command, which rebuilds b from them.
 """
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _check_flavor
 from .torus import (
     MatrixField,
     RankError,
@@ -49,11 +51,10 @@ from .torus import (
 
 __all__ = [
     "DecompositionResult",
+    "decompose",
     "harmonic_part",
-    "hodge_decompose",
     "project",
     "reduce_principal",
-    "inhomogeneous_decompose",
 ]
 
 
@@ -119,13 +120,44 @@ def _fused_split(b: VectorField, homogeneous: bool):
     return c, _skew_field(sp, f_hat)
 
 
-def hodge_decompose(b: VectorField) -> DecompositionResult:
-    """Split b into harmonic part b_h + gradient part c + divergence part
-    mat_div(F)."""
+def decompose(b: VectorField, q: ScalarField | None = None,
+              flavor: str = "homogeneous") -> DecompositionResult:
+    """Split b in the flavor's norm, and in the inhomogeneous flavor q.
+
+    The homogeneous split is b = b_h + c + mat_div(F) with b_h the
+    harmonic part; it takes no q.  The inhomogeneous split is the
+    Bessel-kernel split adapted to W^{1,2}, every mode kept and no
+    grounding: b = c + mat_div(F) with
+    c = -grad((1-Delta)^{-1} div b) + (1-Delta)^{-1} b and
+    F = -(1-Delta)^{-1} curl b, and q = div h + gamma with
+    h = -grad((1-Delta)^{-1} q) and gamma = (1-Delta)^{-1} q.  An absent
+    or all-zero q costs no transform: its h and gamma are zeros.
+    """
+    _check_flavor(flavor)
     if not isinstance(b, VectorField):
-        raise RankError("hodge_decompose expects a vector field")
-    c, F = _fused_split(b, homogeneous=True)
-    return DecompositionResult(harmonic=harmonic_part(b), c=c, F=F)
+        raise RankError("decompose expects a vector field")
+    if flavor == "homogeneous":
+        if q is not None:
+            raise ValueError("the homogeneous split takes no q; "
+                             "the inhomogeneous flavor splits q")
+        c, F = _fused_split(b, homogeneous=True)
+        return DecompositionResult(harmonic=harmonic_part(b), c=c, F=F)
+    g = shared_grid(b, q)
+    d = g.dim
+    c, F = _fused_split(b, homogeneous=False)
+    if q is None or not q.values.any():
+        dtype = np.float64 if q is None else q.values.dtype
+        h = VectorField.from_array(g, np.zeros((d,) + g.shape, dtype=dtype))
+        gamma = ScalarField(g, np.zeros(g.shape, dtype=dtype))
+    else:
+        sp = _Spectral(g, q.is_real)
+        kaps, (_, bessel) = sp.kappas, sp.split
+        qhat = sp.forward(q.values)
+        h = VectorField.from_array(g, sp.stream((-1j * kaps[i] * bessel * qhat
+                                                 for i in range(d)), (d,)))
+        gamma = ScalarField(g, sp.inverse(bessel * qhat))
+    return DecompositionResult(harmonic=np.zeros((d,) + (2,) * d), c=c, F=F,
+                               h=h, gamma=gamma)
 
 
 def project(which: str, b: VectorField) -> VectorField:
@@ -137,7 +169,7 @@ def project(which: str, b: VectorField) -> VectorField:
     """
     if which not in ("P", "Q"):
         raise ValueError(f"projection must be 'P' or 'Q', got {which!r}")
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     if which == "P":
         return dec.c
     mean = dec.mean_part.reshape((-1,) + (1,) * b.grid.dim)
@@ -165,28 +197,3 @@ def reduce_principal(A: MatrixField, b: VectorField):
     b1 = b - mat_div((A - At) * 0.5)
     s_inf = float(_pointwise_opnorm(As.values, grid.dim).max())
     return As, b1, s_inf
-
-
-def inhomogeneous_decompose(b: VectorField, q: ScalarField) -> DecompositionResult:
-    """Bessel-kernel split adapted to W^{1,2}: every mode kept, no grounding.
-
-    b = c + mat_div(F) with c = -grad((1-Delta)^{-1} div b) + (1-Delta)^{-1} b
-    and F = -(1-Delta)^{-1} curl b;  q = div h + gamma with
-    h = -grad((1-Delta)^{-1} q) and gamma = (1-Delta)^{-1} q.
-    """
-    g = shared_grid(b, q)
-    d = g.dim
-    c, F = _fused_split(b, homogeneous=False)
-    if not q.values.any():
-        # the verdicts fill an absent q with zeros: no transform for them
-        h = VectorField.from_array(g, np.zeros((d,) + g.shape, dtype=q.values.dtype))
-        gamma = ScalarField(g, np.zeros_like(q.values))
-    else:
-        sp = _Spectral(q.grid, q.is_real)
-        kaps, (_, bessel) = sp.kappas, sp.split
-        qhat = sp.forward(q.values)
-        h = VectorField.from_array(g, sp.stream((-1j * kaps[i] * bessel * qhat
-                                                 for i in range(d)), (d,)))
-        gamma = ScalarField(g, sp.inverse(bessel * qhat))
-    return DecompositionResult(harmonic=np.zeros((d,) + (2,) * d), c=c, F=F,
-                               h=h, gamma=gamma)

@@ -19,6 +19,7 @@ scale profile: it gives, per side, the sup of the oscillation and the first
 cube attaining it (and, for the bmo flavor, the same for the r-mean of |f|
 from side n/2 up), and each flavor and each profile entry is a max over
 that table.  Ties keep the first cube in (side ascending, shift) order.
+``bmo_norm`` answers with a ``report.Record``, as the measure tests do.
 Each side wrap-pads the samples once by its half side, and each layer
 copies its slice of that into a contiguous array with one row of side**d
 samples per cube, so that every mean is a reduction along the last axis;
@@ -32,15 +33,15 @@ first attained by the cube at the origin.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .report import Record
 from .torus import MatrixField, RankError, ScalarField, SkewField, _pairs, _peak
 
 __all__ = [
     "Cube",
-    "BmoReport",
     "bmo_norm",
     "vmo_profile",
 ]
@@ -57,15 +58,6 @@ class Cube:
 
     corner: tuple[int, ...]
     side: int
-
-
-@dataclass
-class BmoReport:
-    norm: float
-    flavor: str
-    r_exponent: int
-    worst_cube: Cube
-    entry: tuple[int, int] | None = None
 
 
 def _r_mean(absvals: np.ndarray, r: int) -> np.ndarray:
@@ -164,8 +156,11 @@ def _reduced_entries(field: MatrixField | SkewField) -> list[tuple[int, int]]:
     return [(i, j) for i in range(d) for j in range(d)]
 
 
-def bmo_norm(field, flavor: str = "BMO", r: int = 1) -> BmoReport:
-    """Oscillation norm of a scalar field, or entrywise max for a matrix."""
+def bmo_norm(field, flavor: str = "BMO", r: int = 1,
+             threshold: float | None = None) -> Record:
+    """Oscillation norm of a scalar field as a ``bmo_norm`` record
+    witnessed by the worst cube; a matrix field gets the record of its
+    largest entry (the first on a tie), noted with that entry."""
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     if r not in (1, 2):
@@ -173,10 +168,9 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1) -> BmoReport:
     if isinstance(field, (MatrixField, SkewField)):
         best = None
         for i, j in _reduced_entries(field):
-            rep = bmo_norm(field[i, j], flavor=flavor, r=r)
-            if best is None or rep.norm > best.norm:
-                rep.entry = (i, j)
-                best = rep
+            rec = bmo_norm(field[i, j], flavor=flavor, r=r, threshold=threshold)
+            if best is None or rec.constant > best.constant:
+                best = replace(rec, note=f"worst entry {(i, j)}")
         return best
     if not isinstance(field, ScalarField):
         raise RankError("bmo_norm expects a scalar or matrix field")
@@ -189,7 +183,7 @@ def bmo_norm(field, flavor: str = "BMO", r: int = 1) -> BmoReport:
         mass, mass_cube = _first_max(mass for _, mass in table.values())
         worst = worst if norm >= mass else mass_cube
         norm += mass
-    return BmoReport(norm=norm, flavor=flavor, r_exponent=r, worst_cube=worst)
+    return Record("bmo_norm", norm, threshold, witness=worst)
 
 
 def vmo_profile(field, deltas) -> list[tuple[float, float]]:

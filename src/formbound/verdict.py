@@ -32,12 +32,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from formbound.formnorm import ConvergenceError, form_norm, trace_constant
-from formbound.hodge import (
-    _fused_split,
-    hodge_decompose,
-    inhomogeneous_decompose,
-    reduce_principal,
-)
+from formbound.hodge import decompose, reduce_principal
 from formbound.measures import (
     DiscreteMeasure,
     ball_energy_test,
@@ -46,7 +41,7 @@ from formbound.measures import (
     fefferman_phong_test,
     pointwise_test,
 )
-from formbound.oscillation import BmoReport, bmo_norm, vmo_profile
+from formbound.oscillation import bmo_norm, vmo_profile
 from formbound.report import OUTCOMES, Record
 from formbound.torus import (
     Grid,
@@ -159,13 +154,11 @@ def _roundoff(rec: Record, note: str) -> Record:
     return replace(rec, witness=None, note=f"{rec.note}; {note}" if rec.note else note)
 
 
-def _bmo_record(name: str, rep: BmoReport, threshold: float, b: VectorField) -> Record:
-    """An oscillation record of a potential of the drift b, witnessed by
-    the worst cube (and, for a matrix field, noted with the worst entry);
-    at or below the round-off floor 1e-12 max|b_i| L, by no cube."""
-    note = "" if rep.entry is None else f"worst entry {rep.entry}"
-    rec = Record(name, rep.norm, threshold, witness=rep.worst_cube, note=note)
-    if rep.norm <= _ROUNDOFF * _sup(b) * b.grid.period:
+def _bmo_record(name: str, rec: Record, b: VectorField) -> Record:
+    """``bmo_norm``'s record of a potential of the drift b, renamed; at or
+    below the round-off floor 1e-12 max|b_i| L it has no witness."""
+    rec = replace(rec, name=name)
+    if rec.constant <= _ROUNDOFF * _sup(b) * b.grid.period:
         rec = _roundoff(rec, "BMO norm at round-off level (<= 1e-12 max|b_i| L): no witness")
     return rec
 
@@ -256,16 +249,17 @@ def _homogeneous_battery(
         ]
         if _obstructed(records):
             return records
-        dec = hodge_decompose(b)
+        dec = decompose(b)
         # F's one entry, the stream function of b, so the record names no entry
         return records + [_harmonic_record(dec.harmonic, b, thr),
-                          _bmo_record("rotation_bmo", bmo_norm(dec.F[0, 1]), thr.bmo, b)]
+                          _bmo_record("rotation_bmo",
+                                      bmo_norm(dec.F[0, 1], threshold=thr.bmo), b)]
 
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     harmonic = _harmonic_record(dec.harmonic, b, thr)
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + _gradient_energy_density(q)
-    bmo_rep = bmo_norm(dec.F)
+    bmo_rec = bmo_norm(dec.F, threshold=thr.bmo)
     del dec  # free the split's fields before the estimates that peak in memory
     mu = DiscreteMeasure.from_density(ScalarField(grid, rho))
     measure_records = [
@@ -278,7 +272,7 @@ def _homogeneous_battery(
     if rho.max() <= (_ROUNDOFF * _sup(b)) ** 2:
         note = "density at round-off level (<= (1e-12 max|b_i|)^2): no witness"
         measure_records = [_roundoff(r, note) for r in measure_records]
-    return [harmonic, _bmo_record("stream_bmo", bmo_rep, thr.bmo, b), *measure_records]
+    return [harmonic, _bmo_record("stream_bmo", bmo_rec, b), *measure_records]
 
 
 def assess_homogeneous(
@@ -326,10 +320,10 @@ def assess_inhomogeneous(
     grid, b0, q0 = _coefficients(A, b, q)
     b1, records = _fold_principal(A, b0)
 
-    dec = inhomogeneous_decompose(b1, q0)
+    dec = decompose(b1, q0, flavor="inhomogeneous")
     del q0  # the split has read it
-    bmo_rep = bmo_norm(dec.F, flavor="BMO_sharp")
-    records.append(_bmo_record("stream_bmo_sharp", bmo_rep, thr.bmo, b1))
+    records.append(_bmo_record(
+        "stream_bmo_sharp", bmo_norm(dec.F, flavor="BMO_sharp", threshold=thr.bmo), b1))
 
     rho = sum(np.abs(c.values) ** 2 for c in dec.c.components)
     rho = rho + sum(np.abs(c.values) ** 2 for c in dec.h.components)
@@ -442,8 +436,7 @@ def assess_infinitesimal(
         raise ValueError(f"delta {deltas[0]} above the period {grid.period}")
 
     # the stream part F of the Bessel split of b: q's split is not read
-    _, F = _fused_split(b0, homogeneous=False)
-    vmo = vmo_profile(F, deltas)
+    vmo = vmo_profile(decompose(b0, flavor="inhomogeneous").F, deltas)
 
     dens = sum(np.abs(c.values) ** 2 for c in b0.components) + np.abs(q0.values)
     del q0

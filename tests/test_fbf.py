@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from formbound import fbf
-from formbound.hodge import hodge_decompose
+from formbound.hodge import decompose
 from formbound.torus import Grid, MatrixField, ScalarField, SkewField, VectorField
 
 
@@ -28,7 +28,7 @@ def test_vector_round_trip(tmp_path, grid3, noise):
 
 
 def test_matrix_round_trip(tmp_path, grid2, noise):
-    F = hodge_decompose(noise(grid2, seed=2)).F
+    F = decompose(noise(grid2, seed=2)).F
     path = tmp_path / "F.fbf"
     fbf.write_field(path, F)
     back = fbf.read_field(path)

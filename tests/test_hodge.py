@@ -6,9 +6,8 @@ import scipy.fft
 
 from formbound import presets, torus
 from formbound.hodge import (
+    decompose,
     harmonic_part,
-    hodge_decompose,
-    inhomogeneous_decompose,
     project,
     reduce_principal,
 )
@@ -48,7 +47,7 @@ def test_split_rebuilds_white_noise(dim, complex_, noise):
     if complex_:
         vals = vals + 1j * noise(g, seed=19).values
     b = VectorField.from_array(g, vals)
-    assert _defect(b, hodge_decompose(b)) <= 1e-13 * _sup(b)
+    assert _defect(b, decompose(b)) <= 1e-13 * _sup(b)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -83,12 +82,12 @@ def test_project_validates():
     with pytest.raises(ValueError):
         project("R", b)
     with pytest.raises(RankError):
-        hodge_decompose(b[0])
+        decompose(b[0])
 
 
 def test_gradient_field_has_no_stream_part(grid2):
     b = presets.make_field("gradient", grid2)
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     assert dec.F.values.shape == (1,) + grid2.shape
     assert max_abs(dec.F[0, 1]) <= 1e-10 * _sup(b)
     assert _defect(b, dec) <= 1e-10 * _sup(b)
@@ -96,14 +95,14 @@ def test_gradient_field_has_no_stream_part(grid2):
 
 def test_stream_field_has_no_gradient_part(grid2):
     b = presets.make_field("stream", grid2)
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     assert _sup(dec.c) <= 1e-10 * _sup(b)
     assert _defect(b, dec) <= 1e-10 * _sup(b)
 
 
 def test_reconstruction_band_limited(grid3):
     b = presets.random_field(grid3, seed=3)
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     recon = dec.c + mat_div(dec.F)
     defect = max(
         max_abs(b[i] - dec.mean_part[i] - recon[i]) for i in range(3)
@@ -114,7 +113,7 @@ def test_reconstruction_band_limited(grid3):
 def test_mean_part_recovered(grid2):
     b = presets.make_field("stream", grid2)
     shifted = VectorField((b[0] + 2.5, b[1] - 1.0))
-    dec = hodge_decompose(shifted)
+    dec = decompose(shifted)
     assert np.allclose(dec.mean_part, [2.5, -1.0], atol=1e-12)
 
 
@@ -123,7 +122,7 @@ def test_vortex_gradient_part_small_and_shrinking():
     for n in (32, 64):
         g = Grid(3, n, 1.0)
         b = presets.make_field("vortex", g)
-        dec = hodge_decompose(b)
+        dec = decompose(b)
         ratios.append(lp_norm(dec.c) / lp_norm(b))
     assert ratios[0] <= 0.05
     assert ratios[1] < ratios[0]
@@ -158,7 +157,7 @@ def test_reduce_principal_symmetric_noop(grid2):
 def test_inhomogeneous_reconstruction_full_spectrum(grid2, noise):
     b = noise(grid2, seed=12)
     q = noise(grid2, seed=13, kind="scalar")
-    dec = inhomogeneous_decompose(b, q)
+    dec = decompose(b, q, "inhomogeneous")
     scale = max(_sup(b), 1.0)
     assert dec.h is not None and dec.gamma is not None
     # reconstruction identities, recomputed with the public operators
@@ -169,7 +168,8 @@ def test_inhomogeneous_reconstruction_full_spectrum(grid2, noise):
 
 
 def test_inhomogeneous_zero_q(grid3, monkeypatch):
-    # the verdicts fill an absent q with zeros; its split costs no transform
+    # a zero q and an absent one split alike, bit for bit, and neither
+    # costs a transform
     b = presets.random_field(grid3, seed=5)
     q = ScalarField(grid3, np.zeros(grid3.shape))
     calls = []
@@ -180,18 +180,35 @@ def test_inhomogeneous_zero_q(grid3, monkeypatch):
 
     monkeypatch.setattr(torus, "_sfft", SimpleNamespace(rfftn=forward,
                                                         irfftn=scipy.fft.irfftn))
-    dec = inhomogeneous_decompose(b, q)
+    dec = decompose(b, q, "inhomogeneous")
     assert calls == [b.values.shape]
     assert np.array_equal(dec.h.values, np.zeros((3,) + grid3.shape))
     assert np.array_equal(dec.gamma.values, np.zeros(grid3.shape))
     assert np.all(dec.mean_part == 0.0)
+    calls.clear()
+    absent = decompose(b, flavor="inhomogeneous")
+    assert calls == [b.values.shape]
+    for part in ("c", "F", "h", "gamma"):
+        got, want = getattr(absent, part).values, getattr(dec, part).values
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+    assert absent.harmonic.tobytes() == dec.harmonic.tobytes()
+
+
+def test_homogeneous_split_rejects_q(grid2):
+    # the homogeneous split has no q part: a given q would go unread
+    b = presets.make_field("stream", grid2)
+    q = ScalarField(grid2, np.zeros(grid2.shape))
+    with pytest.raises(ValueError, match="homogeneous split takes no q"):
+        decompose(b, q)
+    with pytest.raises(ValueError, match="homogeneous split takes no q"):
+        decompose(b, q, "homogeneous")
 
 
 def test_inhomogeneous_grid_mismatch():
     b = presets.make_field("stream", Grid(2, 16, 1.0))
     q = ScalarField(Grid(2, 32, 1.0), np.zeros((32, 32)))
     with pytest.raises(ValueError):
-        inhomogeneous_decompose(b, q)
+        decompose(b, q, "inhomogeneous")
 
 
 def test_decompose_complex_input(grid2, noise):
@@ -200,7 +217,7 @@ def test_decompose_complex_input(grid2, noise):
     b = VectorField(tuple(
         ScalarField(grid2, u[i].values + 1j * v[i].values) for i in range(2)
     ))
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     assert np.iscomplexobj(dec.c[0].values)
     Pb, Qb = project("P", b), project("Q", b)
     scale = _sup(b)
@@ -215,7 +232,7 @@ def test_projections_read_the_split(dim, n, complex_, noise):
     if complex_:
         vals = vals + 1j * noise(g, seed=17).values
     b = VectorField.from_array(g, vals)
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     assert np.array_equal(project("P", b).values, dec.c.values)
     mean = dec.mean_part.reshape((-1,) + (1,) * dim)
     want = b.values - mean - dec.c.values

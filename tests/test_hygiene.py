@@ -4,7 +4,7 @@ name in ``src/`` that nothing in ``src/`` uses, no ``__all__`` entry in
 ``src/`` that names nothing the module binds, no dataclass field in
 ``src/`` that nothing reads, no import of ``scipy.sparse`` or
 ``scipy.linalg`` in ``src/`` (checked in a verdict run as well), one
-spelling of the flavor vocabulary in ``src/``, and no
+spelling of each flavor vocabulary in ``src/``, and no
 transform outside the spectral core: only ``torus`` imports ``scipy.fft``,
 and inside it only ``_Spectral`` and ``_PrunedFFT`` call it, and the cache
 that interns the cores is the only cache in ``src/``, so every Fourier
@@ -256,11 +256,15 @@ def test_the_core_cache_is_the_only_cache_in_src():
 
 
 def test_one_flavor_vocabulary_in_src():
-    # measures.FLAVORS is the one tuple of norm flavors: formnorm, capacity
-    # and the CLI read it, so a new flavor cannot reach one and miss another
-    spelled = [f"{path.relative_to(ROOT)}:{node.lineno}"
-               for path in SRC for node in ast.walk(_tree(path))
-               if isinstance(node, (ast.Tuple, ast.List))
-               and [getattr(e, "value", None) for e in node.elts]
-               == ["homogeneous", "inhomogeneous"]]
-    assert len(spelled) == 1 and spelled[0].startswith("src/formbound/measures.py:"), spelled
+    # measures.FLAVORS is the one tuple of norm flavors, which formnorm,
+    # capacity, hodge and the CLI read, and oscillation.FLAVORS the one
+    # tuple of oscillation flavors, which the CLI reads: a new flavor
+    # cannot reach one reader and miss another
+    for vocabulary, home in ((["homogeneous", "inhomogeneous"], "measures"),
+                             (["BMO", "bmo", "BMO_sharp"], "oscillation")):
+        spelled = [f"{path.relative_to(ROOT)}:{node.lineno}"
+                   for path in SRC for node in ast.walk(_tree(path))
+                   if isinstance(node, (ast.Tuple, ast.List))
+                   and [getattr(e, "value", None) for e in node.elts] == vocabulary]
+        assert len(spelled) == 1 and \
+            spelled[0].startswith(f"src/formbound/{home}.py:"), spelled

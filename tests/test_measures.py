@@ -4,6 +4,7 @@ import pytest
 from formbound import presets
 from formbound.capacity import ball_set, capacity
 from formbound.formnorm import form_norm, trace_constant
+from formbound.hodge import decompose
 from formbound.measures import (
     FLAVORS,
     DiscreteMeasure,
@@ -278,6 +279,8 @@ _FLAVORED = {
     "trace_constant": lambda mu, flavor: trace_constant(mu, flavor=flavor),
     "form_norm": lambda mu, flavor: form_norm(None, None, mu.density(), flavor=flavor),
     "capacity": lambda mu, flavor: capacity(ball_set(mu.grid, (0.5,) * 3, 0.125), flavor),
+    "decompose": lambda mu, flavor: decompose(presets.make_field("vortex", mu.grid),
+                                              flavor=flavor),
 }
 
 

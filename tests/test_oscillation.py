@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from formbound import presets
-from formbound.hodge import hodge_decompose, inhomogeneous_decompose
+from formbound.hodge import decompose
 from formbound.oscillation import (
     FLAVORS,
     Cube,
@@ -14,6 +14,7 @@ from formbound.oscillation import (
     vmo_profile,
 )
 from formbound.oscillation import _r_mean as _row_r_mean
+from formbound.report import Record
 from formbound.torus import Grid, ScalarField
 
 # writing a complex |.| into a complex buffer hands complex sups to float()
@@ -50,16 +51,14 @@ def _step(grid):
 @pytest.mark.parametrize("flavor", ["BMO", "BMO_sharp"])
 def test_constant_field_vanishes(grid2, flavor):
     f = ScalarField(grid2, np.full(grid2.shape, 4.2))
-    rep = bmo_norm(f, flavor=flavor)
-    assert rep.norm <= 1e-14
-    assert rep.flavor == flavor
+    assert bmo_norm(f, flavor=flavor).constant <= 1e-14
 
 
 def test_bmo_flavor_sees_constants(grid2):
     # the inhomogeneous flavor adds the large-cube mass of |f|
     f = ScalarField(grid2, np.full(grid2.shape, 4.2))
     rep = bmo_norm(f, flavor="bmo")
-    assert abs(rep.norm - 4.2) <= 1e-12
+    assert abs(rep.constant - 4.2) <= 1e-12
 
 
 def test_ties_keep_the_first_cube(grid2):
@@ -68,10 +67,10 @@ def test_ties_keep_the_first_cube(grid2):
     # flavor's mass cube beats the zero oscillation
     f = ScalarField(grid2, np.full(grid2.shape, 0.5))
     for flavor in ("BMO", "BMO_sharp"):
-        assert bmo_norm(f, flavor=flavor).worst_cube == Cube((0, 0), 1)
+        assert bmo_norm(f, flavor=flavor).witness == Cube((0, 0), 1)
     rep = bmo_norm(f, flavor="bmo", r=2)
-    assert rep.norm == 0.5
-    assert rep.worst_cube == Cube((0, 0), grid2.points_per_axis // 2)
+    assert rep.constant == 0.5
+    assert rep.witness == Cube((0, 0), grid2.points_per_axis // 2)
     # +-1 on the two halves: the oscillation sup and the mass sup are both
     # exactly 1, and a tie keeps the oscillation cube, the first straddling
     # cube of side 2 (shifted by one row)
@@ -79,27 +78,27 @@ def test_ties_keep_the_first_cube(grid2):
     vals = np.ones(grid2.shape)
     vals[n // 2:] = -1.0
     rep = bmo_norm(ScalarField(grid2, vals), flavor="bmo")
-    assert rep.norm == 2.0
-    assert rep.worst_cube == Cube((n // 2 - 1, 0), 2)
+    assert rep.constant == 2.0
+    assert rep.witness == Cube((n // 2 - 1, 0), 2)
 
 
 def test_step_oscillation_exact(grid2):
     # the full torus halves into 0s and 1s: mean 1/2, mean deviation 1/2
     rep = bmo_norm(_step(grid2), flavor="BMO")
-    assert abs(rep.norm - 0.5) <= 1e-12
+    assert abs(rep.constant - 0.5) <= 1e-12
 
 
 def test_step_r2_matches(grid2):
     r1 = bmo_norm(_step(grid2), flavor="BMO", r=1)
     r2 = bmo_norm(_step(grid2), flavor="BMO", r=2)
     # |f - 1/2| is identically 1/2 here, so both exponents agree
-    assert abs(r2.norm - r1.norm) <= 1e-12
+    assert abs(r2.constant - r1.constant) <= 1e-12
 
 
 def test_linear_scaling(grid2, noise):
     f = noise(grid2, seed=20, kind="scalar")
-    a = bmo_norm(f).norm
-    b = bmo_norm(ScalarField(grid2, 3.0 * f.values)).norm
+    a = bmo_norm(f).constant
+    b = bmo_norm(ScalarField(grid2, 3.0 * f.values)).constant
     assert abs(b - 3.0 * a) <= 1e-10 * max(b, 1.0)
 
 
@@ -114,7 +113,7 @@ def test_flavor_and_r_validation(grid2):
 def test_witness_reproduces_norm(grid2, noise):
     f = noise(grid2, seed=21, kind="scalar")
     rep = bmo_norm(f, flavor="BMO")
-    cube = rep.worst_cube
+    cube = rep.witness
     assert isinstance(cube, Cube)
     sl = tuple(
         np.arange(c, c + cube.side) % grid2.points_per_axis
@@ -122,7 +121,7 @@ def test_witness_reproduces_norm(grid2, noise):
     )
     block = f.values[np.ix_(*sl)].real
     osc = np.mean(np.abs(block - block.mean()))
-    assert abs(osc - rep.norm) <= 1e-12 * max(rep.norm, 1.0)
+    assert abs(osc - rep.constant) <= 1e-12 * max(rep.constant, 1.0)
 
 
 def _cube_values(vals, cube):
@@ -210,16 +209,16 @@ def test_flavors_match_brute_force_over_every_cube(dim, n, dtype, r):
     small = {c: v for c, v in osc.items() if c.side <= n // 2}
 
     rep = bmo_norm(f, flavor="BMO", r=r)
-    assert _close(rep.norm, max(osc.values()))
-    assert _close(osc[rep.worst_cube], rep.norm)
+    assert _close(rep.constant, max(osc.values()))
+    assert _close(osc[rep.witness], rep.constant)
     rep = bmo_norm(f, flavor="BMO_sharp", r=r)
-    assert _close(rep.norm, max(small.values()))
-    assert _close(small[rep.worst_cube], rep.norm)
+    assert _close(rep.constant, max(small.values()))
+    assert _close(small[rep.witness], rep.constant)
     rep = bmo_norm(f, flavor="bmo", r=r)
     top_small, top_mass = max(small.values()), max(mass.values())
-    assert _close(rep.norm, top_small + top_mass)
+    assert _close(rep.constant, top_small + top_mass)
     witness = small if top_small >= top_mass else mass
-    assert _close(witness[rep.worst_cube], max(witness.values()))
+    assert _close(witness[rep.witness], max(witness.values()))
 
     h = grid.spacing
     deltas = [h, 2 * h, 3 * h, 4 * h, 0.5, 1.0]
@@ -274,10 +273,10 @@ def test_bmo_witness_reproduces_large_cube_mean(grid2, noise, r):
     vals += 6.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)[:, None]
     f = ScalarField(grid2, vals)
     rep = bmo_norm(f, flavor="bmo", r=r)
-    small = bmo_norm(f, flavor="BMO_sharp", r=r).norm
-    mass = rep.norm - small
+    small = bmo_norm(f, flavor="BMO_sharp", r=r).constant
+    mass = rep.constant - small
     assert mass > small
-    cube = rep.worst_cube
+    cube = rep.witness
     assert cube.side == n // 2
     assert abs(_r_mean(np.abs(_cube_values(vals, cube)), r) - mass) <= 1e-12 * mass
     large = [c for c in _all_cubes(n, 2) if c.side >= n // 2]
@@ -287,17 +286,36 @@ def test_bmo_witness_reproduces_large_cube_mean(grid2, noise, r):
 
 def test_matrix_field_entrywise(grid2, noise):
     f = noise(grid2, seed=22, kind="scalar")
-    F = hodge_decompose(noise(grid2, seed=23)).F
-    single = bmo_norm(F.entries[0][1]).norm
+    F = decompose(noise(grid2, seed=23)).F
+    single = bmo_norm(F.entries[0][1]).constant
     rep = bmo_norm(F)
-    assert abs(rep.norm - single) <= 1e-12
-    assert rep.entry in ((0, 1), (1, 0))
+    assert abs(rep.constant - single) <= 1e-12
+    assert rep.note == "worst entry (0, 1)"
+
+
+@pytest.mark.parametrize("kind", ["scalar", "skew"])
+def test_records_follow_the_pass_rule(grid2, noise, kind):
+    # one bmo_norm record per field, informational without a threshold,
+    # passing at or below one and failing above; only a matrix field's
+    # record notes its worst entry
+    field = noise(grid2, seed=32, kind="scalar")
+    if kind == "skew":
+        field = decompose(noise(grid2, seed=33)).F
+    rec = bmo_norm(field)
+    assert isinstance(rec, Record)
+    assert (rec.name, rec.threshold, rec.passed) == ("bmo_norm", None, True)
+    assert rec.note == ("" if kind == "scalar" else "worst entry (0, 1)")
+    for threshold, passed in ((rec.constant, True), (2.0 * rec.constant, True),
+                              (0.5 * rec.constant, False)):
+        held = bmo_norm(field, threshold=threshold)
+        assert held == Record("bmo_norm", rec.constant, threshold, passed,
+                              rec.witness, rec.note)
 
 
 def test_skew_matrix_reduces_upper_entries(grid3, noise, monkeypatch):
     import formbound.oscillation as osc
 
-    F = hodge_decompose(noise(grid3, seed=25)).F
+    F = decompose(noise(grid3, seed=25)).F
     seen = []
     walk = osc._layer_sups
 
@@ -308,13 +326,13 @@ def test_skew_matrix_reduces_upper_entries(grid3, noise, monkeypatch):
     monkeypatch.setattr(osc, "_layer_sups", counting)
     rep = bmo_norm(F)
     assert len(seen) == 3
-    full = max(bmo_norm(e).norm for row in F.entries for e in row)
-    assert rep.norm == full
-    assert rep.entry in ((0, 1), (0, 2), (1, 2))
+    full = max(bmo_norm(e).constant for row in F.entries for e in row)
+    assert rep.constant == full
+    assert rep.note in [f"worst entry {e}" for e in ((0, 1), (0, 2), (1, 2))]
     seen.clear()
     dense = bmo_norm(F.dense())  # found skew by the sample scan
     assert len(seen) == 3
-    assert dense.norm == rep.norm and dense.entry == rep.entry
+    assert dense.constant == rep.constant and dense.note == rep.note
     seen.clear()
     G = F.dense()
     G.values[1, 0] *= 2.0
@@ -350,8 +368,8 @@ def test_vmo_profile_rejects_subcell(grid2):
 
 def test_sharp_flavor_bounded_by_plain(grid2, noise):
     f = noise(grid2, seed=24, kind="scalar")
-    plain = bmo_norm(f, flavor="BMO").norm
-    sharp = bmo_norm(f, flavor="BMO_sharp").norm
+    plain = bmo_norm(f, flavor="BMO").constant
+    sharp = bmo_norm(f, flavor="BMO_sharp").constant
     assert sharp <= plain * (1.0 + 1e-12) * 2.0
     assert sharp > 0.0
 
@@ -433,14 +451,13 @@ def test_zero_stream_entries_skip_the_walk(monkeypatch):
 
     g = Grid(3, 16, 1.0)
     b = presets.make_field("vortex", g)
-    splits = (hodge_decompose(b).F,
-              inhomogeneous_decompose(b, ScalarField(g, np.zeros(g.shape))).F)
+    splits = (decompose(b).F, decompose(b, flavor="inhomogeneous").F)
     deltas = [g.spacing, 0.125, 0.25, 0.5]
     walk = osc._layer_sups
 
     def report(F):
         reps = [bmo_norm(F, flavor=flavor, r=r) for flavor in FLAVORS for r in (1, 2)]
-        return [(rep.norm, rep.worst_cube, rep.entry) for rep in reps], vmo_profile(F, deltas)
+        return reps, vmo_profile(F, deltas)
 
     def walked(vals, *args, **kwargs):
         return walk(vals.view(_NoShortcut), *args, **kwargs)

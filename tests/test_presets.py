@@ -3,7 +3,7 @@ import pytest
 from scipy import fft as sfft
 
 from formbound import presets
-from formbound.hodge import hodge_decompose
+from formbound.hodge import decompose
 from formbound.torus import Grid, div
 
 
@@ -86,7 +86,7 @@ def test_singular_gradient_is_curl_free():
     for c in b.components:
         assert abs(c.values.mean()) <= 1e-10
         assert np.isfinite(c.values).all()
-    dec = hodge_decompose(b)
+    dec = decompose(b)
     sol = float(np.abs(dec.F.values).max())
     assert sol <= 1e-10 * max(float(np.abs(c.values).max()) for c in b.components)
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from formbound import presets
-from formbound.hodge import hodge_decompose
+from dataclasses import replace
+
+from formbound.hodge import decompose
 from formbound.oscillation import bmo_norm
 from formbound.report import Record
 from formbound.torus import (Grid, MatrixField, ScalarField, SkewField, VectorField, curl,
@@ -103,20 +105,32 @@ def test_two_dimensional_stream_certifies():
 def test_two_dimensional_battery_reads_the_splits_stream_function():
     # Div F of noise F is divergence-free and has Nyquist-plane content,
     # where the split's grounded |kappas|^2 and inv_laplacian's |kappa|^2
-    # differ: rotation_bmo is the oscillation of the split's own F_01, bit
-    # for bit, in the homogeneous and in the magnetic battery
+    # differ: rotation_bmo is the record of the split's own F_01, bit for
+    # bit, in the homogeneous and in the magnetic battery, with no entry
+    # noted; the 3-D records are those of the matrix F, worst entry noted
     g = Grid(2, 16, 1.0)
     noise = np.random.default_rng(38).standard_normal((1,) + g.shape)
     b = mat_div(SkewField.from_array(g, noise))
-    want = bmo_norm(hodge_decompose(b).F[0, 1])
-    assert want.norm != bmo_norm(inv_laplacian(curl(b)[0, 1], annihilate_mean=True)).norm
+    want = replace(bmo_norm(decompose(b).F[0, 1], threshold=Thresholds().bmo),
+                   name="rotation_bmo")
+    assert want.constant != bmo_norm(inv_laplacian(curl(b)[0, 1],
+                                                   annihilate_mean=True)).constant
+    assert want.note == ""
     q = ScalarField(g, -sum(c.values**2 for c in b.components))
     for vd in (assess_homogeneous(None, b, None), assess_magnetic(b, q)):
         assert vd.overall == "certified_bounded"
-        rec = vd.record("rotation_bmo")
-        assert rec.constant == want.norm
-        assert rec.witness == want.worst_cube
-        assert rec.note == ""
+        assert vd.record("rotation_bmo") == want
+
+    g = Grid(3, 16, 1.0)
+    b = presets.make_field("vortex", g)
+    thr = Thresholds(bmo=0.25)
+    for name, F, flavor, assess in (
+            ("stream_bmo", decompose(b).F, "BMO", assess_homogeneous),
+            ("stream_bmo_sharp", decompose(b, flavor="inhomogeneous").F, "BMO_sharp",
+             assess_inhomogeneous)):
+        want = replace(bmo_norm(F, flavor=flavor, threshold=thr.bmo), name=name)
+        assert want.note == "worst entry (0, 1)"
+        assert assess(None, b, None, thresholds=thr).record(name) == want
 
 
 def test_two_dimensional_potential_obstruction():
@@ -252,20 +266,22 @@ def test_infinitesimal_reads_only_the_drift_split(monkeypatch):
     # the profile needs F alone: the Bessel split of b gives it bit for bit,
     # without q's split
     import formbound.verdict as verdict
-    from formbound.hodge import inhomogeneous_decompose
     from formbound.oscillation import vmo_profile
 
     g = Grid(2, 64, 1.0)
     b = presets.make_field("stream", g)
     q = presets.make_scalar("trig", g)
     deltas = [1 / 8, 1 / 16, 1 / 32]
-    want = vmo_profile(inhomogeneous_decompose(b, q).F, deltas)
+    want = vmo_profile(decompose(b, q, "inhomogeneous").F, deltas)
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("inhomogeneous_decompose called")
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return decompose(*args, **kwargs)
 
-    monkeypatch.setattr(verdict, "inhomogeneous_decompose", refuse)
+    monkeypatch.setattr(verdict, "decompose", recording)
     vd = assess_infinitesimal(b, q, deltas)
+    assert calls == [((b,), {"flavor": "inhomogeneous"})]
     assert vd.profiles["delta"] == [d for d, _ in want]
     assert vd.profiles["vmo"] == [v for _, v in want]
 
